@@ -15,7 +15,7 @@ import sys
 
 from . import decompose as dc
 from . import properties, render, zoo
-from .core import format_sgt, is_weakly_reductive, load_sgt
+from .core import format_sgt, is_weakly_reductive, load_sgt, read_text
 from .green import (
     ccr_witness,
     green,
@@ -31,6 +31,7 @@ from .green import (
 )
 from .stratify import classify, stratify
 from .errors import (
+    InvalidArgument,
     NotConditionallyCompletelyRegular,
     SemigroupError,
     SgtParseError,
@@ -76,7 +77,11 @@ def _resolve_ref(ref, base_dir):
     """A .phm reference: either a path to a .sgt file or a zoo:... tag."""
     if ref.startswith("zoo:"):
         parts = ref.split(":")
-        return _zoo_build(parts[1], [int(p) for p in parts[2:]])
+        try:
+            params = [int(p) for p in parts[2:]]
+        except ValueError:
+            raise InvalidArgument(f"non-integer parameter in {ref!r}")
+        return _zoo_build(parts[1], params)
     path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
     return load_sgt(path)
 
@@ -161,8 +166,7 @@ def cmd_decompose(args):
 
 
 def cmd_extend(args):
-    with open(args.path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(args.path)
     base_dir = os.path.dirname(os.path.abspath(args.path))
     phi = parse_phm(text, lambda ref: _resolve_ref(ref, base_dir))
     witness = build_extension(phi)

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     EmptyGenerators,
     IndexOutOfRange,
+    InvalidArgument,
     NonAssociative,
     NonSquare,
     NotACongruence,
@@ -27,69 +28,72 @@ from .errors import (
 
 CONGRUENCE_ORDER_CAP = 6
 ISOMORPHISM_ORDER_CAP = 12
+# The largest order a uint16 index array can address.
+ORDER_CAP = int(np.iinfo(np.uint16).max)
+# Cells of (i*j)*k compared per block of left factors during validation.
+ASSOC_BLOCK_CELLS = 2 ** 21
 
 
 class Semigroup:
     """An immutable finite semigroup given by its Cayley table.
 
-    Construction validates every entry and full associativity (O(n^3), via
-    numpy); there is no unchecked constructor.  A two-sided zero and a
-    two-sided identity are detected automatically (each is unique when it
-    exists).
+    `entries` is a sequence of n rows of n element indices.  Construction
+    validates every entry and full associativity (O(n^3) time, O(n^2)
+    memory, via numpy); there is no unchecked constructor.  A two-sided
+    zero and a two-sided identity are detected automatically (each is
+    unique when it exists).
     """
 
     __slots__ = ("order", "table", "_rows", "labels", "zero", "identity", "_cache")
 
     def __init__(self, entries, labels=None):
-        rows = [tuple(int(x) for x in row) for row in entries]
-        n = len(rows)
+        n = len(entries)
+        if n > ORDER_CAP:
+            raise OrderTooLarge(n, ORDER_CAP)
         if n == 0:
             raise NonSquare(0, 0, 0)
+        rows = tuple(tuple(map(int, row)) for row in entries)
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise NonSquare(n, i, len(row))
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if not 0 <= v < n:
-                    raise IndexOutOfRange(i, j, v, n)
+        if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
+            for i, row in enumerate(rows):
+                for j, v in enumerate(row):
+                    if not 0 <= v < n:
+                        raise IndexOutOfRange(i, j, v, n)
 
-        table = np.array(rows, dtype=np.int64)
-        # (i*j)*k = table[table[i,j], k];  i*(j*k) = table[i, table[j,k]]
-        left = table[table]
-        right = table[:, table]
-        if not np.array_equal(left, right):
-            i, j, k = map(int, np.argwhere(left != right)[0])
-            raise NonAssociative(i, j, k)
+        t = np.array(rows, dtype=np.uint8 if n <= 256 else np.uint16)
+        # (i*j)*k = t[t[i,j], k];  i*(j*k) = t[i, t[j,k]].  Compare one
+        # block of left factors i at a time, in lexicographic order, so the
+        # first mismatch is the first failing triple of the whole cube.
+        step = max(1, ASSOC_BLOCK_CELLS // (n * n))
+        for i0 in range(0, n, step):
+            block = t[i0:i0 + step]
+            left = t[block]
+            right = block[:, t]
+            if not (left == right).all():
+                i, j, k = map(int, np.argwhere(left != right)[0])
+                raise NonAssociative(i0 + i, j, k)
+        table = t.astype(np.int64)
         table.setflags(write=False)
 
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
-                raise ValueError(f"expected {n} labels, got {len(labels)}")
+                raise InvalidArgument(f"expected {n} labels, got {len(labels)}")
 
+        cols = tuple(zip(*rows))
+        ident = tuple(range(n))
         self.order = n
         self.table = table
-        self._rows = tuple(rows)
+        self._rows = rows
         self.labels = labels
-        self.zero = self._find_zero()
-        self.identity = self._find_identity()
+        self.zero = next((z for z in range(n)
+                          if rows[z].count(z) == n and cols[z].count(z) == n),
+                         None)
+        self.identity = next((e for e in range(n)
+                              if rows[e] == ident and cols[e] == ident), None)
         self._cache = {}
-
-    def _find_zero(self):
-        t = self._rows
-        n = self.order
-        for z in range(n):
-            if all(t[z][i] == z and t[i][z] == z for i in range(n)):
-                return z
-        return None
-
-    def _find_identity(self):
-        t = self._rows
-        n = self.order
-        for e in range(n):
-            if all(t[e][i] == i and t[i][e] == i for i in range(n)):
-                return e
-        return None
 
     def mul(self, i, j):
         return self._rows[i][j]
@@ -131,13 +135,13 @@ class Partition:
         seen = set()
         for c in cls:
             if not c:
-                raise ValueError("empty class")
+                raise InvalidArgument("empty class")
             if c & seen:
-                raise ValueError(f"classes overlap at {sorted(c & seen)}")
+                raise InvalidArgument(f"classes overlap at {sorted(c & seen)}")
             seen |= c
         size = n if n is not None else (max(seen) + 1 if seen else 0)
         if seen != set(range(size)):
-            raise ValueError(f"classes do not cover [0, {size})")
+            raise InvalidArgument(f"classes do not cover [0, {size})")
         index = [0] * size
         for k, c in enumerate(cls):
             for x in c:
@@ -216,7 +220,7 @@ def _power_chain(S):
 def power_set(S, m):
     """S^m, the set of products of m elements (S^1 = S)."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidArgument("m must be >= 1")
     chain = _power_chain(S)
     return chain[m - 1] if m <= len(chain) else chain[-1]
 
@@ -510,7 +514,9 @@ def find_isomorphism(S, T, cap=ISOMORPHISM_ORDER_CAP):
 
     def rec(a):
         if a == n:
-            return True
+            # the incremental test is a filter, not a proof
+            return all(phi[S.mul(x, y)] == T.mul(phi[x], phi[y])
+                       for x in range(n) for y in range(n))
         for b in candidates[a]:
             if not used[b] and ok(a, b):
                 phi[a] = b
@@ -521,12 +527,7 @@ def find_isomorphism(S, T, cap=ISOMORPHISM_ORDER_CAP):
                 used[b] = False
         return False
 
-    if rec(0):
-        # full re-check (the incremental test is a filter, not a proof)
-        if all(phi[S.mul(a, b)] == T.mul(phi[a], phi[b])
-               for a in range(n) for b in range(n)):
-            return tuple(phi)
-    return None
+    return tuple(phi) if rec(0) else None
 
 
 def isomorphic(S, T, cap=ISOMORPHISM_ORDER_CAP):
@@ -550,6 +551,8 @@ def parse_sgt(text):
         raise SgtParseError(1, f"expected an integer order, got {lines[0]!r}")
     if n < 1:
         raise SgtParseError(1, f"order must be positive, got {n}")
+    if n > ORDER_CAP:
+        raise OrderTooLarge(n, ORDER_CAP)
     if len(lines) < n + 1:
         raise SgtParseError(len(lines) + 1, f"expected {n} table rows")
     rows = []
@@ -585,9 +588,19 @@ def format_sgt(S):
     return "\n".join(lines) + "\n"
 
 
+def read_text(path):
+    """The UTF-8 text of a file; undecodable bytes raise SgtParseError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SgtParseError(data.count(b"\n", 0, e.start) + 1,
+                            f"invalid UTF-8 at byte {e.start}")
+
+
 def load_sgt(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_sgt(fh.read())
+    return parse_sgt(read_text(path))
 
 
 def save_sgt(S, path):

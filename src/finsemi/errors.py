@@ -9,6 +9,10 @@ class SemigroupError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidArgument(SemigroupError, ValueError):
+    """A parameter outside the domain the function accepts."""
+
+
 class NonSquare(SemigroupError):
     def __init__(self, n, row, width):
         self.n, self.row, self.width = n, row, width

@@ -26,6 +26,7 @@ from .core import (
 from .errors import (
     GroupUnionNotIdeal,
     InternalTheoremViolation,
+    InvalidArgument,
     LawViolation,
     NoZeroInSource,
     NonAssociative,
@@ -59,9 +60,9 @@ def validate_partial_hom(T, S, mapping):
     nonzero = [x for x in T.elements if x != T.zero]
     mapping = {int(k): int(v) for k, v in mapping.items()}
     if sorted(mapping) != nonzero:
-        raise ValueError(f"mapping keys must be exactly T \\ {{{T.zero}}}")
+        raise InvalidArgument(f"mapping keys must be exactly T \\ {{{T.zero}}}")
     if any(not 0 <= v < S.order for v in mapping.values()):
-        raise ValueError("mapping value outside the target")
+        raise InvalidArgument("mapping value outside the target")
     for a in nonzero:
         for b in nonzero:
             ab = T.mul(a, b)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from . import decompose as dc
 from .core import (
     Partition,
+    adjoin_zero,
     base_set,
     congruence_witness,
     closure,
@@ -211,6 +212,12 @@ def check_stratify(S, extra_generating_sets=()):
     Q, _ = rees_quotient(S, base)
     if not is_grillet_stratified(Q):
         bad.append("S/Base(S) is not Grillet-stratified")
+    if S.zero is None:
+        S0 = adjoin_zero(S)
+        if base_set(S0) != base | {S0.zero}:
+            bad.append("Base(S^0) != Base(S) ∪ {0}")
+        if is_grillet_stratified(S) != is_grillet_stratified(S0):
+            bad.append("S and S^0 disagree on Grillet stratification")
     if product_set(S, base, base) != base:
         bad.append("the base is not globally idempotent")
     rep = stratify(S)

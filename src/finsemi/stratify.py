@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from .core import (
     _power_chain,
-    adjoin_zero,
     base_set,
     power_set,
     rees_quotient,
@@ -64,10 +63,12 @@ def depth(S, s):
 
 
 def is_grillet_stratified(S):
-    """Base is exactly {0}; zero-free semigroups are judged on S^0."""
-    if S.zero is not None:
-        return base_set(S) == {S.zero}
-    return is_grillet_stratified(adjoin_zero(S))
+    """Base is exactly {0}; zero-free semigroups are judged on S^0.
+
+    Base(S^0) = Base(S) ∪ {0} and a finite Base(S) is never empty, so a
+    zero-free S is never Grillet-stratified.
+    """
+    return S.zero is not None and base_set(S) == {S.zero}
 
 
 @dataclass(frozen=True)

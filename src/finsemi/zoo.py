@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .core import Semigroup, adjoin_zero, direct_product, from_table, rees_quotient
-from .errors import InvalidLinking, KTooLarge, OrderTooLarge
+from .errors import InvalidArgument, InvalidLinking, KTooLarge, OrderTooLarge
 
 ENUMERATION_ORDER_CAP = 4
 FREE_NILPOTENT_ORDER_CAP = 200
@@ -31,7 +31,7 @@ def monogenic(h, r):
     {a^h, ..., a^(h+r-1)} is a cyclic group of order r.
     """
     if h < 1 or r < 1:
-        raise ValueError("index and period must be >= 1")
+        raise InvalidArgument("index and period must be >= 1")
     n = h + r - 1
     rows = []
     for i in range(n):
@@ -54,7 +54,7 @@ def cyclic_group(r):
 def zero_semigroup(n):
     """All products equal the zero, which sits at index 0."""
     if n < 1:
-        raise ValueError("order must be >= 1")
+        raise InvalidArgument("order must be >= 1")
     labels = ["0"] + [f"x{i}" for i in range(1, n)]
     return from_table(n, [[0] * n] * n, labels=labels)
 
@@ -62,7 +62,7 @@ def zero_semigroup(n):
 def chain_semilattice(n):
     """The n-chain semilattice under min; 0 is the bottom."""
     if n < 1:
-        raise ValueError("order must be >= 1")
+        raise InvalidArgument("order must be >= 1")
     return from_table(n, [[min(i, j) for j in range(n)] for i in range(n)],
                       labels=[f"e{i}" for i in range(n)])
 
@@ -70,7 +70,7 @@ def chain_semilattice(n):
 def rectangular_band(p, q):
     """(i,j)(k,l) = (i,l) on p*q pairs; index (i,j) -> i*q + j."""
     if p < 1 or q < 1:
-        raise ValueError("dimensions must be >= 1")
+        raise InvalidArgument("dimensions must be >= 1")
     n = p * q
     rows = [[(a // q) * q + (b % q) for b in range(n)] for a in range(n)]
     labels = [f"({i},{j})" for i in range(p) for j in range(q)]
@@ -110,7 +110,7 @@ def powerset_nilsemigroup(k):
     finite instance has base {∅} (checked in the tests, k <= 4).
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidArgument("k must be >= 1")
     if k > 5:
         raise KTooLarge(1 << k, 1 << 5)
     n = 1 << k
@@ -132,7 +132,7 @@ def free_nilpotent(alphabet_size, length_bound):
     """
     a, L = alphabet_size, length_bound
     if a < 1 or L < 2:
-        raise ValueError("need alphabet_size >= 1 and length_bound >= 2")
+        raise InvalidArgument("need alphabet_size >= 1 and length_bound >= 2")
     words = []
     for length in range(1, L):
         words.extend(product(range(a), repeat=length))
@@ -291,14 +291,14 @@ def partial_map_extension(n, m, groups, picks=None):
     from .extend import build_extension, validate_partial_hom
 
     if n < 1 or m < 1 or len(groups) != n:
-        raise ValueError("need n >= 1, m >= 1 and one group per coordinate")
+        raise InvalidArgument("need n >= 1, m >= 1 and one group per coordinate")
     if picks is None:
         picks = [g.identity for g in groups]
     for g, p in zip(groups, picks):
         if g.identity is None:
-            raise ValueError("every factor must be a group")
+            raise InvalidArgument("every factor must be a group")
         if not 0 <= p < g.order:
-            raise ValueError(f"pick {p} outside the group")
+            raise InvalidArgument(f"pick {p} outside the group")
 
     t_order = (m + 1) ** n
     s_order = 1
@@ -468,7 +468,7 @@ def enumerate_associative(n, dedup=None):
     if n < 1 or n > ENUMERATION_ORDER_CAP:
         raise OrderTooLarge(n, ENUMERATION_ORDER_CAP)
     if dedup not in (None, "iso", "iso+anti"):
-        raise ValueError(f"unknown dedup mode {dedup!r}")
+        raise InvalidArgument(f"unknown dedup mode {dedup!r}")
     seen = set()
     for rows in _assoc_tables(n):
         if dedup:

@@ -1,9 +1,13 @@
 import itertools
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from finsemi import (
     Partition,
+    Semigroup,
     adjoin_identity,
     adjoin_zero,
     base_set,
@@ -20,6 +24,7 @@ from finsemi import (
     isomorphic,
     monoid_completion,
     pair_index,
+    parse_sgt,
     power_set,
     product_set,
     quotient_by_congruence,
@@ -27,6 +32,7 @@ from finsemi import (
     restrict,
     zoo,
 )
+from finsemi.core import find_isomorphism
 from finsemi.errors import (
     EmptyGenerators,
     IndexOutOfRange,
@@ -44,6 +50,35 @@ def brute_associative(rows):
     n = len(rows)
     return all(rows[rows[a][b]][c] == rows[a][rows[b][c]]
                for a in range(n) for b in range(n) for c in range(n))
+
+
+def cube_witness(rows):
+    """First (i, j, k) of np.argwhere over the full n^3 cube of
+    (i*j)*k != i*(j*k), evaluated one int64 slab i at a time."""
+    t = np.array(rows, dtype=np.int64)
+    for i in range(len(t)):
+        bad = np.argwhere(t[t[i]] != t[i][t])
+        if len(bad):
+            return (i, *map(int, bad[0]))
+    return None
+
+
+def relabel(rows, perm):
+    """The table of the same semigroup with element x renamed perm[x]."""
+    n = len(rows)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[rows[a][b]]
+    return out
+
+
+def assert_relabeling_found(S, perm):
+    rows = relabel(S._rows, perm)
+    phi = find_isomorphism(S, from_table(S.order, rows))
+    assert phi is not None
+    assert all(phi[S.mul(a, b)] == rows[phi[a]][phi[b]]
+               for a in S.elements for b in S.elements)
 
 
 class TestFromTable:
@@ -70,6 +105,10 @@ class TestFromTable:
         with pytest.raises(IndexOutOfRange) as e:
             from_table(2, [[0, 2], [0, 1]])
         assert (e.value.i, e.value.j, e.value.value) == (0, 1, 2)
+        # the first bad entry in row-major order, whatever its sign
+        with pytest.raises(IndexOutOfRange) as e:
+            from_table(3, [[0, 1, 2], [0, 1, -1], [0, 3, 0]])
+        assert (e.value.i, e.value.j, e.value.value) == (1, 2, -1)
 
     def test_first_failing_triple_reported(self):
         # oracle: (0,0)*0 = 1*0 = 0 but 0*(0*0) = 0*1 = 0 ... first failure
@@ -80,6 +119,76 @@ class TestFromTable:
         i, j, k = e.value.triple
         t = [[1, 0], [0, 0]]
         assert t[t[i][j]][k] != t[i][t[j][k]]
+
+
+class TestAssociativityCheck:
+    """The blocked narrow-dtype check reports the full-cube witness."""
+
+    def test_small_witnesses_match_full_cube(self):
+        rng = random.Random(7)
+        for n in range(2, 21):
+            for _ in range(5):
+                rows = [[min(i, j) for j in range(n)] for i in range(n)]
+                rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+                t = np.array(rows)
+                bad = np.argwhere(t[t] != t[:, t])
+                if not len(bad):
+                    Semigroup(rows)
+                    continue
+                with pytest.raises(NonAssociative) as e:
+                    Semigroup(rows)
+                assert e.value.triple == tuple(map(int, bad[0]))
+                assert e.value.triple == cube_witness(rows)
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 300])
+    def test_witness_across_blocks_and_dtypes(self, n):
+        rng = random.Random(n)
+        for r in (0, n // 2, n - 1):
+            # left-zero band with row r bent at its last column: the first
+            # failing triple is (r, 0, n-1), so it lies in r's block
+            rows = [[i] * n for i in range(n)]
+            rows[r][n - 1] = (r + 1) % n
+            with pytest.raises(NonAssociative) as e:
+                Semigroup(rows)
+            assert e.value.triple == (r, 0, n - 1) == cube_witness(rows)
+            # a chain semilattice with a random defect in row r
+            rows = [[min(i, j) for j in range(n)] for i in range(n)]
+            rows[r][rng.randrange(n)] = rng.randrange(n)
+            with pytest.raises(NonAssociative) as e:
+                Semigroup(rows)
+            assert e.value.triple == cube_witness(rows)
+
+    def test_construction_memory_is_quadratic(self):
+        rows = [list(row) for row in zoo.rectangular_band(16, 18)._rows]
+        tracemalloc.start()
+        try:
+            Semigroup(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2 ** 20    # the n^3 int64 cubes took 407 MB
+
+    @pytest.mark.parametrize("n", [4, 300])
+    def test_table_is_read_only_int64(self, n):
+        rows = [[min(i, j) for j in range(n)] for i in range(n)]
+        S = Semigroup(rows)
+        assert S.table.dtype == np.int64
+        assert not S.table.flags.writeable
+        assert S.table.tolist() == rows
+
+    def test_order_cap_before_any_row(self):
+        class Huge:
+            def __len__(self):
+                return 65536
+
+            def __iter__(self):
+                raise AssertionError("rows read before the order check")
+
+        with pytest.raises(OrderTooLarge) as e:
+            Semigroup(Huge())
+        assert (e.value.order, e.value.cap) == (65536, 65535)
+        with pytest.raises(OrderTooLarge):
+            parse_sgt("65536\n0 0\n")
 
 
 class TestSetAlgebra:
@@ -267,6 +376,31 @@ class TestRestrictIsomorphic:
     def test_isomorphic_relabeling(self, z2):
         flipped = from_table(2, [[1, 0], [0, 1]])  # identity at index 1
         assert isomorphic(z2, flipped)
+        # a search that stopped at its first full assignment missed this one
+        S = from_table(4, [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 3, 0],
+                           [0, 0, 0, 0]])
+        assert_relabeling_found(S, (0, 2, 3, 1))
+
+    def test_isomorphism_found_under_every_relabeling_order4(self):
+        rng = random.Random(4)
+        for S in zoo.enumerate_associative(4):
+            perm = list(range(4))
+            rng.shuffle(perm)
+            assert_relabeling_found(S, perm)
+
+    def test_order4_isomorphism_classes(self):
+        # OEIS A027851: 188 semigroups of order 4 up to isomorphism
+        buckets = {}
+        for S in zoo.enumerate_associative(4):
+            key = tuple(sorted(
+                (S.mul(a, a) == a, len(set(S._rows[a])),
+                 len({S.mul(x, a) for x in range(4)}),
+                 len({S.mul(S.mul(a, a), a), S.mul(a, a), a}))
+                for a in range(4)))
+            reps = buckets.setdefault(key, [])
+            if not any(isomorphic(S, R) for R in reps):
+                reps.append(S)
+        assert sum(map(len, buckets.values())) == 188
 
 
 def test_power_formulas_exhaustive_order2():

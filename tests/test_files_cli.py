@@ -167,6 +167,36 @@ class TestCli:
     def test_zoo_unknown_fixture(self, capsys):
         assert main(["zoo", "nonsense"]) == 1
 
+    def test_zoo_bad_parameter(self, capsys):
+        assert main(["zoo", "monogenic", "0", "1"]) == 1
+        assert "index and period" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ref, pair", [("zoo:monogenic:x", "0 0"),
+                                           ("zoo:cyclic:2", "0 5")])
+    def test_extend_bad_phm(self, tmp_path, capsys, ref, pair):
+        save_sgt(from_table(2, [[1, 1], [1, 1]]), tmp_path / "t.sgt")
+        phm = tmp_path / "bad.phm"
+        phm.write_text(f"t.sgt\n{ref}\n{pair}\n", encoding="utf-8")
+        assert main(["extend", str(phm)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_files(self, tmp_path, capsys):
+        sgt = tmp_path / "bad.sgt"
+        sgt.write_bytes(b"2\n0 0\n0 \xff\n")
+        assert main(["validate", str(sgt)]) == 1
+        assert "line 3" in capsys.readouterr().out
+        assert main(["analyze", str(sgt)]) == 1
+        assert "parse error: line 3" in capsys.readouterr().err
+        phm = tmp_path / "bad.phm"
+        phm.write_bytes(b"\xfe\n")
+        assert main(["extend", str(phm)]) == 1
+
+    def test_order_above_cap(self, tmp_path, capsys):
+        path = tmp_path / "huge.sgt"
+        path.write_text("65536\n0\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert "exceeds the supported cap 65535" in capsys.readouterr().out
+
     def test_extend_round_trip(self, tmp_path, capsys):
         t_path = tmp_path / "t.sgt"
         save_sgt(from_table(2, [[1, 1], [1, 1]]), t_path)
