@@ -10,6 +10,7 @@ function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -198,8 +199,15 @@ def product_set(S, A, B):
     """The set {a*b : a in A, b in B}."""
     if not A or not B:
         return frozenset()
-    sub = S.table[np.ix_(sorted(A), sorted(B))]
-    return frozenset(np.unique(sub).tolist())
+    rows = S._rows
+    if len(B) == 1:
+        (b,) = B
+        return frozenset([rows[a][b] for a in A])
+    pick = itemgetter(*B)
+    out = set()
+    for a in A:
+        out.update(pick(rows[a]))
+    return frozenset(out)
 
 
 def _power_chain(S):
@@ -268,13 +276,16 @@ def restrict(S, A):
     """The subsemigroup on A as a standalone Semigroup.
 
     Returns (T, elems) where elems[i] is the S-index of T's element i
-    (elements in increasing S-index order).
+    (elements in increasing S-index order).  When A is all of S, T is S
+    itself, so its cached structure is shared.
     """
+    elems = sorted(A)
+    if elems == list(S.elements):
+        return S, elems
     if not is_subsemigroup(S, A):
         bad = next(((a, b) for a in sorted(A) for b in sorted(A)
                     if S.mul(a, b) not in A), None)
         raise NotASubsemigroup(bad)
-    elems = sorted(A)
     pos = {a: i for i, a in enumerate(elems)}
     rows = [[pos[S.mul(a, b)] for b in elems] for a in elems]
     labels = [S.label(a) for a in elems] if S.labels else None

@@ -152,26 +152,30 @@ def archimedean(S, A):
     A = frozenset(A)
     if not A:
         return False
-    bad = next(((a, b) for a in sorted(A) for b in sorted(A)
-                if S.mul(a, b) not in A), None)
-    if bad is not None:
-        raise NotASubsemigroup(bad)
     elems = sorted(A)
     t = S._rows
+    bad = next(((a, b) for a in elems for b in elems if t[a][b] not in A),
+               None)
+    if bad is not None:
+        raise NotASubsemigroup(bad)
+    left = {x: {x}.union([t[y][x] for y in elems]) for x in elems}  # A^1 x
+    powers = []
+    for a in elems:
+        seen = {a}
+        p = a
+        while (p := t[p][a]) not in seen:
+            seen.add(p)
+        powers.append(seen)
+    # A^1 b A^1 = A^1 (b A^1) depends only on the right ideal b A^1
+    done = set()
     for b in elems:
-        ideal = {b}
-        ideal.update(t[x][b] for x in elems)
-        ideal.update(t[b][y] for y in elems)
-        ideal.update(t[t[x][b]][y] for x in elems for y in elems)
-        for a in elems:
-            p = a
-            # powers enter a cycle within |A| steps, so |A|+1 probes suffice
-            for _ in range(len(elems) + 1):
-                if p in ideal:
-                    break
-                p = t[p][a]
-            else:
-                return False
+        right = frozenset([t[b][y] for y in elems]) | {b}
+        if right in done:
+            continue
+        done.add(right)
+        ideal = set().union(*map(left.__getitem__, right))
+        if any(ideal.isdisjoint(pw) for pw in powers):
+            return False
     return True
 
 

@@ -1,11 +1,15 @@
 """Green's relations, idempotents, weak inverses, and class predicates.
 
-Everything here is an exhaustive scan over the Cayley table; at the orders
-this package targets (a few hundred elements at most) an O(n^2)-O(n^3) scan
-is instant and leaves nothing to trust.  The five relations are
-cross-validated at construction: D is computed as R∘L, asserted equal to
-L∘R, and asserted equal to J (both are theorems on finite semigroups, so a
-mismatch is an engine bug, not an input property).
+The principal ideals come from the Cayley graphs, as in Froidure & Pin
+(1997): aS^1 is the row of a plus a, S^1a its column plus a, and
+S^1aS^1 = S^1(aS^1) the union of S^1x over x in aS^1, built once per
+distinct R-ideal.  That is at most n^2 set insertions per R-class: O(n^2)
+when R-classes are few, O(n^3) at worst (a chain), and no n x n gather per
+element.  The
+five relations are cross-validated at construction: D is computed as R∘L
+from the L-classes each R-class meets, asserted to be an equivalence,
+asserted equal to L∘R, and asserted equal to J (theorems on finite
+semigroups, so a mismatch is an engine bug, not an input property).
 """
 
 from __future__ import annotations
@@ -36,17 +40,16 @@ class GreenStructure:
 
 
 def _principal_ideals(S):
-    t = S.table
-    n = S.order
-    rs, ls, js = [], [], []
-    for a in range(n):
-        row = frozenset(t[a].tolist()) | {a}
-        col = frozenset(t[:, a].tolist()) | {a}
-        sas = frozenset(np.unique(t[np.ix_(t[:, a].tolist(), range(n))]).tolist())
-        rs.append(row)
-        ls.append(col)
-        js.append(row | col | sas)
-    return tuple(rs), tuple(ls), tuple(js)
+    """(aS^1, S^1a, S^1aS^1) for every a, as tuples of frozensets."""
+    rows = S._rows
+    rs = tuple(frozenset(row) | {a} for a, row in enumerate(rows))
+    ls = tuple(frozenset(col) | {a} for a, col in enumerate(zip(*rows)))
+    # S^1aS^1 = S^1(aS^1) depends only on the R-ideal aS^1
+    by_r = {}
+    for r in rs:
+        if r not in by_r:
+            by_r[r] = frozenset().union(*map(ls.__getitem__, r))
+    return rs, ls, tuple(map(by_r.__getitem__, rs))
 
 
 def _partition_by(keys, n):
@@ -68,27 +71,26 @@ def green(S):
     H = _partition_by(tuple(zip(rs, ls)), n)
     J = _partition_by(js, n)
 
-    # D = R∘L: a D b iff some c has a R c and c L b
-    d_keys = []
-    for a in range(n):
-        reach = frozenset().union(*(L.class_of(c) for c in R.class_of(a)))
-        d_keys.append(reach)
-    for a in range(n):
-        for b in d_keys[a]:
-            if d_keys[b] != d_keys[a]:
+    # D = R∘L: a D b iff some c has a R c and c L b, so D_a is the union of
+    # the L-classes that R_a meets.  Compare those sets of class indices.
+    l_of_r = [frozenset(L.index_of[c] for c in r) for r in R.classes]
+    r_of_l = [frozenset(R.index_of[c] for c in lc) for lc in L.classes]
+    for ls_met in l_of_r:
+        for lc in ls_met:
+            if any(l_of_r[r] != ls_met for r in r_of_l[lc]):
                 raise InternalTheoremViolation("R∘L is not an equivalence")
+    d_sets = [frozenset().union(*(L.classes[lc] for lc in met)) for met in l_of_r]
+    ld_sets = [frozenset().union(*(R.classes[r] for r in met)) for met in r_of_l]
     for a in range(n):
-        other = frozenset().union(*(R.class_of(c) for c in L.class_of(a)))
-        if other != d_keys[a]:
+        if ld_sets[L.index_of[a]] != d_sets[R.index_of[a]]:
             raise InternalTheoremViolation("R∘L != L∘R")
-    D = _partition_by(tuple(d_keys), n)
+    D = _partition_by([l_of_r[r] for r in R.index_of], n)
     if D != J:
         raise InternalTheoremViolation("D != J on a finite semigroup")
 
-    order = frozenset(
-        (ci, cj)
-        for ci in range(len(J)) for cj in range(len(J))
-        if js[min(J.classes[ci])] <= js[min(J.classes[cj])])
+    # J_x <= J_y iff x lies in the ideal S^1yS^1
+    order = frozenset((J.index_of[x], cj)
+                      for cj, cls in enumerate(J.classes) for x in js[min(cls)])
     g = GreenStructure(R=R, L=L, H=H, D=D, J=J,
                        r_ideals=rs, l_ideals=ls, j_ideals=js, j_order=order)
     S._cache["green"] = g

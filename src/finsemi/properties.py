@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from . import decompose as dc
 from .core import (
+    CONGRUENCE_ORDER_CAP,
     Partition,
     adjoin_zero,
     base_set,
@@ -27,7 +28,7 @@ from .core import (
     rees_quotient,
     restrict,
 )
-from .errors import NotConditionallyCompletelyRegular
+from .errors import NotASubsemigroup, NotConditionallyCompletelyRegular
 from .green import (
     e_dense_characterizations,
     element_powers,
@@ -46,7 +47,6 @@ from .green import (
 )
 from .stratify import BASE, classify, is_grillet_stratified, stratify
 
-CONGRUENCE_SUITE_CAP = 6
 DECOMPOSE_SUITE_CAP = 4
 
 
@@ -61,7 +61,49 @@ def _raw_powers(S, upto):
     return out
 
 
-def check_core(S, congruence_cap=CONGRUENCE_SUITE_CAP):
+def _raw_principal_ideals(S):
+    """Independent raw-loop recomputation of aS^1, S^1a and S^1aS^1."""
+    t = S._rows
+    rs, ls, js = [], [], []
+    for a in S.elements:
+        right = {a} | {t[a][y] for y in S.elements}
+        left = {a} | {t[x][a] for x in S.elements}
+        both = left | {t[x][y] for x in left for y in S.elements}
+        rs.append(frozenset(right))
+        ls.append(frozenset(left))
+        js.append(frozenset(both))
+    return tuple(rs), tuple(ls), tuple(js)
+
+
+def _raw_archimedean(S, A):
+    """Independent raw-loop recomputation of `decompose.archimedean`."""
+    A = frozenset(A)
+    if not A:
+        return False
+    bad = next(((a, b) for a in sorted(A) for b in sorted(A)
+                if S.mul(a, b) not in A), None)
+    if bad is not None:
+        raise NotASubsemigroup(bad)
+    elems = sorted(A)
+    t = S._rows
+    for b in elems:
+        ideal = {b}
+        ideal.update(t[x][b] for x in elems)
+        ideal.update(t[b][y] for y in elems)
+        ideal.update(t[t[x][b]][y] for x in elems for y in elems)
+        for a in elems:
+            p = a
+            # powers enter a cycle within |A| steps, so |A|+1 probes suffice
+            for _ in range(len(elems) + 1):
+                if p in ideal:
+                    break
+                p = t[p][a]
+            else:
+                return False
+    return True
+
+
+def check_core(S, congruence_cap=CONGRUENCE_ORDER_CAP):
     bad = []
     n = S.order
     t = S._rows
@@ -124,6 +166,15 @@ def check_green(S):
     E = idempotents(S)
     reg = regular_elements(S)
     W = {s: weak_inverses(S, s) for s in S.elements}
+
+    rs, ls, js = _raw_principal_ideals(S)
+    if g.r_ideals != rs or g.l_ideals != ls or g.j_ideals != js:
+        bad.append("principal ideals differ from the raw recomputation")
+    raw_order = frozenset(
+        (ci, cj) for ci, a in enumerate(map(min, g.J.classes))
+        for cj, b in enumerate(map(min, g.J.classes)) if js[a] <= js[b])
+    if g.j_order != raw_order:
+        bad.append("J-class order differs from the raw recomputation")
 
     band = is_subsemigroup(S, E) if E else False
     for s in S.elements:
@@ -311,6 +362,9 @@ def check_decompose(S, congruence_cap=DECOMPOSE_SUITE_CAP):
     if dc.kje_partition(S) != rho:
         bad.append("K_{J_e} partition differs from rho")
     for comp in report.components:
+        if comp.is_archimedean != _raw_archimedean(S, comp.elements):
+            bad.append(f"component {sorted(comp.elements)}: archimedean "
+                       "differs from the raw recomputation")
         if not comp.is_archimedean:
             bad.append(f"component {sorted(comp.elements)} is not Archimedean")
         if not comp.regular_part:
@@ -378,7 +432,7 @@ def check_product_pair(S, T):
     return bad
 
 
-def check_semigroup(S, congruence_cap=CONGRUENCE_SUITE_CAP,
+def check_semigroup(S, congruence_cap=CONGRUENCE_ORDER_CAP,
                     decompose_cap=DECOMPOSE_SUITE_CAP):
     """Every per-semigroup check from every suite."""
     return (check_core(S, congruence_cap=congruence_cap)

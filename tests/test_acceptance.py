@@ -12,6 +12,8 @@ Criteria, tolerances, and runtime budgets are pinned here and nowhere else:
   7. uniqueness of the Archimedean semilattice decomposition at order <= 4
   8. 10,000 seeded uniform order-5 tables, associative survivors clean,
      deterministic, < 120 s
+  9. in-process analysis_bundle of rectangular_band(16, 18) (order 288)
+     < 1.5 s
 """
 
 import time
@@ -51,6 +53,7 @@ from finsemi.properties import (
     check_semigroup,
     check_stratify,
 )
+from finsemi.cli import analysis_bundle
 from extension_triples import triples
 
 
@@ -304,3 +307,17 @@ def test_criterion_8_order5_smoke():
         bad.append(f"runtime {elapsed:.1f}s exceeds 120s")
     _report("criterion 8: order-5 uniform smoke", bad,
             f"{len(survivors)} associative of 10000 sampled, {elapsed:.1f}s")
+
+
+def test_criterion_9_order288_analysis_budget():
+    bad = []
+    S = zoo.rectangular_band(16, 18)
+    t0 = time.time()
+    bundle = analysis_bundle(S)
+    elapsed = time.time() - t0
+    if elapsed >= 1.5:
+        bad.append(f"runtime {elapsed:.2f}s exceeds 1.5s")
+    if len(bundle["green"]["D"]) != 1 or len(bundle["green"]["H"]) != 288:
+        bad.append("rectangular_band(16, 18) is not one D-class of "
+                   "singleton H-classes")
+    _report("criterion 9: order-288 analysis budget", bad, f"{elapsed:.2f}s")

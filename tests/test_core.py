@@ -370,6 +370,10 @@ class TestRestrictIsomorphic:
         assert elems == [2, 3]
         assert sub.identity is not None  # the kernel is a group
 
+    def test_restrict_to_everything_is_the_semigroup(self, m32):
+        sub, elems = restrict(m32, {0, 1, 2, 3})
+        assert sub is m32 and elems == [0, 1, 2, 3]
+
     def test_isomorphic_rejects_different_structure(self, z2, n2):
         assert not isomorphic(z2, n2)
 

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +17,7 @@ from finsemi import (
     zoo,
 )
 from finsemi.decompose import footprint
+from finsemi.properties import _raw_archimedean
 from finsemi.errors import (
     NotASubsemigroup,
     NotConditionallyCompletelyRegular,
@@ -113,6 +115,35 @@ class TestArchimedean:
     def test_requires_subsemigroup(self, b2):
         with pytest.raises(NotASubsemigroup):
             archimedean(b2, {0, 1})
+
+
+def _outcome(fn, S, A):
+    try:
+        return fn(S, A)
+    except NotASubsemigroup as e:
+        return ("not a subsemigroup", e.witness)
+
+
+class TestArchimedeanOracle:
+    def test_every_subset_up_to_order3(self):
+        calls = 0
+        for n in (1, 2, 3):
+            for S in zoo.enumerate_associative(n):
+                for k in range(1, n + 1):
+                    for A in combinations(range(n), k):
+                        calls += 1
+                        assert (_outcome(archimedean, S, A)
+                                == _outcome(_raw_archimedean, S, A)), (S._rows, A)
+        assert calls == 1 + 8 * 3 + 113 * 7
+
+    def test_whole_semigroup_order4(self):
+        for S in zoo.enumerate_associative(4):
+            assert archimedean(S, S.elements) == _raw_archimedean(S, S.elements)
+
+    def test_witness_is_first_pair_in_sorted_order(self, b2):
+        # 0*0 and 0*1 stay inside; 0*2 = 4 is the first product outside
+        assert _outcome(archimedean, b2, {0, 1, 2, 3}) == (
+            "not a subsemigroup", (0, 2))
 
 
 class TestWeakInverseLocation:

@@ -22,7 +22,13 @@ from finsemi import (
     zoo,
 )
 from finsemi.errors import NotASubsemigroup, NotIdempotent
-from finsemi.green import ccr_witness, e_dense_characterizations
+from finsemi.green import (
+    _principal_ideals,
+    ccr_witness,
+    e_dense_characterizations,
+)
+from finsemi.properties import _raw_principal_ideals
+from test_golden import FIXTURES, _relabel
 
 
 class TestGreenClasses:
@@ -49,6 +55,25 @@ class TestGreenClasses:
         g = green(m32)
         assert g.j_leq(3, 0) and not g.j_leq(0, 3)
         assert g.j_leq(2, 1) and g.j_leq(1, 0)
+
+
+class TestPrincipalIdeals:
+    def test_match_raw_loops_on_every_table_up_to_order4(self):
+        count = 0
+        for n in (1, 2, 3, 4):
+            for S in zoo.enumerate_associative(n):
+                count += 1
+                assert _principal_ideals(S) == _raw_principal_ideals(S), S._rows
+        assert count == 3614
+
+    @pytest.mark.parametrize("name,build", FIXTURES, ids=[f[0] for f in FIXTURES])
+    def test_match_raw_loops_on_bench_fixtures(self, name, build):
+        S = _relabel(build(), f"oracle:{name}")
+        assert _principal_ideals(S) == _raw_principal_ideals(S)
+
+    def test_chain_j_order_is_total(self):
+        g = green(zoo.chain_semilattice(6))
+        assert g.j_order == {(i, j) for i in range(6) for j in range(i, 6)}
 
 
 class TestIdempotentsRegulars:
