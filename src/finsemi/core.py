@@ -5,6 +5,25 @@ table[i][j] is the product i*j with i the left factor.  Subsets of elements
 are plain frozensets of indices, partitions are `Partition` objects.  All
 values are immutable after construction and every operation is a pure
 function of its inputs.
+
+Structure derived from a semigroup is computed once and memoized in its
+`_cache` dict by `_cached`, for the semigroup's lifetime.  The keys:
+
+- "powers": the power chain [S^1, S^2, ...] (`_power_chain`);
+- "green": the `GreenStructure` (`green.green`);
+- "idempotents", "regular": E(S) and Reg(S) (`green`);
+- "ccr_witness": a regular H-class without idempotent, or None (`green`);
+- "stratify": the `StratificationReport` (`stratify.stratify`);
+- "rho": the rho partition of a CCR semigroup (`decompose.rho_partition`);
+- "congruences": every congruence, as a tuple (`enumerate_congruences`);
+- ("restrict", A), ("rees", I): `restrict` and `rees_quotient` results,
+  keyed by the frozenset argument;
+- ("quotient", p): the `quotient_by_congruence` result, keyed by the
+  Partition.
+
+An input that raises caches nothing, so every call re-raises the same
+error with the same witness.  Cache writes are idempotent: two threads
+filling the same key store equal values.
 """
 
 from __future__ import annotations
@@ -33,6 +52,7 @@ ISOMORPHISM_ORDER_CAP = 12
 ORDER_CAP = int(np.iinfo(np.uint16).max)
 # Cells of (i*j)*k compared per block of left factors during validation.
 ASSOC_BLOCK_CELLS = 2 ** 21
+_MISSING = object()
 
 
 class Semigroup:
@@ -210,19 +230,30 @@ def product_set(S, A, B):
     return frozenset(out)
 
 
+def _cached(S, key, compute):
+    """S._cache[key], filled by compute() on first use.
+
+    A cached None is a hit; when compute raises, nothing is stored.
+    """
+    value = S._cache.get(key, _MISSING)
+    if value is _MISSING:
+        value = S._cache[key] = compute()
+    return value
+
+
 def _power_chain(S):
     """[S^1, S^2, ...] up to the first repeat; cached on the semigroup."""
-    chain = S._cache.get("powers")
-    if chain is None:
-        full = frozenset(S.elements)
-        chain = [full]
-        while True:
-            nxt = product_set(S, chain[-1], full)
-            if nxt == chain[-1]:
-                break
-            chain.append(nxt)
-        S._cache["powers"] = chain
-    return chain
+    return _cached(S, "powers", lambda: _powers(S))
+
+
+def _powers(S):
+    full = frozenset(S.elements)
+    chain = [full]
+    while True:
+        nxt = product_set(S, chain[-1], full)
+        if nxt == chain[-1]:
+            return chain
+        chain.append(nxt)
 
 
 def power_set(S, m):
@@ -277,19 +308,25 @@ def restrict(S, A):
 
     Returns (T, elems) where elems[i] is the S-index of T's element i
     (elements in increasing S-index order).  When A is all of S, T is S
-    itself, so its cached structure is shared.
+    itself, so its cached structure is shared.  T is cached on S.
     """
+    A = frozenset(A)
+    if len(A) == S.order and A == frozenset(S.elements):
+        return S, list(S.elements)
+    T, elems = _cached(S, ("restrict", A), lambda: _restrict(S, A))
+    return T, list(elems)
+
+
+def _restrict(S, A):
     elems = sorted(A)
-    if elems == list(S.elements):
-        return S, elems
     if not is_subsemigroup(S, A):
-        bad = next(((a, b) for a in sorted(A) for b in sorted(A)
+        bad = next(((a, b) for a in elems for b in elems
                     if S.mul(a, b) not in A), None)
         raise NotASubsemigroup(bad)
     pos = {a: i for i, a in enumerate(elems)}
     rows = [[pos[S.mul(a, b)] for b in elems] for a in elems]
     labels = [S.label(a) for a in elems] if S.labels else None
-    return Semigroup(rows, labels=labels), elems
+    return Semigroup(rows, labels=labels), tuple(elems)
 
 
 def rees_quotient(S, I):
@@ -297,9 +334,13 @@ def rees_quotient(S, I):
 
     The quotient keeps the non-ideal elements in their original relative
     order at indices 0..k-1 and puts the collapsed zero last.  Returns
-    (Q, qmap) with qmap[s] the quotient index of s.
+    (Q, qmap) with qmap[s] the quotient index of s; cached on S.
     """
     I = frozenset(I)
+    return _cached(S, ("rees", I), lambda: _rees_quotient(S, I))
+
+
+def _rees_quotient(S, I):
     if not is_ideal(S, I):
         sa = next(((s, a) for s in S.elements for a in sorted(I)
                    if S.mul(s, a) not in I or S.mul(a, s) not in I), None)
@@ -322,7 +363,7 @@ def direct_product(S, T):
     """Componentwise product on pairs; (i, j) is encoded as i*|T| + j."""
     nt = T.order
     prod = (S.table[:, None, :, None] * nt + T.table[None, :, None, :])
-    rows = prod.reshape(S.order * nt, S.order * nt)
+    rows = prod.reshape(S.order * nt, S.order * nt).tolist()
     labels = None
     if S.labels and T.labels:
         labels = [f"({S.label(i)},{T.label(j)})"
@@ -363,10 +404,16 @@ def enumerate_congruences(S, max_order=CONGRUENCE_ORDER_CAP):
 
     Generates partitions as restricted growth strings, pruning a prefix as
     soon as the classes assigned so far already violate compatibility.
+    The list is cached on S; each call returns a fresh copy.
     """
     n = S.order
     if n > max_order:
         raise OrderTooLarge(n, max_order)
+    return list(_cached(S, "congruences", lambda: _congruences(S)))
+
+
+def _congruences(S):
+    n = S.order
     t = S._rows
     out = []
 
@@ -396,14 +443,20 @@ def enumerate_congruences(S, max_order=CONGRUENCE_ORDER_CAP):
             rgs.pop()
 
     rec(0, 0, [])
-    return out
+    return tuple(out)
 
 
 def quotient_by_congruence(S, partition):
     """Quotient semigroup on class representatives plus the natural map.
 
-    Quotient element k is partition.classes[k]; returns (Q, index_of).
+    Quotient element k is partition.classes[k]; returns (Q, index_of),
+    cached on S.
     """
+    return _cached(S, ("quotient", partition),
+                   lambda: _quotient(S, partition))
+
+
+def _quotient(S, partition):
     w = congruence_witness(S, partition)
     if w is not None:
         raise NotACongruence(w)

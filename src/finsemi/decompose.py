@@ -13,7 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Partition, Semigroup, congruence_witness, restrict
+from .core import (
+    Partition,
+    Semigroup,
+    _cached,
+    congruence_witness,
+    quotient_by_congruence,
+    restrict,
+)
 from .errors import InternalTheoremViolation, NotASubsemigroup
 from .green import (
     ccr_check,
@@ -36,8 +43,15 @@ def footprint(S, s):
 
 
 def rho_partition(S):
-    """Partition by equal weak-inverse footprints (requires CCR input)."""
+    """Partition by equal weak-inverse footprints (requires CCR input).
+
+    The partition is cached on S; the CCR check runs on every call.
+    """
     ccr_check(S)
+    return _cached(S, "rho", lambda: _rho(S))
+
+
+def _rho(S):
     groups = {}
     for s in S.elements:
         groups.setdefault(footprint(S, s), []).append(s)
@@ -92,7 +106,6 @@ def verify_rho(S):
     w = congruence_witness(S, rho)
     if w is not None:
         raise InternalTheoremViolation(f"rho is not a congruence, witness {w}")
-    from .core import quotient_by_congruence
     quotient, qmap = quotient_by_congruence(S, rho)
     t = quotient._rows
     k = quotient.order

@@ -68,7 +68,10 @@ class NotConditionallyCompletelyRegular(SemigroupError):
 
 class OrderTooLarge(SemigroupError):
     def __init__(self, order, cap):
+        # order is an int, or a formula (str) when too large to evaluate
         self.order, self.cap = order, cap
+        if isinstance(order, int) and order.bit_length() > 64:
+            order = f">= 2^{order.bit_length() - 1}"  # too long to print
         super().__init__(f"order {order} exceeds the supported cap {cap}")
 
 

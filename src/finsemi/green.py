@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import Partition, base_set, restrict
+from .core import Partition, _cached, base_set, restrict
 from .errors import InternalTheoremViolation, NotASubsemigroup, NotIdempotent
 
 
@@ -61,9 +59,10 @@ def _partition_by(keys, n):
 
 def green(S):
     """Compute (and cache) the full Green structure of S."""
-    g = S._cache.get("green")
-    if g is not None:
-        return g
+    return _cached(S, "green", lambda: _green(S))
+
+
+def _green(S):
     n = S.order
     rs, ls, js = _principal_ideals(S)
     R = _partition_by(rs, n)
@@ -91,22 +90,27 @@ def green(S):
     # J_x <= J_y iff x lies in the ideal S^1yS^1
     order = frozenset((J.index_of[x], cj)
                       for cj, cls in enumerate(J.classes) for x in js[min(cls)])
-    g = GreenStructure(R=R, L=L, H=H, D=D, J=J,
-                       r_ideals=rs, l_ideals=ls, j_ideals=js, j_order=order)
-    S._cache["green"] = g
-    return g
+    return GreenStructure(R=R, L=L, H=H, D=D, J=J,
+                          r_ideals=rs, l_ideals=ls, j_ideals=js, j_order=order)
 
 
 def idempotents(S):
-    return frozenset(a for a in S.elements if S.mul(a, a) == a)
+    """E(S); cached on S."""
+    return _cached(S, "idempotents", lambda: frozenset(
+        a for a, row in enumerate(S._rows) if row[a] == a))
 
 
 def regular_elements(S):
-    """{s : s x s = s for some x}."""
-    t = S.table
-    idx = np.arange(S.order)[:, None]
-    reg = (t[t, idx] == idx).any(axis=1)
-    return frozenset(np.flatnonzero(reg).tolist())
+    """{s : s x s = s for some x}; cached on S."""
+    return _cached(S, "regular", lambda: _regular(S))
+
+
+def _regular(S):
+    # s x s = (s x) s, so s is regular iff s sits in column s at one of the
+    # rows named in row s
+    rows = S._rows
+    return frozenset(s for s, row in enumerate(rows)
+                     if any(rows[y][s] == s for y in row))
 
 
 def weak_inverses(S, s):
@@ -172,7 +176,11 @@ def is_group_bound(S):
 
 
 def ccr_witness(S):
-    """A regular H-class with no idempotent, or None if S is CCR."""
+    """A regular H-class with no idempotent, or None if S is CCR; cached."""
+    return _cached(S, "ccr_witness", lambda: _ccr_witness(S))
+
+
+def _ccr_witness(S):
     g = green(S)
     reg = regular_elements(S)
     ids = idempotents(S)

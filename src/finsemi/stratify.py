@@ -8,8 +8,10 @@ the layers are the successive differences S_m = S^m \\ S^(m+1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .core import (
+    _cached,
     _power_chain,
     base_set,
     power_set,
@@ -27,7 +29,7 @@ class StratificationReport:
     layers: tuple          # layers[m-1] = S_m for m = 1..height-1
     height: int
     depth_of: tuple        # per element: layer index (1-based) or "base"
-    flags: dict            # grillet_stratified / globally_idempotent / base_equals_reg
+    flags: MappingProxyType  # grillet_stratified / globally_idempotent / base_equals_reg
 
     def to_json(self):
         return {
@@ -39,7 +41,14 @@ class StratificationReport:
 
 
 def stratify(S):
-    """Chase the power chain to its fixed point and report the strata."""
+    """Chase the power chain to its fixed point and report the strata.
+
+    The report is cached on S.
+    """
+    return _cached(S, "stratify", lambda: _stratify(S))
+
+
+def _stratify(S):
     chain = _power_chain(S)
     height = len(chain)
     base = chain[-1]
@@ -54,7 +63,8 @@ def stratify(S):
         "base_equals_reg": base == regular_elements(S),
     }
     return StratificationReport(base=base, layers=layers, height=height,
-                                depth_of=tuple(depth), flags=flags)
+                                depth_of=tuple(depth),
+                                flags=MappingProxyType(flags))
 
 
 def depth(S, s):

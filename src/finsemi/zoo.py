@@ -12,12 +12,26 @@ import random
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .core import Semigroup, adjoin_zero, direct_product, from_table, rees_quotient
+from .core import (
+    ORDER_CAP,
+    Semigroup,
+    adjoin_zero,
+    direct_product,
+    from_table,
+    rees_quotient,
+)
 from .errors import InvalidArgument, InvalidLinking, KTooLarge, OrderTooLarge
 
 ENUMERATION_ORDER_CAP = 4
 FREE_NILPOTENT_ORDER_CAP = 200
 PARTIAL_MAP_ORDER_CAP = 120
+
+
+def _checked_order(n):
+    """n, once known to fit the constructor, before any row is built."""
+    if n > ORDER_CAP:
+        raise OrderTooLarge(n, ORDER_CAP)
+    return n
 
 
 def trivial():
@@ -32,7 +46,7 @@ def monogenic(h, r):
     """
     if h < 1 or r < 1:
         raise InvalidArgument("index and period must be >= 1")
-    n = h + r - 1
+    n = _checked_order(h + r - 1)
     rows = []
     for i in range(n):
         row = []
@@ -55,6 +69,7 @@ def zero_semigroup(n):
     """All products equal the zero, which sits at index 0."""
     if n < 1:
         raise InvalidArgument("order must be >= 1")
+    _checked_order(n)
     labels = ["0"] + [f"x{i}" for i in range(1, n)]
     return from_table(n, [[0] * n] * n, labels=labels)
 
@@ -63,6 +78,7 @@ def chain_semilattice(n):
     """The n-chain semilattice under min; 0 is the bottom."""
     if n < 1:
         raise InvalidArgument("order must be >= 1")
+    _checked_order(n)
     return from_table(n, [[min(i, j) for j in range(n)] for i in range(n)],
                       labels=[f"e{i}" for i in range(n)])
 
@@ -71,7 +87,7 @@ def rectangular_band(p, q):
     """(i,j)(k,l) = (i,l) on p*q pairs; index (i,j) -> i*q + j."""
     if p < 1 or q < 1:
         raise InvalidArgument("dimensions must be >= 1")
-    n = p * q
+    n = _checked_order(p * q)
     rows = [[(a // q) * q + (b % q) for b in range(n)] for a in range(n)]
     labels = [f"({i},{j})" for i in range(p) for j in range(q)]
     return from_table(n, rows, labels=labels)
@@ -91,8 +107,10 @@ def brandt_b2():
 
 def full_transformations(k):
     """All maps on k points under "apply left, then right" composition."""
-    if not 1 <= k <= 3:
-        raise OrderTooLarge(k ** k if k > 0 else 0, 27)
+    if k < 1:
+        raise InvalidArgument("k must be >= 1")
+    if k > 3:
+        raise OrderTooLarge(f"{k}^{k}", 27)
     maps = sorted(product(range(k), repeat=k))
     pos = {f: i for i, f in enumerate(maps)}
     rows = [[pos[tuple(g[f[x]] for x in range(k))] for g in maps] for f in maps]
@@ -112,7 +130,7 @@ def powerset_nilsemigroup(k):
     if k < 1:
         raise InvalidArgument("k must be >= 1")
     if k > 5:
-        raise KTooLarge(1 << k, 1 << 5)
+        raise KTooLarge(f"2^{k}", 1 << 5)
     n = 1 << k
     rows = [[a | b if (a and b and not a & b) else 0 for b in range(n)]
             for a in range(n)]
@@ -133,12 +151,15 @@ def free_nilpotent(alphabet_size, length_bound):
     a, L = alphabet_size, length_bound
     if a < 1 or L < 2:
         raise InvalidArgument("need alphabet_size >= 1 and length_bound >= 2")
+    # n = 1 + a + ... + a^(L-1) >= max(a + 1, L); evaluate it only when small
+    if max(a + 1, L) > FREE_NILPOTENT_ORDER_CAP:
+        raise OrderTooLarge(f"1+{a}+...+{a}^{L - 1}", FREE_NILPOTENT_ORDER_CAP)
+    n = sum(a ** length for length in range(L))
+    if n > FREE_NILPOTENT_ORDER_CAP:
+        raise OrderTooLarge(n, FREE_NILPOTENT_ORDER_CAP)
     words = []
     for length in range(1, L):
         words.extend(product(range(a), repeat=length))
-    n = len(words) + 1
-    if n > FREE_NILPOTENT_ORDER_CAP:
-        raise OrderTooLarge(n, FREE_NILPOTENT_ORDER_CAP)
     pos = {w: i for i, w in enumerate(words)}
     zero = n - 1
     rows = []
@@ -465,7 +486,9 @@ def enumerate_associative(n, dedup=None):
     dedup=None yields every labeled table; "iso" keeps one representative
     per isomorphism class, "iso+anti" folds in anti-isomorphism too.
     """
-    if n < 1 or n > ENUMERATION_ORDER_CAP:
+    if n < 1:
+        raise InvalidArgument("order must be >= 1")
+    if n > ENUMERATION_ORDER_CAP:
         raise OrderTooLarge(n, ENUMERATION_ORDER_CAP)
     if dedup not in (None, "iso", "iso+anti"):
         raise InvalidArgument(f"unknown dedup mode {dedup!r}")

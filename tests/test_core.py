@@ -30,9 +30,10 @@ from finsemi import (
     quotient_by_congruence,
     rees_quotient,
     restrict,
+    stratify,
     zoo,
 )
-from finsemi.core import find_isomorphism
+from finsemi.core import _cached, find_isomorphism
 from finsemi.errors import (
     EmptyGenerators,
     IndexOutOfRange,
@@ -40,6 +41,7 @@ from finsemi.errors import (
     NonSquare,
     NotACongruence,
     NotAnIdeal,
+    NotASubsemigroup,
     OrderTooLarge,
 )
 from conftest import BRANDT_B2, MONOGENIC_3_2
@@ -405,6 +407,91 @@ class TestRestrictIsomorphic:
             if not any(isomorphic(S, R) for R in reps):
                 reps.append(S)
         assert sum(map(len, buckets.values())) == 188
+
+
+class TestDerivedCache:
+    """Derived structures are built once per parent; errors never cached."""
+
+    KERNEL = Partition([[0], [1], [2, 3]])
+
+    def derived(self, S):
+        """(restriction, Rees quotient, congruence quotient, strata) of S."""
+        return (restrict(S, {2, 3}), rees_quotient(S, {2, 3}),
+                quotient_by_congruence(S, self.KERNEL), stratify(S))
+
+    def test_second_call_returns_the_cached_object(self, m32):
+        first = self.derived(m32)
+        second = self.derived(m32)
+        assert first[0][0] is second[0][0]
+        for a, b in zip(first[1:], second[1:]):
+            assert a is b
+
+    def test_cached_objects_equal_a_fresh_computation(self):
+        S = zoo.monogenic(3, 2)
+        self.derived(S)
+        for mine, fresh in zip(self.derived(S), self.derived(Semigroup(S._rows))):
+            assert mine == fresh
+        # Semigroup equality compares tables; compare the labels apart
+        sub, _ = restrict(S, {2, 3})
+        fresh, _ = restrict(Semigroup(S._rows, labels=S.labels), {2, 3})
+        assert sub.labels == fresh.labels == ("a^3", "a^4")
+
+    def test_errors_are_raised_with_equal_witnesses_every_call(self, m32, z2):
+        bad_partition = Partition([[0, 1], [2], [3]])
+        cases = [(NotASubsemigroup, lambda: restrict(m32, {0, 2})),
+                 (NotAnIdeal, lambda: rees_quotient(z2, {0})),
+                 (NotACongruence,
+                  lambda: quotient_by_congruence(m32, bad_partition))]
+        for error, call in cases:
+            witnesses = []
+            for _ in range(2):
+                with pytest.raises(error) as e:
+                    call()
+                witnesses.append(e.value.witness)
+            assert witnesses[0] == witnesses[1] is not None
+
+    def test_mutating_a_result_leaves_the_cache_alone(self, m32):
+        _, elems = restrict(m32, {2, 3})
+        elems.append(99)
+        assert restrict(m32, {2, 3})[1] == [2, 3]
+        congs = enumerate_congruences(m32)
+        congs.clear()
+        assert len(enumerate_congruences(m32)) == 6
+
+    def test_congruence_cap_is_checked_before_the_cache(self, m32):
+        assert len(enumerate_congruences(m32)) == 6
+        with pytest.raises(OrderTooLarge):
+            enumerate_congruences(m32, max_order=3)
+
+    def test_two_restricts_make_one_construction(self, m32, monkeypatch):
+        built = []
+        init = Semigroup.__init__
+
+        def counting_init(self, entries, labels=None):
+            built.append(len(entries))
+            init(self, entries, labels)
+
+        monkeypatch.setattr(Semigroup, "__init__", counting_init)
+        restrict(m32, {2, 3})
+        restrict(m32, [3, 2])
+        assert built == [2]
+
+    def test_cached_none_is_a_hit_and_errors_are_not_cached(self, z2):
+        calls = []
+
+        def none():
+            calls.append("none")
+
+        def fail():
+            calls.append("fail")
+            raise NotAnIdeal((0, 0))
+
+        assert _cached(z2, "probe", none) is None
+        assert _cached(z2, "probe", none) is None
+        for _ in range(2):
+            with pytest.raises(NotAnIdeal):
+                _cached(z2, "failing", fail)
+        assert calls == ["none", "fail", "fail"]
 
 
 def test_power_formulas_exhaustive_order2():

@@ -1,3 +1,4 @@
+import importlib
 import json
 from itertools import combinations
 
@@ -5,6 +6,7 @@ import pytest
 
 from finsemi import (
     Partition,
+    Semigroup,
     archimedean,
     from_table,
     green,
@@ -17,6 +19,7 @@ from finsemi import (
     zoo,
 )
 from finsemi.decompose import footprint
+from finsemi.green import ccr_witness
 from finsemi.properties import _raw_archimedean
 from finsemi.errors import (
     NotASubsemigroup,
@@ -47,6 +50,31 @@ class TestRhoPartition:
         # the witness really is a regular H-class without an idempotent
         assert h & regular_elements(b2)
         assert all(b2.mul(x, x) != x for x in h)
+
+
+class TestRhoCache:
+    def test_second_call_returns_the_cached_partition(self, t2):
+        rho = rho_partition(t2)
+        assert rho_partition(t2) is rho
+        assert rho == rho_partition(Semigroup(t2._rows))
+        report = verify_rho(t2)
+        assert report.rho is rho
+        assert verify_rho(t2).quotient is report.quotient
+
+    def test_non_ccr_raises_the_same_witness_every_call(self, b2):
+        witnesses = []
+        for _ in range(2):
+            with pytest.raises(NotConditionallyCompletelyRegular) as e:
+                rho_partition(b2)
+            witnesses.append(e.value.h_class)
+        assert witnesses[0] == witnesses[1] == ccr_witness(b2)
+        assert ccr_witness(b2) is ccr_witness(b2)
+
+    def test_ccr_witness_none_is_cached(self, t2, monkeypatch):
+        assert ccr_witness(t2) is None
+        green_mod = importlib.import_module("finsemi.green")
+        monkeypatch.setattr(green_mod, "green", None)  # a recompute would fail
+        assert ccr_witness(t2) is None
 
 
 class TestVerifyRho:

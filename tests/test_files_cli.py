@@ -209,6 +209,24 @@ class TestCli:
         assert sigma.order == 3
         assert main(["validate", str(out_path)]) == 0
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--order", "0"], "error: order must be >= 1"),
+        (["enumerate", "--order", "-1"], "error: order must be >= 1"),
+        (["zoo", "full_transformations", "0"], "error: k must be >= 1"),
+        # orders too large to print or to evaluate
+        (["zoo", "full_transformations", "2000"],
+         "error: order 2000^2000 exceeds the supported cap 27"),
+        (["zoo", "powerset_nil", "20000"],
+         "error: order 2^20000 exceeds the supported cap 32"),
+        (["zoo", "rectangular_band", "9" * 30, "9" * 30],
+         "error: order >= 2^199 exceeds the supported cap 65535"),
+    ])
+    def test_parameter_errors(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message
+        assert "Traceback" not in captured.out + captured.err
+
     def test_verify_passes(self, capsys):
         assert main(["verify", "--order", "2", "--samples", "50"]) == 0
         out = capsys.readouterr().out

@@ -15,7 +15,13 @@ from finsemi import (
     stratify,
     zoo,
 )
-from finsemi.errors import InvalidLinking, KTooLarge, LawViolation, OrderTooLarge
+from finsemi.errors import (
+    InvalidArgument,
+    InvalidLinking,
+    KTooLarge,
+    LawViolation,
+    OrderTooLarge,
+)
 
 
 def brute_force_tables(n):
@@ -49,6 +55,11 @@ class TestEnumerate:
     def test_order_cap(self):
         with pytest.raises(OrderTooLarge):
             next(zoo.enumerate_associative(5))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_order_below_one(self, n):
+        with pytest.raises(InvalidArgument, match="order must be >= 1"):
+            next(zoo.enumerate_associative(n))
 
 
 class TestMonogenic:
@@ -147,6 +158,8 @@ class TestPowersetNil:
     def test_cap(self):
         with pytest.raises(KTooLarge):
             zoo.powerset_nilsemigroup(6)
+        with pytest.raises(KTooLarge, match=r"order 2\^100000 exceeds"):
+            zoo.powerset_nilsemigroup(100_000)
 
 
 class TestOtherFixtures:
@@ -178,6 +191,26 @@ class TestOtherFixtures:
         assert zoo.full_transformations(3).order == 27
         with pytest.raises(OrderTooLarge):
             zoo.full_transformations(4)
+        for k in (0, -2):
+            with pytest.raises(InvalidArgument, match="k must be >= 1"):
+                zoo.full_transformations(k)
+        with pytest.raises(OrderTooLarge, match=r"order 10\^10 exceeds"):
+            zoo.full_transformations(10)
+
+    @pytest.mark.parametrize("build", [
+        lambda: zoo.monogenic(65_536, 1),
+        lambda: zoo.cyclic_group(10 ** 40),
+        lambda: zoo.zero_semigroup(65_536),
+        lambda: zoo.chain_semilattice(10 ** 40),
+        lambda: zoo.rectangular_band(2, 2 ** 15),
+        lambda: zoo.free_nilpotent(2, 10 ** 40),
+        lambda: zoo.free_nilpotent(10 ** 40, 2),
+    ])
+    def test_orders_above_the_cap_fail_before_any_row(self, build):
+        # each of these would need far more memory than any table built
+        with pytest.raises(OrderTooLarge) as e:
+            build()
+        assert "exceeds the supported cap" in str(e.value)
 
 
 class TestPartialMapExtension:
