@@ -40,6 +40,9 @@ from .extend import build_extension, format_phm, parse_phm
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 0
+# The most uniform order-5 samples `verify --samples` draws; its run time
+# grows linearly in the count.
+SAMPLES_CAP = 100_000
 
 _ZOO_TABLE = {
     "monogenic": (zoo.monogenic, 2),
@@ -204,6 +207,9 @@ def cmd_enumerate(args):
 
 
 def cmd_verify(args):
+    if not 0 <= args.samples <= SAMPLES_CAP:
+        raise InvalidArgument(
+            f"samples must be between 0 and {SAMPLES_CAP}, got {args.samples}")
     failures = []
     checked = 0
 
@@ -289,7 +295,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run every property suite")
     p.add_argument("--order", type=int, default=3)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int, default=1000,
+                   help=f"uniform order-5 samples, 0 to {SAMPLES_CAP}")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(fn=cmd_verify)
     return parser

@@ -59,10 +59,14 @@ class Semigroup:
     """An immutable finite semigroup given by its Cayley table.
 
     `entries` is a sequence of n rows of n element indices.  Construction
-    validates every entry and full associativity (O(n^3) time, O(n^2)
-    memory, via numpy); there is no unchecked constructor.  A two-sided
-    zero and a two-sided identity are detected automatically (each is
-    unique when it exists).
+    validates every entry and full associativity, in O(n^2) memory via
+    numpy; there is no unchecked constructor.  Up to n^3 =
+    ASSOC_BLOCK_CELLS (n <= 128) the whole cube is scanned; above that,
+    Light's test over a magma generating set G takes O(|G| n^2 + n^2)
+    time, which is O(n^3) only when every element is a generator (a
+    chain).  A non-associative table reports the lexicographically first
+    failing triple either way.  A two-sided zero and a two-sided
+    identity are detected automatically (each is unique when it exists).
     """
 
     __slots__ = ("order", "table", "_rows", "labels", "zero", "identity", "_cache")
@@ -84,17 +88,11 @@ class Semigroup:
                         raise IndexOutOfRange(i, j, v, n)
 
         t = np.array(rows, dtype=np.uint8 if n <= 256 else np.uint16)
-        # (i*j)*k = t[t[i,j], k];  i*(j*k) = t[i, t[j,k]].  Compare one
-        # block of left factors i at a time, in lexicographic order, so the
-        # first mismatch is the first failing triple of the whole cube.
-        step = max(1, ASSOC_BLOCK_CELLS // (n * n))
-        for i0 in range(0, n, step):
-            block = t[i0:i0 + step]
-            left = t[block]
-            right = block[:, t]
-            if not (left == right).all():
-                i, j, k = map(int, np.argwhere(left != right)[0])
-                raise NonAssociative(i0 + i, j, k)
+        # A cube that fits in one block is scanned whole; above that,
+        # Light's test decides, and the scan only finds the first failing
+        # triple once it has failed.
+        if n ** 3 <= ASSOC_BLOCK_CELLS or not _light_test(t):
+            _cube_scan(t)
         table = t.astype(np.int64)
         table.setflags(write=False)
 
@@ -136,6 +134,77 @@ class Semigroup:
         tag = f", zero={self.zero}" if self.zero is not None else ""
         tag += f", identity={self.identity}" if self.identity is not None else ""
         return f"Semigroup(order={self.order}{tag})"
+
+
+def _cube_scan(t):
+    """Raise NonAssociative with the first failing triple of the cube."""
+    n = len(t)
+    # (i*j)*k = t[t[i,j], k];  i*(j*k) = t[i, t[j,k]].  Compare one block
+    # of left factors i at a time, in lexicographic order, so the first
+    # mismatch is the first failing triple of the whole cube.
+    step = max(1, ASSOC_BLOCK_CELLS // (n * n))
+    for i0 in range(0, n, step):
+        block = t[i0:i0 + step]
+        left = t[block]
+        right = block[:, t]
+        if not (left == right).all():
+            i, j, k = map(int, np.argwhere(left != right)[0])
+            raise NonAssociative(i0 + i, j, k)
+
+
+def _magma_generators(t):
+    """A set G whose closure under the raw product of table t is [0, n).
+
+    G starts with the elements that are no product (every generating set
+    holds them) and grows by the least element not yet reached.  Every
+    product x*y and y*x of reached elements is read once, in numpy rounds
+    over the elements reached last, so the closure costs O(n^2) and
+    assumes nothing about associativity.
+    """
+    n = len(t)
+    no_product = np.ones(n, dtype=bool)
+    no_product[t.ravel()] = False
+    gens = np.flatnonzero(no_product).tolist()
+    reached = np.zeros(n, dtype=bool)
+    order = np.empty(n, dtype=np.intp)     # reached elements, oldest first
+    size = 0
+    fresh = np.array(gens, dtype=np.intp)
+    nxt = 0
+    while True:
+        if not len(fresh):
+            while nxt < n and reached[nxt]:
+                nxt += 1
+            if nxt == n:
+                return gens
+            gens.append(nxt)
+            fresh = np.array([nxt], dtype=np.intp)
+        reached[fresh] = True
+        old, size = size, size + len(fresh)
+        order[old:size] = fresh
+        made = np.concatenate((t[np.ix_(fresh, order[:size])].ravel(),
+                               t[np.ix_(order[:old], fresh)].ravel()))
+        fresh = np.unique(made[~reached[made]])
+
+
+def _light_test(t):
+    """Light's associativity test over a magma generating set G.
+
+    True iff (x*g)*y = x*(g*y) for all x, y and every g in G.  The
+    elements a with (x*a)*y = x*(a*y) for all x, y are closed under the
+    product, so a pass over G proves the whole table associative
+    (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961,
+    section 1.2).  O(|G| n^2) time; gathers of at most ASSOC_BLOCK_CELLS
+    cells.
+    """
+    n = len(t)
+    gens = np.array(_magma_generators(t), dtype=np.intp)
+    step = max(1, ASSOC_BLOCK_CELLS // (n * n))
+    for g0 in range(0, len(gens), step):
+        g = gens[g0:g0 + step]
+        # [x, k, y]: (x*g_k)*y on the left, x*(g_k*y) on the right
+        if not (t[t[:, g]] == t[:, t[g]]).all():
+            return False
+    return True
 
 
 def from_table(n, entries, labels=None):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .core import (
     Partition,
     Semigroup,
-    congruence_witness,
     is_ideal,
     isomorphic,
     quotient_by_congruence,
@@ -30,6 +29,7 @@ from .errors import (
     LawViolation,
     NoZeroInSource,
     NonAssociative,
+    NotACongruence,
     NotAnIdeal,
     NotClifford,
     NotStrict,
@@ -152,6 +152,12 @@ def classify_extension(sigma, ideal):
     two-sided action on the ideal.  With no outside elements the extension
     is trivially strict.
     """
+    return _classify(sigma, ideal)[0]
+
+
+def _classify(sigma, ideal):
+    """classify_extension plus the sorted ideal and every element's action
+    on it, each action computed once."""
     ideal = frozenset(ideal)
     if not is_ideal(sigma, ideal):
         bad = next(((s, a) for s in sigma.elements for a in sorted(ideal)
@@ -159,8 +165,9 @@ def classify_extension(sigma, ideal):
                     or sigma.mul(a, s) not in ideal), None)
         raise NotAnIdeal(bad)
     members = sorted(ideal)
-    inner = {_action(sigma, s, members) for s in members}
-    per = {x: _action(sigma, x, members) in inner
+    actions = {x: _action(sigma, x, members) for x in sigma.elements}
+    inner = {actions[s] for s in members}
+    per = {x: actions[x] in inner
            for x in sigma.elements if x not in ideal}
     if all(per.values()):
         kind = "strict"
@@ -168,7 +175,7 @@ def classify_extension(sigma, ideal):
         kind = "pure"
     else:
         kind = "neither"
-    return ExtensionClassification(kind=kind, per_element=per)
+    return ExtensionClassification(kind=kind, per_element=per), members, actions
 
 
 def recover_partial_hom(sigma, ideal):
@@ -176,7 +183,7 @@ def recover_partial_hom(sigma, ideal):
     ideal: source is the Rees quotient sigma/ideal, target the ideal as a
     standalone semigroup, and each outside element maps to the unique ideal
     element with the same two-sided action."""
-    cls = classify_extension(sigma, ideal)
+    cls, members, actions = _classify(sigma, ideal)
     if cls.kind != "strict":
         bad = next(x for x, ok in sorted(cls.per_element.items()) if not ok)
         raise NotStrict(bad)
@@ -186,14 +193,13 @@ def recover_partial_hom(sigma, ideal):
     if pair is not None:
         raise NotWeaklyReductive((elems[pair[0]], elems[pair[1]]))
     source, qmap = rees_quotient(sigma, ideal)
-    members = sorted(ideal)
     pos = {a: i for i, a in enumerate(members)}
-    actions = {_action(sigma, s, members): s for s in members}
+    twin = {actions[s]: s for s in members}
     mapping = {}
     for x in sigma.elements:
         if x in ideal:
             continue
-        s = actions.get(_action(sigma, x, members))
+        s = twin.get(actions[x])
         if s is None:
             raise InternalTheoremViolation("strict element lost its action twin")
         mapping[qmap[x]] = pos[s]
@@ -244,10 +250,11 @@ def clifford_decompose(sigma, ideal):
         classes.setdefault(k, set()).add(x)
     tilde = Partition(classes.values(), n=sigma.order)
 
-    w = congruence_witness(sigma, tilde)
-    if w is not None:
-        raise InternalTheoremViolation(f"~ is not a congruence, witness {w}")
-    quotient, qmap2 = quotient_by_congruence(sigma, tilde)
+    try:
+        quotient, qmap2 = quotient_by_congruence(sigma, tilde)
+    except NotACongruence as e:
+        raise InternalTheoremViolation(
+            f"~ is not a congruence, witness {e.witness}")
     t = quotient._rows
     if any(t[a][a] != a or t[a][b] != t[b][a]
            for a in quotient.elements for b in quotient.elements):

@@ -14,8 +14,11 @@ Criteria, tolerances, and runtime budgets are pinned here and nowhere else:
      deterministic, < 120 s
   9. in-process analysis_bundle of rectangular_band(16, 18) (order 288)
      < 1.5 s
+ 10. in-process Semigroup(rows) of a seeded relabelling of
+     monogenic(400, 400) (order 799) < 1.0 s
 """
 
+import random
 import time
 
 from finsemi import (
@@ -37,6 +40,7 @@ from finsemi import (
     restrict,
     rho_partition,
     stratify,
+    Semigroup,
     validate_partial_hom,
     verify_rho,
     zoo,
@@ -321,3 +325,24 @@ def test_criterion_9_order288_analysis_budget():
         bad.append("rectangular_band(16, 18) is not one D-class of "
                    "singleton H-classes")
     _report("criterion 9: order-288 analysis budget", bad, f"{elapsed:.2f}s")
+
+
+def test_criterion_10_order799_construction_budget():
+    bad = []
+    S = zoo.monogenic(400, 400)
+    n = S.order
+    perm = list(range(n))
+    random.Random(10).shuffle(perm)
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            rows[perm[a]][perm[b]] = perm[S.mul(a, b)]
+    t0 = time.time()
+    T = Semigroup(rows)
+    elapsed = time.time() - t0
+    if elapsed >= 1.0:
+        bad.append(f"runtime {elapsed:.2f}s exceeds 1.0s")
+    if T.zero is not None or T.identity is not None:
+        bad.append("monogenic(400, 400) has neither zero nor identity")
+    _report("criterion 10: order-799 construction budget", bad,
+            f"{elapsed:.2f}s")

@@ -33,6 +33,7 @@ from finsemi import (
     stratify,
     zoo,
 )
+from finsemi import core
 from finsemi.core import _cached, find_isomorphism
 from finsemi.errors import (
     EmptyGenerators,
@@ -191,6 +192,81 @@ class TestAssociativityCheck:
         assert (e.value.order, e.value.cap) == (65536, 65535)
         with pytest.raises(OrderTooLarge):
             parse_sgt("65536\n0 0\n")
+
+    def test_light_path_matches_full_cube_to_order_3(self, monkeypatch):
+        # one cell per block: every order >= 2 takes Light's test
+        monkeypatch.setattr(core, "ASSOC_BLOCK_CELLS", 1)
+        count = 0
+        for n in range(1, 4):
+            for flat in itertools.product(range(n), repeat=n * n):
+                rows = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+                count += 1
+                expected = cube_witness(rows)
+                if expected is None:
+                    Semigroup(rows)
+                    continue
+                with pytest.raises(NonAssociative) as e:
+                    Semigroup(rows)
+                assert e.value.triple == expected
+        assert count == 19700
+
+    @pytest.mark.parametrize("fixture, params, size", [
+        ("monogenic", (400, 400), 1),
+        ("free_nilpotent", (2, 7), 2),
+        ("chain_semilattice", (300,), 300),
+        ("rectangular_band", (16, 18), None),
+    ])
+    def test_magma_generators_generate(self, fixture, params, size):
+        S = getattr(zoo, fixture)(*params)
+        gens = core._magma_generators(np.array(S._rows))
+        if size is not None:
+            assert len(gens) == size
+        rows = S._rows
+        reached, todo = set(gens), list(gens)
+        while todo:
+            x = todo.pop()
+            for y in list(reached):
+                for z in (rows[x][y], rows[y][x]):
+                    if z not in reached:
+                        reached.add(z)
+                        todo.append(z)
+        assert reached == set(range(S.order))
+
+    @pytest.mark.parametrize("fixture, params", [("monogenic", (100, 100)),
+                                                 ("rectangular_band", (12, 12))])
+    def test_corrupted_cells_report_the_cube_witness(self, fixture, params):
+        # few generators and n > 128, so Light's test decides first
+        S = getattr(zoo, fixture)(*params)
+        n = S.order
+        assert n ** 3 > core.ASSOC_BLOCK_CELLS    # Light's path
+        rng = random.Random(n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        base = relabel(S._rows, perm)
+        for _ in range(50):
+            rows = [list(row) for row in base]
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            expected = cube_witness(rows)
+            if expected is None:
+                Semigroup(rows)
+                continue
+            with pytest.raises(NonAssociative) as e:
+                Semigroup(rows)
+            assert e.value.triple == expected
+
+    def test_full_scan_only_in_one_block_or_on_failure(self, monkeypatch):
+        scans = []
+        scan = core._cube_scan
+        monkeypatch.setattr(core, "_cube_scan",
+                            lambda t: scans.append(len(t)) or scan(t))
+        for n in (128, 129):
+            Semigroup([[min(i, j) for j in range(n)] for i in range(n)])
+        assert scans == [128]
+        rows = [[min(i, j) for j in range(200)] for i in range(200)]
+        rows[3][5] = 7
+        with pytest.raises(NonAssociative):
+            Semigroup(rows)
+        assert scans == [128, 200]
 
 
 class TestSetAlgebra:

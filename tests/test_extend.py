@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from finsemi import (
+    Partition,
     adjoin_identity,
     build_extension,
     canonical_phi,
@@ -15,8 +16,10 @@ from finsemi import (
     validate_partial_hom,
     zoo,
 )
+from finsemi import core, extend
 from finsemi.errors import (
     GroupUnionNotIdeal,
+    InternalTheoremViolation,
     LawViolation,
     NoZeroInSource,
     NotAnIdeal,
@@ -146,6 +149,24 @@ class TestRecover:
             recover_partial_hom(sigma, {0, 1})
         assert e.value.element == 2
 
+    def test_each_action_computed_once(self, monkeypatch):
+        calls = []
+        action = extend._action
+        monkeypatch.setattr(extend, "_action",
+                            lambda S, x, m: calls.append(x) or action(S, x, m))
+        C = clifford_z2_over_trivial()
+        T = from_table(3, T_NIL3)
+        for mapping in partial_hom_maps(T, C):
+            w = build_extension(validate_partial_hom(T, C, mapping))
+            calls.clear()
+            assert recover_partial_hom(w.sigma, w.ideal).mapping == mapping
+            assert sorted(calls) == list(w.sigma.elements)
+
+    def test_not_an_ideal(self, z2):
+        with pytest.raises(NotAnIdeal) as e:
+            recover_partial_hom(z2, {0})
+        assert e.value.witness == (1, 0)    # 1*0 = 1 escapes {0}
+
     def test_not_weakly_reductive_with_witness(self):
         sigma = zoo.zero_semigroup(4)
         ideal = {0, 1, 2}
@@ -160,6 +181,39 @@ class TestRecover:
 
 
 class TestCliffordDecompose:
+    def test_tilde_is_scanned_once(self, monkeypatch):
+        scans = []
+        witness = core.congruence_witness
+
+        def counting(S, partition):
+            scans.append((S, partition))
+            return witness(S, partition)
+
+        monkeypatch.setattr(core, "congruence_witness", counting)
+        C = clifford_z2_over_trivial()
+        T = from_table(2, T_A0)
+        for mapping in partial_hom_maps(T, C):
+            w = build_extension(validate_partial_hom(T, C, mapping))
+            sigma = w.sigma
+            scans.clear()
+            dec = clifford_decompose(sigma, w.ideal)
+            tilde = Partition([sa for _, sa, _ in dec.components],
+                              n=sigma.order)
+            assert [p for S, p in scans if S is sigma] == [tilde]
+
+    def test_tilde_not_a_congruence_is_a_theorem_violation(self, monkeypatch):
+        C = clifford_z2_over_trivial()
+        T = from_table(2, T_A0)
+        w = build_extension(validate_partial_hom(T, C, {0: 1}))
+        sigma = w.sigma
+        witness = core.congruence_witness
+        monkeypatch.setattr(
+            core, "congruence_witness",
+            lambda S, p: (1, 2, 3) if S is sigma else witness(S, p))
+        with pytest.raises(InternalTheoremViolation) as e:
+            clifford_decompose(sigma, w.ideal)
+        assert str(e.value) == "~ is not a congruence, witness (1, 2, 3)"
+
     def test_order4_fixture(self):
         C = clifford_z2_over_trivial()       # 0 = f, 1 = g, 2 = e
         T = from_table(2, T_A0, labels=["A", "0"])

@@ -227,6 +227,28 @@ class TestCli:
         assert captured.err.strip() == message
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("samples", ["-5", "-1", "100001"])
+    def test_verify_samples_out_of_range(self, capsys, monkeypatch, samples):
+        from finsemi import cli as cli_mod
+
+        def no_sweep(*args, **kw):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(cli_mod.zoo, "enumerate_associative", no_sweep)
+        monkeypatch.setattr(cli_mod.zoo, "sample_associative", no_sweep)
+        assert main(["verify", "--order", "2", "--samples", samples]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (
+            f"error: samples must be between 0 and 100000, got {samples}")
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
+    def test_verify_default_summary(self, capsys):
+        assert main(["verify", "--order", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "checked 18 semigroup(s) (16 product pairs, 0 of 1000 uniform "
+            "order-5 samples associative, 10 backtracking samples)")
+
     def test_verify_passes(self, capsys):
         assert main(["verify", "--order", "2", "--samples", "50"]) == 0
         out = capsys.readouterr().out
