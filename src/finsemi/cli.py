@@ -36,7 +36,7 @@ from .errors import (
     SemigroupError,
     SgtParseError,
 )
-from .extend import build_extension, format_phm, parse_phm
+from .extend import build_extension, parse_phm
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 0

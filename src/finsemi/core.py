@@ -1,10 +1,11 @@
 """Finite semigroups as Cayley tables, plus the set/partition machinery.
 
 A semigroup of order n is a validated n x n table of element indices;
-table[i][j] is the product i*j with i the left factor.  Subsets of elements
-are plain frozensets of indices, partitions are `Partition` objects.  All
-values are immutable after construction and every operation is a pure
-function of its inputs.
+table[i][j] is the product i*j with i the left factor.  It is stored once,
+as the row tuples `_rows`; the int64 array `table` is built from them on
+access.  Subsets of elements are plain frozensets of indices, partitions
+are `Partition` objects.  All values are immutable after construction and
+every operation is a pure function of its inputs.
 
 Structure derived from a semigroup is computed once and memoized in its
 `_cache` dict by `_cached`, for the semigroup's lifetime.  The keys:
@@ -28,7 +29,6 @@ filling the same key store equal values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -69,7 +69,7 @@ class Semigroup:
     identity are detected automatically (each is unique when it exists).
     """
 
-    __slots__ = ("order", "table", "_rows", "labels", "zero", "identity", "_cache")
+    __slots__ = ("order", "_rows", "labels", "zero", "identity", "_cache")
 
     def __init__(self, entries, labels=None):
         n = len(entries)
@@ -93,8 +93,6 @@ class Semigroup:
         # triple once it has failed.
         if n ** 3 <= ASSOC_BLOCK_CELLS or not _light_test(t):
             _cube_scan(t)
-        table = t.astype(np.int64)
-        table.setflags(write=False)
 
         if labels is not None:
             labels = tuple(str(x) for x in labels)
@@ -104,7 +102,6 @@ class Semigroup:
         cols = tuple(zip(*rows))
         ident = tuple(range(n))
         self.order = n
-        self.table = table
         self._rows = rows
         self.labels = labels
         self.zero = next((z for z in range(n)
@@ -116,6 +113,13 @@ class Semigroup:
 
     def mul(self, i, j):
         return self._rows[i][j]
+
+    @property
+    def table(self):
+        """The table as a read-only int64 array, built anew on each access."""
+        table = np.array(self._rows, dtype=np.int64)
+        table.setflags(write=False)
+        return table
 
     @property
     def elements(self):
@@ -372,6 +376,33 @@ def is_subsemigroup(S, A):
     return bool(A) and product_set(S, A, A) <= frozenset(A)
 
 
+def subsemigroup_witness(S, A):
+    """The first (a, b) in sorted A x A with a*b outside A, or None."""
+    A, elems = frozenset(A), sorted(A)
+    return next(((a, b) for a in elems for b in elems
+                 if S.mul(a, b) not in A), None)
+
+
+def ideal_witness(S, A):
+    """The first (s, a) in S x sorted A with s*a or a*s outside A, or None."""
+    A, elems = frozenset(A), sorted(A)
+    return next(((s, a) for s in S.elements for a in elems
+                 if S.mul(s, a) not in A or S.mul(a, s) not in A), None)
+
+
+def semilattice_witness(S):
+    """None when S is a semilattice; else, scanning row by row, (a, a) for
+    the first non-idempotent a or (a, b) for the first a*b != b*a."""
+    rows = S._rows
+    for a, row in enumerate(rows):
+        if row[a] != a:
+            return (a, a)
+        for b, ab in enumerate(row):
+            if ab != rows[b][a]:
+                return (a, b)
+    return None
+
+
 def restrict(S, A):
     """The subsemigroup on A as a standalone Semigroup.
 
@@ -387,11 +418,9 @@ def restrict(S, A):
 
 
 def _restrict(S, A):
-    elems = sorted(A)
     if not is_subsemigroup(S, A):
-        bad = next(((a, b) for a in elems for b in elems
-                    if S.mul(a, b) not in A), None)
-        raise NotASubsemigroup(bad)
+        raise NotASubsemigroup(subsemigroup_witness(S, A))
+    elems = sorted(A)
     pos = {a: i for i, a in enumerate(elems)}
     rows = [[pos[S.mul(a, b)] for b in elems] for a in elems]
     labels = [S.label(a) for a in elems] if S.labels else None
@@ -411,9 +440,7 @@ def rees_quotient(S, I):
 
 def _rees_quotient(S, I):
     if not is_ideal(S, I):
-        sa = next(((s, a) for s in S.elements for a in sorted(I)
-                   if S.mul(s, a) not in I or S.mul(a, s) not in I), None)
-        raise NotAnIdeal(sa)
+        raise NotAnIdeal(ideal_witness(S, I))
     outside = [x for x in S.elements if x not in I]
     k = len(outside)
     pos = {x: i for i, x in enumerate(outside)}
@@ -615,13 +642,13 @@ def _profiles(S):
     return profs
 
 
-def find_isomorphism(S, T, cap=ISOMORPHISM_ORDER_CAP):
+def find_isomorphism(S, T):
     """A table isomorphism S -> T as a tuple, or None."""
     if S.order != T.order:
         return None
     n = S.order
-    if n > cap:
-        raise OrderTooLarge(n, cap)
+    if n > ISOMORPHISM_ORDER_CAP:
+        raise OrderTooLarge(n, ISOMORPHISM_ORDER_CAP)
     ps, pt = _profiles(S), _profiles(T)
     if sorted(ps) != sorted(pt):
         return None
@@ -663,8 +690,8 @@ def find_isomorphism(S, T, cap=ISOMORPHISM_ORDER_CAP):
     return tuple(phi) if rec(0) else None
 
 
-def isomorphic(S, T, cap=ISOMORPHISM_ORDER_CAP):
-    return find_isomorphism(S, T, cap=cap) is not None
+def isomorphic(S, T):
+    return find_isomorphism(S, T) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,13 @@ from .core import (
     Partition,
     Semigroup,
     _cached,
-    congruence_witness,
+    is_subsemigroup,
     quotient_by_congruence,
     restrict,
+    semilattice_witness,
+    subsemigroup_witness,
 )
-from .errors import InternalTheoremViolation, NotASubsemigroup
+from .errors import InternalTheoremViolation, NotACongruence, NotASubsemigroup
 from .green import (
     ccr_check,
     green,
@@ -52,10 +54,7 @@ def rho_partition(S):
 
 
 def _rho(S):
-    groups = {}
-    for s in S.elements:
-        groups.setdefault(footprint(S, s), []).append(s)
-    return Partition(groups.values(), n=S.order)
+    return Partition.from_index([footprint(S, s) for s in S.elements])
 
 
 @dataclass(frozen=True)
@@ -103,25 +102,24 @@ def verify_rho(S):
     theorems guarantee fails to hold.
     """
     rho = rho_partition(S)
-    w = congruence_witness(S, rho)
+    try:
+        quotient, qmap = quotient_by_congruence(S, rho)
+    except NotACongruence as e:
+        raise InternalTheoremViolation(
+            f"rho is not a congruence, witness {e.witness}")
+    w = semilattice_witness(quotient)
     if w is not None:
-        raise InternalTheoremViolation(f"rho is not a congruence, witness {w}")
-    quotient, qmap = quotient_by_congruence(S, rho)
+        raise InternalTheoremViolation(
+            "S/rho has a non-idempotent element" if w[0] == w[1]
+            else "S/rho is not commutative")
     t = quotient._rows
     k = quotient.order
-    for a in range(k):
-        if t[a][a] != a:
-            raise InternalTheoremViolation("S/rho has a non-idempotent element")
-        for b in range(k):
-            if t[a][b] != t[b][a]:
-                raise InternalTheoremViolation("S/rho is not commutative")
 
     reg = regular_elements(S)
     comps = []
     for cls in rho.classes:
         sub, elems = restrict(S, cls)
         rep = stratify(sub)
-        base_in_s = frozenset(elems[i] for i in rep.base)
         reg_inside = frozenset(elems[i] for i in regular_elements(sub))
         if reg_inside != reg & cls:
             raise InternalTheoremViolation(
@@ -165,12 +163,10 @@ def archimedean(S, A):
     A = frozenset(A)
     if not A:
         return False
+    if not is_subsemigroup(S, A):
+        raise NotASubsemigroup(subsemigroup_witness(S, A))
     elems = sorted(A)
     t = S._rows
-    bad = next(((a, b) for a in elems for b in elems if t[a][b] not in A),
-               None)
-    if bad is not None:
-        raise NotASubsemigroup(bad)
     left = {x: {x}.union([t[y][x] for y in elems]) for x in elems}  # A^1 x
     powers = []
     for a in elems:

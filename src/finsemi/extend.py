@@ -16,11 +16,14 @@ from dataclasses import dataclass
 from .core import (
     Partition,
     Semigroup,
+    ideal_witness,
+    interchangeable_pair,
     is_ideal,
     isomorphic,
     quotient_by_congruence,
     rees_quotient,
     restrict,
+    semilattice_witness,
 )
 from .errors import (
     GroupUnionNotIdeal,
@@ -160,10 +163,7 @@ def _classify(sigma, ideal):
     on it, each action computed once."""
     ideal = frozenset(ideal)
     if not is_ideal(sigma, ideal):
-        bad = next(((s, a) for s in sigma.elements for a in sorted(ideal)
-                    if sigma.mul(s, a) not in ideal
-                    or sigma.mul(a, s) not in ideal), None)
-        raise NotAnIdeal(bad)
+        raise NotAnIdeal(ideal_witness(sigma, ideal))
     members = sorted(ideal)
     actions = {x: _action(sigma, x, members) for x in sigma.elements}
     inner = {actions[s] for s in members}
@@ -188,21 +188,15 @@ def recover_partial_hom(sigma, ideal):
         bad = next(x for x, ok in sorted(cls.per_element.items()) if not ok)
         raise NotStrict(bad)
     target, elems = restrict(sigma, ideal)
-    from .core import interchangeable_pair
     pair = interchangeable_pair(target)
     if pair is not None:
         raise NotWeaklyReductive((elems[pair[0]], elems[pair[1]]))
     source, qmap = rees_quotient(sigma, ideal)
     pos = {a: i for i, a in enumerate(members)}
+    # every outside element is strict, so its action is some member's
     twin = {actions[s]: s for s in members}
-    mapping = {}
-    for x in sigma.elements:
-        if x in ideal:
-            continue
-        s = twin.get(actions[x])
-        if s is None:
-            raise InternalTheoremViolation("strict element lost its action twin")
-        mapping[qmap[x]] = pos[s]
+    mapping = {qmap[x]: pos[twin[actions[x]]]
+               for x in sigma.elements if x not in ideal}
     return PartialHom(source=source, target=target, mapping=mapping)
 
 
@@ -245,19 +239,14 @@ def clifford_decompose(sigma, ideal):
     outside = [y for y in sigma.elements if y not in ideal]
     for qx, x in enumerate(outside):
         comp_of[x] = comp_of[lift[phi.mapping[qx]]]
-    classes = {}
-    for x, k in comp_of.items():
-        classes.setdefault(k, set()).add(x)
-    tilde = Partition(classes.values(), n=sigma.order)
+    tilde = Partition.from_index([comp_of[x] for x in sigma.elements])
 
     try:
         quotient, qmap2 = quotient_by_congruence(sigma, tilde)
     except NotACongruence as e:
         raise InternalTheoremViolation(
             f"~ is not a congruence, witness {e.witness}")
-    t = quotient._rows
-    if any(t[a][a] != a or t[a][b] != t[b][a]
-           for a in quotient.elements for b in quotient.elements):
+    if semilattice_witness(quotient) is not None:
         raise InternalTheoremViolation("Sigma/~ is not a semilattice")
     if not isomorphic(quotient, y_sem):
         raise InternalTheoremViolation("Sigma/~ is not isomorphic to Y")
@@ -288,10 +277,7 @@ def canonical_phi(sigma, components):
     Partition([sa for sa, _ in pairs], n=sigma.order)  # disjoint cover check
     union = frozenset().union(*(ga for _, ga in pairs))
     if not is_ideal(sigma, union):
-        bad = next(((s, a) for s in sigma.elements for a in sorted(union)
-                    if sigma.mul(s, a) not in union
-                    or sigma.mul(a, s) not in union), None)
-        raise GroupUnionNotIdeal(bad)
+        raise GroupUnionNotIdeal(ideal_witness(sigma, union))
     target, elems = restrict(sigma, union)
     pos = {a: i for i, a in enumerate(elems)}
     source, qmap = rees_quotient(sigma, union)

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Partition, _cached, base_set, restrict
-from .errors import InternalTheoremViolation, NotASubsemigroup, NotIdempotent
+from .core import Partition, _cached, restrict
+from .errors import InternalTheoremViolation, NotIdempotent
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,6 @@ def _principal_ideals(S):
     return rs, ls, tuple(map(by_r.__getitem__, rs))
 
 
-def _partition_by(keys, n):
-    groups = {}
-    for a in range(n):
-        groups.setdefault(keys[a], []).append(a)
-    return Partition(groups.values(), n=n)
-
-
 def green(S):
     """Compute (and cache) the full Green structure of S."""
     return _cached(S, "green", lambda: _green(S))
@@ -65,10 +58,10 @@ def green(S):
 def _green(S):
     n = S.order
     rs, ls, js = _principal_ideals(S)
-    R = _partition_by(rs, n)
-    L = _partition_by(ls, n)
-    H = _partition_by(tuple(zip(rs, ls)), n)
-    J = _partition_by(js, n)
+    R = Partition.from_index(rs)
+    L = Partition.from_index(ls)
+    H = Partition.from_index(tuple(zip(rs, ls)))
+    J = Partition.from_index(js)
 
     # D = R∘L: a D b iff some c has a R c and c L b, so D_a is the union of
     # the L-classes that R_a meets.  Compare those sets of class indices.
@@ -83,7 +76,7 @@ def _green(S):
     for a in range(n):
         if ld_sets[L.index_of[a]] != d_sets[R.index_of[a]]:
             raise InternalTheoremViolation("R∘L != L∘R")
-    D = _partition_by([l_of_r[r] for r in R.index_of], n)
+    D = Partition.from_index([l_of_r[r] for r in R.index_of])
     if D != J:
         raise InternalTheoremViolation("D != J on a finite semigroup")
 

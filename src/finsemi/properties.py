@@ -16,7 +16,6 @@ from .core import (
     Partition,
     adjoin_zero,
     base_set,
-    congruence_witness,
     closure,
     enumerate_congruences,
     is_ideal,
@@ -27,6 +26,7 @@ from .core import (
     quotient_by_congruence,
     rees_quotient,
     restrict,
+    semilattice_witness,
 )
 from .errors import NotASubsemigroup, NotConditionallyCompletelyRegular
 from .green import (
@@ -103,7 +103,7 @@ def _raw_archimedean(S, A):
     return True
 
 
-def check_core(S, congruence_cap=CONGRUENCE_ORDER_CAP):
+def check_core(S):
     bad = []
     n = S.order
     t = S._rows
@@ -131,8 +131,8 @@ def check_core(S, congruence_cap=CONGRUENCE_ORDER_CAP):
     if sorted(set(qmap[x] for x in outside)) != list(range(len(outside))):
         bad.append("nonzero part of S/Base(S) does not biject with S \\ Base")
 
-    if n <= congruence_cap:
-        for p in enumerate_congruences(S, max_order=congruence_cap):
+    if n <= CONGRUENCE_ORDER_CAP:
+        for p in enumerate_congruences(S):
             if _naive_congruence_witness(S, p) is not None:
                 bad.append(f"enumerated partition {p.as_lists()} fails the "
                            "independent compatibility check")
@@ -232,9 +232,8 @@ def check_green(S):
     return bad
 
 
-def check_stratify(S, extra_generating_sets=()):
+def check_stratify(S):
     bad = []
-    n = S.order
     base = base_set(S)
     reg = regular_elements(S)
     E = idempotents(S)
@@ -286,7 +285,6 @@ def check_stratify(S, extra_generating_sets=()):
 
     gens_pool = [frozenset({a}) for a in S.elements]
     gens_pool += [frozenset({a, b}) for a in S.elements for b in S.elements if a < b]
-    gens_pool += [frozenset(gs) for gs in extra_generating_sets]
     for gens in gens_pool:
         sub_set = closure(S, gens)
         sub, elems = restrict(S, sub_set)
@@ -299,7 +297,7 @@ def check_stratify(S, extra_generating_sets=()):
     return bad
 
 
-def check_decompose(S, congruence_cap=DECOMPOSE_SUITE_CAP):
+def check_decompose(S):
     bad = []
     n = S.order
     ccr = is_conditionally_completely_regular(S)
@@ -309,8 +307,8 @@ def check_decompose(S, congruence_cap=DECOMPOSE_SUITE_CAP):
             bad.append("rho_partition accepted a non-CCR semigroup")
         except NotConditionallyCompletelyRegular:
             pass
-        if n <= congruence_cap:
-            for p, Q in _semilattice_congruences(S, congruence_cap):
+        if n <= DECOMPOSE_SUITE_CAP:
+            for p in _semilattice_congruences(S):
                 if all(dc.archimedean(S, cls) for cls in p.classes):
                     bad.append("non-CCR semigroup has a semilattice-of-"
                                f"Archimedean decomposition {p.as_lists()}")
@@ -342,11 +340,8 @@ def check_decompose(S, congruence_cap=DECOMPOSE_SUITE_CAP):
                 bad.append(f"rho and D disagree on regular pair ({s},{t})")
 
     # H-class footprints refine to the same partition (equivalent definition)
-    h_foot = {}
-    for s in S.elements:
-        h_foot.setdefault(
-            frozenset(g.H.index_of[x] for x in W[s]), []).append(s)
-    if Partition(h_foot.values(), n=n) != rho:
+    h_foot = [frozenset(g.H.index_of[x] for x in W[s]) for s in S.elements]
+    if Partition.from_index(h_foot) != rho:
         bad.append("H-class footprint definition disagrees with rho")
 
     for cls in rho.classes:
@@ -397,21 +392,18 @@ def check_decompose(S, congruence_cap=DECOMPOSE_SUITE_CAP):
             if loc[k] != expected:
                 bad.append(f"weak-inverse location of {s} wrong at class {k}")
 
-    if n <= congruence_cap:
-        for p, Q in _semilattice_congruences(S, congruence_cap):
+    if n <= DECOMPOSE_SUITE_CAP:
+        for p in _semilattice_congruences(S):
             if all(dc.archimedean(S, cls) for cls in p.classes) and p != rho:
                 bad.append(f"second Archimedean semilattice decomposition "
                            f"{p.as_lists()} found (uniqueness fails)")
     return bad
 
 
-def _semilattice_congruences(S, cap):
-    for p in enumerate_congruences(S, max_order=cap):
-        Q, _ = quotient_by_congruence(S, p)
-        t = Q._rows
-        if all(t[a][a] == a and t[a][b] == t[b][a]
-               for a in Q.elements for b in Q.elements):
-            yield p, Q
+def _semilattice_congruences(S):
+    for p in enumerate_congruences(S, max_order=DECOMPOSE_SUITE_CAP):
+        if semilattice_witness(quotient_by_congruence(S, p)[0]) is None:
+            yield p
 
 
 def check_product_pair(S, T):
@@ -432,10 +424,6 @@ def check_product_pair(S, T):
     return bad
 
 
-def check_semigroup(S, congruence_cap=CONGRUENCE_ORDER_CAP,
-                    decompose_cap=DECOMPOSE_SUITE_CAP):
+def check_semigroup(S):
     """Every per-semigroup check from every suite."""
-    return (check_core(S, congruence_cap=congruence_cap)
-            + check_green(S)
-            + check_stratify(S)
-            + check_decompose(S, congruence_cap=decompose_cap))
+    return check_core(S) + check_green(S) + check_stratify(S) + check_decompose(S)

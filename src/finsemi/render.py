@@ -4,7 +4,7 @@ Hasse diagrams for semilattice quotients."""
 from __future__ import annotations
 
 from .green import green, idempotents
-from .stratify import BASE, stratify
+from .stratify import stratify
 
 
 def _cell_text(S, members, E):

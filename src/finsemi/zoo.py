@@ -19,6 +19,7 @@ from .core import (
     direct_product,
     from_table,
     rees_quotient,
+    semilattice_witness,
 )
 from .errors import InvalidArgument, InvalidLinking, KTooLarge, OrderTooLarge
 
@@ -228,8 +229,7 @@ def strong_semilattice(Y, parts, linking):
     ny = Y.order
     if len(parts) != ny:
         raise InvalidLinking(None, f"expected {ny} parts, got {len(parts)}")
-    if sorted(Y.mul(a, a) for a in Y.elements) != list(Y.elements) or any(
-            Y.mul(a, b) != Y.mul(b, a) for a in Y.elements for b in Y.elements):
+    if semilattice_witness(Y) is not None:
         raise InvalidLinking(None, "Y is not a semilattice")
 
     def link(a, b):

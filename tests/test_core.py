@@ -15,6 +15,7 @@ from finsemi import (
     direct_product,
     enumerate_congruences,
     from_table,
+    ideal_witness,
     interchangeable,
     is_congruence,
     is_globally_idempotent,
@@ -30,7 +31,9 @@ from finsemi import (
     quotient_by_congruence,
     rees_quotient,
     restrict,
+    semilattice_witness,
     stratify,
+    subsemigroup_witness,
     zoo,
 )
 from finsemi import core
@@ -584,3 +587,79 @@ def test_power_formulas_exhaustive_order2():
             assert power_set(P, m) == {pair_index(T, a, b)
                                        for a in power_set(S, m)
                                        for b in power_set(T, m)}
+
+
+def literal_subsemigroup_witness(S, A):
+    for a in sorted(A):
+        for b in sorted(A):
+            if S.mul(a, b) not in A:
+                return (a, b)
+    return None
+
+
+def literal_ideal_witness(S, A):
+    for s in S.elements:
+        for a in sorted(A):
+            if S.mul(s, a) not in A or S.mul(a, s) not in A:
+                return (s, a)
+    return None
+
+
+def literal_semilattice_message(S):
+    """The first failure of verify_rho's row-by-row semilattice loop."""
+    for a in S.elements:
+        if S.mul(a, a) != a:
+            return "non-idempotent"
+        for b in S.elements:
+            if S.mul(a, b) != S.mul(b, a):
+                return "not commutative"
+    return None
+
+
+class TestWitnesses:
+    def test_subsemigroup_and_ideal_on_every_subset_up_to_order3(self):
+        cases = 0
+        for n in (1, 2, 3):
+            for S in zoo.enumerate_associative(n):
+                for k in range(n + 1):
+                    for A in itertools.combinations(range(n), k):
+                        A = frozenset(A)
+                        cases += 1
+                        assert (subsemigroup_witness(S, A)
+                                == literal_subsemigroup_witness(S, A))
+                        assert ideal_witness(S, A) == literal_ideal_witness(S, A)
+        assert cases == 938
+
+    def test_raise_sites_report_the_helper_witness(self):
+        for S in zoo.enumerate_associative(3):
+            for k in range(4):
+                for A in itertools.combinations(range(3), k):
+                    A = frozenset(A)
+                    try:
+                        restrict(S, A)
+                    except NotASubsemigroup as e:
+                        assert e.witness == literal_subsemigroup_witness(S, A)
+                    else:
+                        assert A and literal_subsemigroup_witness(S, A) is None
+                    try:
+                        rees_quotient(S, A)
+                    except NotAnIdeal as e:
+                        assert e.witness == literal_ideal_witness(S, A)
+                    else:
+                        assert A and literal_ideal_witness(S, A) is None
+
+    def test_semilattice_on_every_table_up_to_order4(self):
+        tables = 0
+        for n in (1, 2, 3, 4):
+            for S in zoo.enumerate_associative(n):
+                tables += 1
+                w = semilattice_witness(S)
+                message = None if w is None else (
+                    "non-idempotent" if w[0] == w[1] else "not commutative")
+                assert message == literal_semilattice_message(S), S._rows
+        assert tables == 3614
+
+    def test_semilattice_witness_pairs(self, z2):
+        assert semilattice_witness(zoo.chain_semilattice(3)) is None
+        assert semilattice_witness(z2) == (1, 1)
+        assert semilattice_witness(from_table(2, [[0, 0], [1, 1]])) == (0, 1)

@@ -22,6 +22,7 @@ from finsemi.decompose import footprint
 from finsemi.green import ccr_witness
 from finsemi.properties import _raw_archimedean
 from finsemi.errors import (
+    InternalTheoremViolation,
     NotASubsemigroup,
     NotConditionallyCompletelyRegular,
 )
@@ -101,6 +102,39 @@ class TestVerifyRho:
         rep = verify_rho(C)
         assert isomorphic(rep.quotient, Y)
         assert sorted(len(c.elements) for c in rep.components) == [1, 2]
+
+    def test_scans_rho_for_compatibility_once(self, t2, monkeypatch):
+        import finsemi
+        calls = []
+        original = finsemi.core.congruence_witness
+
+        def counted(S, partition):
+            calls.append(partition)
+            return original(S, partition)
+
+        for name in ("core", "decompose", "properties", "extend"):
+            mod = importlib.import_module(f"finsemi.{name}")
+            if getattr(mod, "congruence_witness", None) is original:
+                monkeypatch.setattr(mod, "congruence_witness", counted)
+        rep = verify_rho(t2)
+        assert calls == [rep.rho]
+
+    @pytest.mark.parametrize("rows, partition, message", [
+        # the 3-chain under min with 0 ~ 2: 0*1 = 0 but 2*1 = 1
+        ([[0, 0, 0], [0, 1, 1], [0, 1, 2]], [[0, 2], [1]],
+         "rho is not a congruence, witness (0, 2, 1)"),
+        ([[0, 1], [1, 0]], [[0], [1]], "S/rho has a non-idempotent element"),
+        ([[0, 0], [1, 1]], [[0], [1]], "S/rho is not commutative"),
+    ])
+    def test_theorem_violations_keep_their_messages(self, monkeypatch, rows,
+                                                     partition, message):
+        import finsemi.decompose as dc
+        S = from_table(len(rows), rows)
+        monkeypatch.setattr(dc, "rho_partition",
+                            lambda _: Partition(partition, n=S.order))
+        with pytest.raises(InternalTheoremViolation) as e:
+            verify_rho(S)
+        assert str(e.value) == message
 
     def test_json_fields(self, t2):
         payload = verify_rho(t2).to_json()

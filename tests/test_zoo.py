@@ -111,6 +111,15 @@ class TestClifford:
                 (zoo.cyclic_group(2), zoo.cyclic_group(2)),
                 {(1, 0): (0, 0)}))  # g -> g is fine, e -> g is not a hom
 
+    def test_non_idempotent_y_rejected_as_not_a_semilattice(self):
+        # squaring permutes Z_3, but no element except the identity is
+        # idempotent
+        C3 = zoo.cyclic_group(3)
+        with pytest.raises(InvalidLinking) as e:
+            zoo.strong_semilattice(C3, (zoo.trivial(),) * 3, {})
+        assert e.value.reason == "Y is not a semilattice"
+        assert e.value.witness is None
+
     def test_non_group_part_rejected(self):
         with pytest.raises(InvalidLinking):
             zoo.clifford(zoo.CliffordData(
