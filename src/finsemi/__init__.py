@@ -70,10 +70,6 @@ from .green import (
     is_clifford,
     is_completely_simple,
     is_conditionally_completely_regular,
-    is_e_dense,
-    is_eventually_regular,
-    is_group_bound,
-    is_periodic,
     k_class,
     maximal_subgroup,
     regular_elements,

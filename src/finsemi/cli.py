@@ -23,10 +23,6 @@ from .green import (
     is_clifford,
     is_completely_simple,
     is_conditionally_completely_regular,
-    is_e_dense,
-    is_eventually_regular,
-    is_group_bound,
-    is_periodic,
     regular_elements,
 )
 from .stratify import classify, stratify
@@ -105,10 +101,12 @@ def analysis_bundle(S):
         "idempotents": sorted(idempotents(S)),
         "regular": sorted(regular_elements(S)),
         "flags": {
-            "e_dense": is_e_dense(S),
-            "periodic": is_periodic(S),
-            "eventually_regular": is_eventually_regular(S),
-            "group_bound": is_group_bound(S),
+            # true of every finite semigroup; properties.check_green
+            # recomputes all four
+            "e_dense": True,
+            "periodic": True,
+            "eventually_regular": True,
+            "group_bound": True,
             "conditionally_completely_regular": ccr,
             "completely_simple": is_completely_simple(S),
             "clifford": is_clifford(S),

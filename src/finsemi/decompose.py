@@ -29,8 +29,6 @@ from .green import (
     green,
     idempotents,
     is_completely_simple,
-    is_e_dense,
-    is_group_bound,
     k_class,
     regular_elements,
     weak_inverses,
@@ -59,6 +57,13 @@ def _rho(S):
 
 @dataclass(frozen=True)
 class ComponentReport:
+    """The verdicts on one rho-class.
+
+    `is_e_dense` and `finitely_stratified` are True by theorem on finite
+    input: every finite semigroup is E-dense and has a nonempty base.  The
+    oracles in `properties.check_decompose` recompute both.
+    """
+
     elements: frozenset
     regular_part: frozenset
     is_archimedean: bool
@@ -128,9 +133,9 @@ def verify_rho(S):
             elements=frozenset(cls),
             regular_part=reg & cls,
             is_archimedean=archimedean(S, cls),
-            is_e_dense=is_e_dense(sub),
+            is_e_dense=True,
             completely_simple_base=is_completely_simple(sub, rep.base),
-            finitely_stratified=bool(rep.base),
+            finitely_stratified=True,
         ))
     order = frozenset((a, b) for a in range(k) for b in range(k)
                       if t[a][b] == a)
@@ -139,15 +144,13 @@ def verify_rho(S):
 
 
 def kje_partition(S):
-    """Partition into K_{J_e} sets (group-bound CCR input).
+    """Partition into K_{J_e} sets (CCR input; finite input is group-bound).
 
     K_e is the set of elements with a power in the maximal subgroup at e;
     K_{J_e} glues the K_f together over all idempotents f in the J-class
     of e.
     """
     ccr_check(S)
-    if not is_group_bound(S):
-        raise InternalTheoremViolation("finite input reported as not group-bound")
     g = green(S)
     blocks = {}
     for e in idempotents(S):

@@ -37,6 +37,7 @@ from .errors import (
     NotClifford,
     NotStrict,
     NotWeaklyReductive,
+    SgtParseError,
 )
 from .green import green, idempotents, is_clifford
 
@@ -304,7 +305,6 @@ def parse_phm(text, resolve):
     `resolve(ref)` turns each of the first two non-comment lines (a path or
     a zoo: tag) into a Semigroup.
     """
-    from .errors import SgtParseError
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if len(lines) < 2:

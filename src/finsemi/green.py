@@ -17,7 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Partition, _cached, restrict
-from .errors import InternalTheoremViolation, NotIdempotent
+from .errors import (
+    InternalTheoremViolation,
+    NotConditionallyCompletelyRegular,
+    NotIdempotent,
+)
 
 
 @dataclass(frozen=True)
@@ -130,44 +134,6 @@ def element_powers(S, s):
     return seq
 
 
-def eventual_idempotent_power(S, s):
-    """The unique idempotent among the powers of s."""
-    for p in element_powers(S, s):
-        if S.mul(p, p) == p:
-            return p
-    raise InternalTheoremViolation(f"no idempotent power of {s} in a finite semigroup")
-
-
-def is_periodic(S):
-    """Every element has a repeating power (trivially true when finite)."""
-    return all(len(element_powers(S, s)) <= S.order for s in S.elements)
-
-
-def is_eventually_regular(S):
-    reg = regular_elements(S)
-    return all(any(p in reg for p in element_powers(S, s)) for s in S.elements)
-
-
-def is_e_dense(S):
-    """Every element has a weak inverse."""
-    return all(weak_inverses(S, s) for s in S.elements)
-
-
-def is_group_bound(S):
-    """Every element has a power inside a maximal subgroup.
-
-    Always true on finite input; computed honestly (power of s inside
-    H_{e(s)} for the eventual idempotent power e(s)) as a consistency check.
-    """
-    g = green(S)
-    for s in S.elements:
-        e = eventual_idempotent_power(S, s)
-        he = g.H.class_of(e)
-        if not any(p in he for p in element_powers(S, s)):
-            return False
-    return True
-
-
 def ccr_witness(S):
     """A regular H-class with no idempotent, or None if S is CCR; cached."""
     return _cached(S, "ccr_witness", lambda: _ccr_witness(S))
@@ -227,19 +193,7 @@ def k_class(S, e):
 
 def ccr_check(S):
     """Raise-style CCR precondition used by the decomposition engine."""
-    from .errors import NotConditionallyCompletelyRegular
     w = ccr_witness(S)
     if w is not None:
         raise NotConditionallyCompletelyRegular(w)
 
-
-def e_dense_characterizations(S):
-    """The four equivalent E-dense tests, evaluated independently."""
-    t = S._rows
-    ids = idempotents(S)
-    right = all(any(t[s][x] in ids for x in S.elements) for s in S.elements)
-    left = all(any(t[x][s] in ids for x in S.elements) for s in S.elements)
-    both = all(any(t[s][x] in ids and t[x][s] in ids for x in S.elements)
-               for s in S.elements)
-    weak = all(weak_inverses(S, s) for s in S.elements)
-    return (right, left, both, weak)

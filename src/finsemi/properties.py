@@ -17,6 +17,7 @@ from .core import (
     adjoin_zero,
     base_set,
     closure,
+    direct_product,
     enumerate_congruences,
     is_ideal,
     is_subsemigroup,
@@ -30,22 +31,17 @@ from .core import (
 )
 from .errors import NotASubsemigroup, NotConditionallyCompletelyRegular
 from .green import (
-    e_dense_characterizations,
     element_powers,
     green,
     idempotents,
     inverses,
     is_completely_simple,
     is_conditionally_completely_regular,
-    is_e_dense,
-    is_eventually_regular,
-    is_group_bound,
-    is_periodic,
     k_class,
     regular_elements,
     weak_inverses,
 )
-from .stratify import BASE, classify, is_grillet_stratified, stratify
+from .stratify import BASE, is_grillet_stratified, stratify
 
 DECOMPOSE_SUITE_CAP = 4
 
@@ -59,6 +55,55 @@ def _raw_powers(S, upto):
         cur = {t[a][b] for a in S.elements for b in cur}
         out.append(frozenset(cur))
     return out
+
+
+def _raw_nilpotency_index(S):
+    """The least m with (S/Base(S))^m = {0}, from raw powers; None if none.
+
+    A nil semigroup of order q has index at most q.
+    """
+    Q, _ = rees_quotient(S, base_set(S))
+    zero = {Q.zero}
+    return next((m for m, p in enumerate(_raw_powers(Q, Q.order), start=1)
+                 if p == zero), None)
+
+
+def _raw_periodic(S):
+    """Every element's powers repeat within |S| steps."""
+    return all(len(element_powers(S, s)) <= S.order for s in S.elements)
+
+
+def _raw_eventually_regular(S):
+    """Every element has a regular power."""
+    reg = regular_elements(S)
+    return all(any(p in reg for p in element_powers(S, s)) for s in S.elements)
+
+
+def _raw_group_bound(S):
+    """Every element has a power in H_e, e its idempotent power."""
+    H = green(S).H
+    E = idempotents(S)
+    for s in S.elements:
+        powers = element_powers(S, s)
+        e = next((p for p in powers if p in E), None)
+        if e is None or not any(H.same(p, e) for p in powers):
+            return False
+    return True
+
+
+def _raw_e_dense(S):
+    """The four equivalent E-dense tests, each evaluated on its own.
+
+    The definition (every element has a weak inverse) comes first, so
+    `next(_raw_e_dense(S))` pays for that test alone.
+    """
+    t = S._rows
+    yield all(weak_inverses(S, s) for s in S.elements)
+    ids = idempotents(S)
+    yield all(any(t[s][x] in ids for x in S.elements) for s in S.elements)
+    yield all(any(t[x][s] in ids for x in S.elements) for s in S.elements)
+    yield all(any(t[s][x] in ids and t[x][s] in ids for x in S.elements)
+              for s in S.elements)
 
 
 def _raw_principal_ideals(S):
@@ -195,7 +240,7 @@ def check_green(S):
             if not g.j_leq(sp, s):
                 bad.append(f"J_s' <= J_s fails for s={s}, s'={sp}")
 
-    chars = e_dense_characterizations(S)
+    chars = tuple(_raw_e_dense(S))
     if len(set(chars)) != 1:
         bad.append(f"the four E-dense characterizations disagree: {chars}")
     if not all(chars):
@@ -204,8 +249,8 @@ def check_green(S):
         bad.append("Reg(S) != {s : V(s) nonempty}")
     if reg != frozenset().union(*W.values()):
         bad.append("W(S) != Reg(S)")
-    if not (is_periodic(S) and is_eventually_regular(S)
-            and is_group_bound(S)):
+    if not (_raw_periodic(S) and _raw_eventually_regular(S)
+            and _raw_group_bound(S)):
         bad.append("a finite semigroup fails periodic/eventually regular/group-bound")
 
     kmap = {e: k_class(S, e) for e in sorted(E)}
@@ -281,7 +326,11 @@ def check_stratify(S):
                 bad.append(f"depth says base but {s} is outside")
         elif s not in rep.layers[d - 1]:
             bad.append(f"depth of {s} does not match its layer")
-    classify(S)  # raises InternalTheoremViolation on index/height mismatch
+    index = _raw_nilpotency_index(S)
+    if index is None:
+        bad.append("S/Base(S) is not nilpotent")
+    elif index != rep.height:
+        bad.append(f"nilpotency index {index} of S/Base(S) != height {rep.height}")
 
     gens_pool = [frozenset({a}) for a in S.elements]
     gens_pool += [frozenset({a, b}) for a in S.elements for b in S.elements if a < b]
@@ -347,7 +396,7 @@ def check_decompose(S):
     for cls in rho.classes:
         sub, elems = restrict(S, cls)
         has_reg = bool(cls & reg)
-        if is_e_dense(sub) != has_reg or not has_reg:
+        if next(_raw_e_dense(sub)) != has_reg or not has_reg:
             bad.append(f"rho-class {sorted(cls)} breaks the E-dense iff "
                        "regular-element lemma")
     no_w = {s for s in S.elements if not W[s]}
@@ -364,13 +413,13 @@ def check_decompose(S):
             bad.append(f"component {sorted(comp.elements)} is not Archimedean")
         if not comp.regular_part:
             bad.append(f"component {sorted(comp.elements)} has no regular part")
-        if not comp.finitely_stratified:
-            bad.append(f"component {sorted(comp.elements)} not finitely stratified")
         if not comp.completely_simple_base:
             bad.append(f"component {sorted(comp.elements)} has a base that is "
                        "not completely simple")
         sub, elems = restrict(S, comp.elements)
         base_lift = frozenset(elems[i] for i in base_set(sub))
+        if not base_lift:
+            bad.append(f"component {sorted(comp.elements)} not finitely stratified")
         if base_lift != comp.regular_part:
             bad.append(f"component {sorted(comp.elements)}: base != regular part")
 
@@ -408,7 +457,6 @@ def _semilattice_congruences(S):
 
 def check_product_pair(S, T):
     """(SxT)^m = S^m x T^m and the base formula, for one pair."""
-    from .core import direct_product
     bad = []
     P = direct_product(S, T)
     hp = stratify(P).height

@@ -22,6 +22,8 @@ from .core import (
     semilattice_witness,
 )
 from .errors import InvalidArgument, InvalidLinking, KTooLarge, OrderTooLarge
+from .extend import build_extension, validate_partial_hom
+from .green import is_clifford
 
 ENUMERATION_ORDER_CAP = 4
 FREE_NILPOTENT_ORDER_CAP = 200
@@ -287,7 +289,6 @@ def strong_semilattice(Y, parts, linking):
 
 def clifford(data):
     """The Clifford semigroup S[Y; G_a; phi]; validated to be Clifford."""
-    from .green import is_clifford
     for g in data.groups:
         e = g.identity
         if e is None or any(all(g.mul(x, y) != e for y in g.elements)
@@ -309,8 +310,6 @@ def partial_map_extension(n, m, groups, picks=None):
     and m >= 3 a product can cap one coordinate while staying below the cap
     in another, and then g^(capped) != g^(true sum) unless g is trivial.
     """
-    from .extend import build_extension, validate_partial_hom
-
     if n < 1 or m < 1 or len(groups) != n:
         raise InvalidArgument("need n >= 1, m >= 1 and one group per coordinate")
     if picks is None:
@@ -409,7 +408,7 @@ def _assoc_tables(n, value_order=None, limit=None):
     found = 0
 
     def consistent(i, j, v):
-        ti, tj, tv = t[i], t[j], t[v]
+        tj, tv = t[j], t[v]
         for c in rng:
             w = tj[c]
             if w >= 0:

@@ -33,7 +33,6 @@ from finsemi import (
     idempotents,
     is_completely_simple,
     is_conditionally_completely_regular,
-    is_group_bound,
     quotient_by_congruence,
     recover_partial_hom,
     regular_elements,
@@ -56,6 +55,7 @@ from finsemi.properties import (
     check_product_pair,
     check_semigroup,
     check_stratify,
+    _raw_group_bound,
 )
 from finsemi.cli import analysis_bundle
 from extension_triples import triples
@@ -275,7 +275,7 @@ def test_criterion_7_uniqueness():
     for n in (1, 2, 3, 4):
         for S in zoo.enumerate_associative(n):
             if not (is_conditionally_completely_regular(S)
-                    and is_group_bound(S)):
+                    and _raw_group_bound(S)):
                 continue
             checked += 1
             rho = rho_partition(S)

@@ -19,7 +19,10 @@ from finsemi import (
     stratify,
     zoo,
 )
+from finsemi.cli import analysis_bundle
+from finsemi.properties import _raw_nilpotency_index
 from finsemi.stratify import BASE
+from test_golden import FIXTURES, _relabel
 
 
 class TestStratify:
@@ -108,6 +111,24 @@ class TestClassify:
         c = classify(direct_product(n2, n2))
         assert c.height == 2 and c.nilpotency_index == 2
 
+    def test_builds_no_power_of_the_quotient(self):
+        S = zoo.monogenic(100, 100)
+        analysis_bundle(S)
+        assert "powers" not in classify(S).quotient._cache
+
+    def test_index_oracle_is_the_height_up_to_order4(self):
+        tables = 0
+        for n in (1, 2, 3, 4):
+            for S in zoo.enumerate_associative(n):
+                tables += 1
+                assert _raw_nilpotency_index(S) == stratify(S).height, S._rows
+        assert tables == 3614
+
+    @pytest.mark.parametrize("name,build", FIXTURES, ids=[f[0] for f in FIXTURES])
+    def test_index_oracle_is_the_height_on_bench_fixtures(self, name, build):
+        S = _relabel(build(), f"oracle:{name}")
+        assert _raw_nilpotency_index(S) == stratify(S).height
+
 
 class TestBaseInvariants:
     """The base lemmas, checked exhaustively at order 3."""
@@ -187,10 +208,10 @@ def test_absorption_sum_properties():
 
 
 def test_finite_chain_periodic_e_dense_stratified():
-    from finsemi import is_e_dense, is_periodic
+    from finsemi.properties import _raw_e_dense, _raw_periodic
     for S in zoo.enumerate_associative(3):
-        assert is_periodic(S)
-        assert is_e_dense(S)
+        assert _raw_periodic(S)
+        assert next(_raw_e_dense(S))
         assert base_set(S)
 
 
