@@ -7,6 +7,15 @@ access.  Subsets of elements are plain frozensets of indices, partitions
 are `Partition` objects.  All values are immutable after construction and
 every operation is a pure function of its inputs.
 
+A table is checked for associativity once, where it enters the library:
+`Semigroup(...)`, `from_table` and `parse_sgt` (and so every zoo
+constructor and `extend.build_extension`) run the full check.  Six builders
+make tables that are associative by theorem from checked semigroups and
+skip it through `Semigroup._derived`: `restrict` (a subsemigroup),
+`rees_quotient` and `quotient_by_congruence` (homomorphic images, by a
+checked ideal or congruence), `direct_product`, `adjoin_zero` and
+`adjoin_identity`.  They fill their tables from whole rows of the parent.
+
 Structure derived from a semigroup is computed once and memoized in its
 `_cache` dict by `_cached`, for the semigroup's lifetime.  The keys:
 
@@ -29,6 +38,7 @@ filling the same key store equal values.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -60,40 +70,52 @@ class Semigroup:
 
     `entries` is a sequence of n rows of n element indices.  Construction
     validates every entry and full associativity, in O(n^2) memory via
-    numpy; there is no unchecked constructor.  Up to n^3 =
-    ASSOC_BLOCK_CELLS (n <= 128) the whole cube is scanned; above that,
-    Light's test over a magma generating set G takes O(|G| n^2 + n^2)
-    time, which is O(n^3) only when every element is a generator (a
-    chain).  A non-associative table reports the lexicographically first
-    failing triple either way.  A two-sided zero and a two-sided
-    identity are detected automatically (each is unique when it exists).
+    numpy.  Up to n^3 = ASSOC_BLOCK_CELLS (n <= 128) the whole cube is
+    scanned; above that, Light's test over a magma generating set G takes
+    O(|G| n^2 + n^2) time, which is O(n^3) only when every element is a
+    generator (a chain).  A non-associative table reports the
+    lexicographically first failing triple either way.  A two-sided zero
+    and a two-sided identity are detected automatically (each is unique
+    when it exists).
+
+    Tables derived from a semigroup that is already checked are built by
+    `_derived`, which skips the associativity check: see its docstring.
     """
 
     __slots__ = ("order", "_rows", "labels", "zero", "identity", "_cache")
 
     def __init__(self, entries, labels=None):
-        n = len(entries)
-        if n > ORDER_CAP:
-            raise OrderTooLarge(n, ORDER_CAP)
-        if n == 0:
-            raise NonSquare(0, 0, 0)
-        rows = tuple(tuple(map(int, row)) for row in entries)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise NonSquare(n, i, len(row))
-        if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
-            for i, row in enumerate(rows):
-                for j, v in enumerate(row):
-                    if not 0 <= v < n:
-                        raise IndexOutOfRange(i, j, v, n)
-
+        rows = _checked_rows(entries, _int_row)
+        n = len(rows)
         t = np.array(rows, dtype=np.uint8 if n <= 256 else np.uint16)
         # A cube that fits in one block is scanned whole; above that,
         # Light's test decides, and the scan only finds the first failing
         # triple once it has failed.
         if n ** 3 <= ASSOC_BLOCK_CELLS or not _light_test(t):
             _cube_scan(t)
+        self._fill(rows, labels)
 
+    @classmethod
+    def _derived(cls, rows, labels=None):
+        """A Semigroup on rows, a table associative by theorem.
+
+        Only the six builders of derived tables call this: `_restrict` (a
+        subsemigroup of a checked semigroup), `_rees_quotient` and
+        `_quotient` (homomorphic images of one, by a checked ideal or a
+        checked congruence), `direct_product` (of two checked semigroups),
+        and `adjoin_zero`/`adjoin_identity` (an absorbing or neutral
+        element added to one).  Each result is associative because its
+        parent is, so the O(n^3) check is skipped; the shape, range and
+        label checks and the zero and identity detection are kept.
+        `properties._raw_derivation_witness` re-checks each such table
+        against its parent for `verify`.  `rows` holds tuples of ints.
+        """
+        self = object.__new__(cls)
+        self._fill(_checked_rows(rows, tuple), labels)
+        return self
+
+    def _fill(self, rows, labels):
+        n = len(rows)
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
@@ -138,6 +160,30 @@ class Semigroup:
         tag = f", zero={self.zero}" if self.zero is not None else ""
         tag += f", identity={self.identity}" if self.identity is not None else ""
         return f"Semigroup(order={self.order}{tag})"
+
+
+def _int_row(row):
+    return tuple(map(int, row))
+
+
+def _checked_rows(entries, as_row):
+    """The rows as_row(entry) as a tuple, once they form a nonempty square
+    table of indices in [0, n); the order cap is checked before any row."""
+    n = len(entries)
+    if n > ORDER_CAP:
+        raise OrderTooLarge(n, ORDER_CAP)
+    if n == 0:
+        raise NonSquare(0, 0, 0)
+    rows = tuple(map(as_row, entries))
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise NonSquare(n, i, len(row))
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                if not 0 <= v < n:
+                    raise IndexOutOfRange(i, j, v, n)
+    return rows
 
 
 def _cube_scan(t):
@@ -303,6 +349,15 @@ def product_set(S, A, B):
     return frozenset(out)
 
 
+def _getter(keys):
+    """A function taking a sequence to the tuple of its items at keys;
+    operator.itemgetter, except that it always returns a tuple."""
+    if len(keys) == 1:
+        (k,) = keys
+        return lambda seq: (seq[k],)
+    return itemgetter(*keys) if keys else lambda seq: ()
+
+
 def _cached(S, key, compute):
     """S._cache[key], filled by compute() on first use.
 
@@ -421,10 +476,13 @@ def _restrict(S, A):
     if not is_subsemigroup(S, A):
         raise NotASubsemigroup(subsemigroup_witness(S, A))
     elems = sorted(A)
-    pos = {a: i for i, a in enumerate(elems)}
-    rows = [[pos[S.mul(a, b)] for b in elems] for a in elems]
+    pos = [0] * S.order
+    for i, a in enumerate(elems):
+        pos[a] = i
+    pick, srows = _getter(elems), S._rows
+    rows = [tuple(map(pos.__getitem__, pick(srows[a]))) for a in elems]
     labels = [S.label(a) for a in elems] if S.labels else None
-    return Semigroup(rows, labels=labels), tuple(elems)
+    return Semigroup._derived(rows, labels=labels), tuple(elems)
 
 
 def rees_quotient(S, I):
@@ -445,26 +503,32 @@ def _rees_quotient(S, I):
     k = len(outside)
     pos = {x: i for i, x in enumerate(outside)}
     qmap = tuple(pos.get(x, k) for x in S.elements)
-    rows = [[k] * (k + 1) for _ in range(k + 1)]
-    for i, a in enumerate(outside):
-        for j, b in enumerate(outside):
-            rows[i][j] = qmap[S.mul(a, b)]
+    pick, srows = _getter(outside), S._rows
+    rows = [tuple(map(qmap.__getitem__, pick(srows[a]))) + (k,)
+            for a in outside]
+    rows.append((k,) * (k + 1))
     labels = None
     if S.labels:
         labels = [S.label(x) for x in outside] + ["0"]
-    return Semigroup(rows, labels=labels), qmap
+    return Semigroup._derived(rows, labels=labels), qmap
 
 
 def direct_product(S, T):
     """Componentwise product on pairs; (i, j) is encoded as i*|T| + j."""
     nt = T.order
-    prod = (S.table[:, None, :, None] * nt + T.table[None, :, None, :])
-    rows = prod.reshape(S.order * nt, S.order * nt).tolist()
+    if S.order * nt > ORDER_CAP:
+        raise OrderTooLarge(S.order * nt, ORDER_CAP)
+    # blocks[j][v]: the cells (v, T[j][l]) for l in T, so row (i, j) is
+    # the concatenation of blocks[j][v] over the entries v of row i of S
+    blocks = [[tuple(map((v * nt).__add__, trow)) for v in S.elements]
+              for trow in T._rows]
+    rows = [tuple(chain.from_iterable(map(block.__getitem__, srow)))
+            for srow in S._rows for block in blocks]
     labels = None
     if S.labels and T.labels:
         labels = [f"({S.label(i)},{T.label(j)})"
                   for i in S.elements for j in T.elements]
-    return Semigroup(rows, labels=labels)
+    return Semigroup._derived(rows, labels=labels)
 
 
 def pair_index(T, i, j):
@@ -480,14 +544,24 @@ def congruence_witness(S, partition):
     """None if the partition is a congruence, else a witness (a, b, c)."""
     idx = partition.index_of
     t = S._rows
-    n = S.order
-    for c in partition.classes:
-        members = sorted(c)
+    classes = [sorted(c) for c in partition.classes if len(c) > 1]
+    if not classes:
+        return None
+    cols = tuple(zip(*t))
+
+    def image(line):
+        """The classes of the products along one row or column."""
+        return itemgetter(*line)(idx)
+
+    for members in classes:
         a = members[0]
+        row, col = image(t[a]), image(cols[a])
         for b in members[1:]:
-            for x in range(n):
-                if idx[t[a][x]] != idx[t[b][x]] or idx[t[x][a]] != idx[t[x][b]]:
-                    return (a, b, x)
+            if image(t[b]) != row or image(cols[b]) != col:
+                # the first x where b parts from a, as the literal scan
+                return next((a, b, x) for x in S.elements
+                            if idx[t[a][x]] != idx[t[b][x]]
+                            or idx[t[x][a]] != idx[t[x][b]])
     return None
 
 
@@ -558,12 +632,13 @@ def _quotient(S, partition):
         raise NotACongruence(w)
     idx = partition.index_of
     reps = [min(c) for c in partition.classes]
-    rows = [[idx[S.mul(a, b)] for b in reps] for a in reps]
+    pick, srows = _getter(reps), S._rows
+    rows = [tuple(map(idx.__getitem__, pick(srows[a]))) for a in reps]
     labels = None
     if S.labels:
         labels = ["{" + ",".join(S.label(x) for x in sorted(c)) + "}"
                   for c in partition.classes]
-    return Semigroup(rows, labels=labels), idx
+    return Semigroup._derived(rows, labels=labels), idx
 
 
 # ---------------------------------------------------------------------------
@@ -605,19 +680,19 @@ def is_globally_idempotent(S):
 def adjoin_zero(S):
     """S with a fresh absorbing element appended at index n."""
     n = S.order
-    rows = [list(row) + [n] for row in S._rows]
-    rows.append([n] * (n + 1))
+    rows = [row + (n,) for row in S._rows]
+    rows.append((n,) * (n + 1))
     labels = list(S.labels) + ["0"] if S.labels else None
-    return Semigroup(rows, labels=labels)
+    return Semigroup._derived(rows, labels=labels)
 
 
 def adjoin_identity(S):
     """S with a fresh neutral element appended at index n."""
     n = S.order
-    rows = [list(row) + [i] for i, row in enumerate(S._rows)]
-    rows.append(list(range(n + 1)))
+    rows = [row + (i,) for i, row in enumerate(S._rows)]
+    rows.append(tuple(range(n + 1)))
     labels = list(S.labels) + ["1"] if S.labels else None
-    return Semigroup(rows, labels=labels)
+    return Semigroup._derived(rows, labels=labels)
 
 
 def monoid_completion(S):

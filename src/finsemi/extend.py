@@ -12,10 +12,12 @@ its last index the round trip recover(build(phi)) == phi is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .core import (
     Partition,
     Semigroup,
+    _getter,
     ideal_witness,
     interchangeable_pair,
     is_ideal,
@@ -67,11 +69,19 @@ def validate_partial_hom(T, S, mapping):
         raise InvalidArgument(f"mapping keys must be exactly T \\ {{{T.zero}}}")
     if any(not 0 <= v < S.order for v in mapping.values()):
         raise InvalidArgument("mapping value outside the target")
+    srows, trows = S._rows, T._rows
+    pick = _getter(nonzero)
+    pick_images = _getter([mapping[b] for b in nonzero])
     for a in nonzero:
-        for b in nonzero:
-            ab = T.mul(a, b)
-            if ab != T.zero and mapping[ab] != S.mul(mapping[a], mapping[b]):
-                raise LawViolation(a, b)
+        # the products ab != 0 of row a, mapped, against map(a)map(b)
+        prods = pick(trows[a])
+        kept = tuple(map(T.zero.__ne__, prods))
+        srow = srows[mapping[a]]
+        if (tuple(map(mapping.__getitem__, compress(prods, kept)))
+                != tuple(compress(pick_images(srow), kept))):
+            b = next(b for b, ab in zip(nonzero, prods)
+                     if ab != T.zero and mapping[ab] != srow[mapping[b]])
+            raise LawViolation(a, b)
     return PartialHom(source=T, target=S, mapping=mapping)
 
 
@@ -102,23 +112,18 @@ def build_extension(phi):
     T, S, f = phi.source, phi.target, phi.mapping
     ns = S.order
     outside = [x for x in T.elements if x != T.zero]
-    pos = {x: ns + i for i, x in enumerate(outside)}
-    n = ns + len(outside)
-    rows = [[0] * n for _ in range(n)]
-    for s in range(ns):
-        for t in range(ns):
-            rows[s][t] = S.mul(s, t)
-    for a in outside:
-        fa = f[a]
-        for s in range(ns):
-            rows[pos[a]][s] = S.mul(fa, s)
-            rows[s][pos[a]] = S.mul(s, fa)
-        for b in outside:
-            ab = T.mul(a, b)
-            if ab != T.zero:
-                rows[pos[a]][pos[b]] = pos[ab]
-            else:
-                rows[pos[a]][pos[b]] = S.mul(fa, f[b])
+    # pos[x]: the index of x in sigma; the zero of T gets -1, below every
+    # element of S, so max(pos[ab], s) is pos[ab] when ab != 0 and s else
+    pos = [-1] * T.order
+    for i, x in enumerate(outside):
+        pos[x] = ns + i
+    srows, trows = S._rows, T._rows
+    pick, pick_images = _getter(outside), _getter([f[b] for b in outside])
+    images = [pick_images(srow) for srow in srows]   # s*map(b), b outside
+    rows = [srow + image for srow, image in zip(srows, images)]
+    rows += [srows[f[a]] + tuple(map(max, map(pos.__getitem__, pick(trows[a])),
+                                     images[f[a]]))
+             for a in outside]
     labels = None
     if S.labels and T.labels:
         labels = list(S.labels) + [T.label(x) for x in outside]
@@ -131,7 +136,7 @@ def build_extension(phi):
         sigma=sigma,
         ideal=frozenset(range(ns)),
         s_map={i: i for i in range(ns)},
-        t_map={pos[x]: x for x in outside},
+        t_map={ns + i: x for i, x in enumerate(outside)},
     )
 
 
@@ -144,9 +149,11 @@ class ExtensionClassification:
         object.__setattr__(self, "per_element", dict(self.per_element))
 
 
-def _action(S, x, members):
-    return (tuple(S.mul(x, y) for y in members),
-            tuple(S.mul(y, x) for y in members))
+def _actions(S, members):
+    """x -> (x*y for y in members, y*x for y in members), for every x."""
+    pick = _getter(members)
+    return {x: (pick(row), pick(col))
+            for x, (row, col) in enumerate(zip(S._rows, zip(*S._rows)))}
 
 
 def classify_extension(sigma, ideal):
@@ -166,7 +173,7 @@ def _classify(sigma, ideal):
     if not is_ideal(sigma, ideal):
         raise NotAnIdeal(ideal_witness(sigma, ideal))
     members = sorted(ideal)
-    actions = {x: _action(sigma, x, members) for x in sigma.elements}
+    actions = _actions(sigma, members)
     inner = {actions[s] for s in members}
     per = {x: actions[x] in inner
            for x in sigma.elements if x not in ideal}

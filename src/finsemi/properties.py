@@ -10,6 +10,8 @@ violation is fatal.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from . import decompose as dc
 from .core import (
     CONGRUENCE_ORDER_CAP,
@@ -148,6 +150,55 @@ def _raw_archimedean(S, A):
     return True
 
 
+def _raw_derivation_witness(kind, D, S, m=None, T=None):
+    """None when D is the `kind` derivation of the checked semigroup S;
+    else a message naming the first cell where D and S disagree.
+
+    - "restrict": m[i] is the S-element of D's element i, and m embeds D
+      in S: S[m[i]][m[j]] == m[D[i][j]];
+    - "quotient": m maps S onto D as a homomorphism: m[S[a][b]] ==
+      D[m[a]][m[b]];
+    - "product": D is S x T with (a, b) at a*|T| + b, cell by cell;
+    - "zero", "identity": D is S plus one absorbing or neutral element n,
+      read as the copy of S plus the row and the column of n.
+
+    An embedding into S (or S x T) or a homomorphic image of S is
+    associative because S is, so these O(|D|^2 + |S|^2) raw loops re-check
+    a derived table that was built without an associativity scan.
+    """
+    d, s = D._rows, S._rows
+    if kind == "restrict":
+        if len(m) != D.order or len(set(m)) != len(m):
+            return f"restriction map {list(m)} is not one-to-one on D"
+        pairs = (([m[v] for v in d[i]], [s[m[i]][mj] for mj in m])
+                 for i in D.elements)
+    elif kind == "quotient":
+        if len(m) != S.order or set(m) != set(D.elements):
+            return f"quotient map {list(m)} is not onto D"
+        pairs = (([m[v] for v in s[a]], [d[m[a]][mb] for mb in m])
+                 for a in S.elements)
+    elif kind == "product":
+        nt, t = T.order, T._rows
+        if D.order != S.order * nt:
+            return f"product table of order {D.order} != {S.order}*{nt}"
+        pairs = ((list(d[x]), [u * nt + v for u in s[x // nt] for v in t[x % nt]])
+                 for x in D.elements)
+    else:
+        n = S.order
+        if D.order != n + 1:
+            return f"{kind} adjoined to order {n} gives order {D.order}"
+        new = [n] * (n + 1) if kind == "zero" else list(range(n + 1))
+        pairs = chain(((list(d[i]), list(s[i]) + [new[i]]) for i in S.elements),
+                      [(list(d[n]), new)])
+    # one row of the defining equation at a time: (got, wanted)
+    for x, (got, want) in enumerate(pairs):
+        if got != want:
+            y = next(y for y, (g, w) in enumerate(zip(got, want)) if g != w)
+            return (f"{kind} table of order {D.order} disagrees with its "
+                    f"parent at {(x, y)}")
+    return None
+
+
 def check_core(S):
     bad = []
     n = S.order
@@ -168,6 +219,8 @@ def check_core(S):
             bad.append(f"S^{m+1} not inside S^{m}")
     base = base_set(S)
     Q, qmap = rees_quotient(S, base)
+    if w := _raw_derivation_witness("quotient", Q, S, qmap):
+        bad.append(w)
     if Q.zero is None:
         bad.append("S/Base(S) has no zero")
     if Q.order != n - len(base) + 1:
@@ -183,6 +236,8 @@ def check_core(S):
                            "independent compatibility check")
                 continue
             Qp, idx = quotient_by_congruence(S, p)
+            if w := _raw_derivation_witness("quotient", Qp, S, idx):
+                bad.append(w)
             hq = stratify(Qp).height
             for m in range(1, max(height, hq) + 2):
                 img = frozenset(idx[x] for x in power_set(S, m))
@@ -294,6 +349,8 @@ def check_stratify(S):
         bad.append("Reg(S) not inside Base(S)")
     if base:
         sub, elems = restrict(S, base)
+        if w := _raw_derivation_witness("restrict", sub, S, elems):
+            bad.append(w)
         if E != frozenset(elems[i] for i in idempotents(sub)):
             bad.append("E(S) != E(Base(S))")
     else:
@@ -304,11 +361,15 @@ def check_stratify(S):
             bad.append(f"{s} outside the base has a non-singleton J-class")
     if not is_ideal(S, base):
         bad.append("Base(S) is not an ideal")
-    Q, _ = rees_quotient(S, base)
+    Q, qmap = rees_quotient(S, base)
+    if w := _raw_derivation_witness("quotient", Q, S, qmap):
+        bad.append(w)
     if not is_grillet_stratified(Q):
         bad.append("S/Base(S) is not Grillet-stratified")
     if S.zero is None:
         S0 = adjoin_zero(S)
+        if w := _raw_derivation_witness("zero", S0, S):
+            bad.append(w)
         if base_set(S0) != base | {S0.zero}:
             bad.append("Base(S^0) != Base(S) ∪ {0}")
         if is_grillet_stratified(S) != is_grillet_stratified(S0):
@@ -337,6 +398,8 @@ def check_stratify(S):
     for gens in gens_pool:
         sub_set = closure(S, gens)
         sub, elems = restrict(S, sub_set)
+        if w := _raw_derivation_witness("restrict", sub, S, elems):
+            bad.append(w)
         if sub.identity is not None and not sub_set <= base:
             bad.append(f"monoid subsemigroup {sorted(sub_set)} escapes the base")
 
@@ -395,6 +458,8 @@ def check_decompose(S):
 
     for cls in rho.classes:
         sub, elems = restrict(S, cls)
+        if w := _raw_derivation_witness("restrict", sub, S, elems):
+            bad.append(w)
         has_reg = bool(cls & reg)
         if next(_raw_e_dense(sub)) != has_reg or not has_reg:
             bad.append(f"rho-class {sorted(cls)} breaks the E-dense iff "
@@ -459,6 +524,8 @@ def check_product_pair(S, T):
     """(SxT)^m = S^m x T^m and the base formula, for one pair."""
     bad = []
     P = direct_product(S, T)
+    if w := _raw_derivation_witness("product", P, S, T=T):
+        bad.append(w)
     hp = stratify(P).height
     for m in range(1, hp + 2):
         expected = frozenset(pair_index(T, a, b)

@@ -1,0 +1,349 @@
+"""Derived tables: the six builders that skip the associativity check give
+the same semigroups as checked construction from the literal loops they
+replaced, the row-wise congruence and partial-hom scans give the literal
+witnesses, and external input is still fully checked.
+
+The `literal_*` functions are the loops the builders used before they read
+whole rows; each result goes through the checked `Semigroup` constructor.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from finsemi import (
+    Partition,
+    Semigroup,
+    adjoin_identity,
+    adjoin_zero,
+    congruence_witness,
+    direct_product,
+    enumerate_congruences,
+    from_table,
+    is_ideal,
+    is_subsemigroup,
+    parse_sgt,
+    quotient_by_congruence,
+    rees_quotient,
+    restrict,
+    zoo,
+)
+from finsemi import core, properties
+from finsemi.errors import (
+    IndexOutOfRange,
+    InvalidArgument,
+    LawViolation,
+    NonAssociative,
+    NonSquare,
+)
+from finsemi.extend import (
+    PartialHom,
+    ResultNotAssociative,
+    build_extension,
+    validate_partial_hom,
+)
+from finsemi.properties import (
+    _raw_derivation_witness,
+    check_product_pair,
+    check_semigroup,
+)
+
+# the fixtures of tests/test_golden.py
+GOLDEN = (
+    lambda: zoo.free_nilpotent(2, 7),
+    lambda: zoo.monogenic(100, 100),
+    lambda: direct_product(zoo.full_transformations(3), zoo.chain_semilattice(8)),
+    lambda: zoo.rectangular_band(16, 18),
+)
+
+
+def literal_restrict(S, A):
+    elems = sorted(A)
+    pos = {a: i for i, a in enumerate(elems)}
+    rows = [[pos[S.mul(a, b)] for b in elems] for a in elems]
+    labels = [S.label(a) for a in elems] if S.labels else None
+    return Semigroup(rows, labels=labels)
+
+
+def literal_rees_quotient(S, I):
+    outside = [x for x in S.elements if x not in I]
+    k = len(outside)
+    pos = {x: i for i, x in enumerate(outside)}
+    qmap = tuple(pos.get(x, k) for x in S.elements)
+    rows = [[k] * (k + 1) for _ in range(k + 1)]
+    for i, a in enumerate(outside):
+        for j, b in enumerate(outside):
+            rows[i][j] = qmap[S.mul(a, b)]
+    labels = [S.label(x) for x in outside] + ["0"] if S.labels else None
+    return Semigroup(rows, labels=labels)
+
+
+def literal_quotient(S, p):
+    reps = [min(c) for c in p.classes]
+    rows = [[p.index_of[S.mul(a, b)] for b in reps] for a in reps]
+    labels = None
+    if S.labels:
+        labels = ["{" + ",".join(S.label(x) for x in sorted(c)) + "}"
+                  for c in p.classes]
+    return Semigroup(rows, labels=labels)
+
+
+def literal_product(S, T):
+    nt = T.order
+    prod = S.table[:, None, :, None] * nt + T.table[None, :, None, :]
+    rows = prod.reshape(S.order * nt, S.order * nt).tolist()
+    labels = None
+    if S.labels and T.labels:
+        labels = [f"({S.label(i)},{T.label(j)})"
+                  for i in S.elements for j in T.elements]
+    return Semigroup(rows, labels=labels)
+
+
+def literal_adjoin(S, new):
+    """S plus element n with n*x = x*n = new[x]."""
+    rows = [list(row) + [new[i]] for i, row in enumerate(S._rows)]
+    rows.append(list(new))
+    return rows
+
+
+def literal_congruence_witness(S, partition):
+    idx = partition.index_of
+    t = S._rows
+    for c in partition.classes:
+        members = sorted(c)
+        a = members[0]
+        for b in members[1:]:
+            for x in range(S.order):
+                if idx[t[a][x]] != idx[t[b][x]] or idx[t[x][a]] != idx[t[x][b]]:
+                    return (a, b, x)
+    return None
+
+
+def literal_extension_rows(phi):
+    T, S, f = phi.source, phi.target, phi.mapping
+    ns = S.order
+    outside = [x for x in T.elements if x != T.zero]
+    pos = {x: ns + i for i, x in enumerate(outside)}
+    n = ns + len(outside)
+    rows = [[0] * n for _ in range(n)]
+    for s in range(ns):
+        for t in range(ns):
+            rows[s][t] = S.mul(s, t)
+    for a in outside:
+        fa = f[a]
+        for s in range(ns):
+            rows[pos[a]][s] = S.mul(fa, s)
+            rows[s][pos[a]] = S.mul(s, fa)
+        for b in outside:
+            ab = T.mul(a, b)
+            rows[pos[a]][pos[b]] = pos[ab] if ab != T.zero else S.mul(fa, f[b])
+    return rows
+
+
+def literal_law_violation(T, S, mapping):
+    nonzero = [x for x in T.elements if x != T.zero]
+    for a in nonzero:
+        for b in nonzero:
+            ab = T.mul(a, b)
+            if ab != T.zero and mapping[ab] != S.mul(mapping[a], mapping[b]):
+                return (a, b)
+    return None
+
+
+def first_failing_triple(rows):
+    n = len(rows)
+    return next(((i, j, k) for i in range(n) for j in range(n)
+                 for k in range(n)
+                 if rows[rows[i][j]][k] != rows[i][rows[j][k]]), None)
+
+
+def fields(S):
+    return S.order, S._rows, S.zero, S.identity, S.labels
+
+
+def small_tables():
+    """Every table of order <= 3, unlabelled and labelled."""
+    for n in (1, 2, 3):
+        for S in zoo.enumerate_associative(n):
+            yield S
+            yield Semigroup(S._rows, labels="xyz"[:n])
+
+
+class TestSameAsCheckedConstruction:
+    def test_every_restriction_quotient_up_to_order3(self):
+        counts = [0, 0, 0]
+        for S in small_tables():
+            for k in range(1, S.order + 1):
+                for A in map(frozenset, itertools.combinations(S.elements, k)):
+                    if is_subsemigroup(S, A):
+                        counts[0] += 1
+                        assert (fields(restrict(S, A)[0])
+                                == fields(literal_restrict(S, A)))
+                    if is_ideal(S, A):
+                        counts[1] += 1
+                        assert (fields(rees_quotient(S, A)[0])
+                                == fields(literal_rees_quotient(S, A)))
+            for p in enumerate_congruences(S):
+                counts[2] += 1
+                assert (fields(quotient_by_congruence(S, p)[0])
+                        == fields(literal_quotient(S, p)))
+        assert all(counts)
+
+    def test_2000_order4_product_pairs(self):
+        tables = list(zoo.enumerate_associative(4))
+        rng = random.Random(4)
+        for _ in range(2000):
+            S, T = rng.choice(tables), rng.choice(tables)
+            if rng.random() < 0.5:
+                S = Semigroup(S._rows, labels="abcd")
+                T = Semigroup(T._rows, labels="wxyz")
+            assert fields(direct_product(S, T)) == fields(literal_product(S, T))
+
+    @pytest.mark.parametrize("make", GOLDEN, ids=range(len(GOLDEN)))
+    def test_adjoin_on_golden_fixtures(self, make):
+        S = make()
+        n = S.order
+        labels = list(S.labels) if S.labels else None
+        zero = Semigroup(literal_adjoin(S, [n] * (n + 1)),
+                         labels=labels and labels + ["0"])
+        one = Semigroup(literal_adjoin(S, list(range(n + 1))),
+                        labels=labels and labels + ["1"])
+        assert fields(adjoin_zero(S)) == fields(zero)
+        assert fields(adjoin_identity(S)) == fields(one)
+
+    def test_shape_range_and_labels_still_checked(self):
+        with pytest.raises(NonSquare):
+            Semigroup._derived([(0, 0), (0,)])
+        with pytest.raises(IndexOutOfRange):
+            Semigroup._derived([(0, 2), (0, 0)])
+        with pytest.raises(InvalidArgument):
+            Semigroup._derived([(0, 0), (0, 0)], labels=["a"])
+
+    def test_builds_no_int64_table(self, monkeypatch):
+        """direct_product reads the rows; `table` is never built."""
+        def refuse(self):
+            raise AssertionError("table built")
+        monkeypatch.setattr(Semigroup, "table", property(refuse))
+        S = zoo.monogenic(3, 2)
+        assert direct_product(S, S).order == 16
+
+
+class TestRowScans:
+    def test_congruence_witness_on_every_partition_up_to_order3(self):
+        cases = 0
+        for n in (1, 2, 3):
+            partitions = {Partition.from_index(rgs)
+                          for rgs in itertools.product(range(n), repeat=n)}
+            for S in zoo.enumerate_associative(n):
+                for p in partitions:
+                    cases += 1
+                    assert (congruence_witness(S, p)
+                            == literal_congruence_witness(S, p))
+        assert cases == 1 + 8 * 2 + 113 * 5
+
+    def test_build_and_validate_on_every_map(self):
+        """All 2^6 and 3^6 maps from free_nilpotent(2, 3) \\ {0}: the law
+        witness, and the extension table or its first failing triple."""
+        T = zoo.free_nilpotent(2, 3)
+        nonzero = [x for x in T.elements if x != T.zero]
+        seen = set()
+        for S in (zoo.cyclic_group(2), zoo.monogenic(2, 1)):
+            for images in itertools.product(S.elements, repeat=len(nonzero)):
+                mapping = dict(zip(nonzero, images))
+                law = literal_law_violation(T, S, mapping)
+                if law is None:
+                    validate_partial_hom(T, S, mapping)
+                else:
+                    with pytest.raises(LawViolation) as e:
+                        validate_partial_hom(T, S, mapping)
+                    assert e.value.pair == law
+                rows = literal_extension_rows(PartialHom(T, S, mapping))
+                triple = first_failing_triple(rows)
+                seen.add((law is None, triple is None))
+                if triple is None:
+                    w = build_extension(PartialHom(T, S, mapping))
+                    assert w.sigma._rows == tuple(map(tuple, rows))
+                else:
+                    with pytest.raises(ResultNotAssociative) as e:
+                        build_extension(PartialHom(T, S, mapping))
+                    assert str(e.value) == ("partial-hom extension broke "
+                                            f"associativity at {triple}")
+        assert (True, True) in seen and (False, False) in seen
+
+
+class TestExternalInputFullyChecked:
+    @pytest.mark.parametrize("make", [lambda: zoo.monogenic(3, 2),
+                                      lambda: zoo.free_nilpotent(2, 4),
+                                      lambda: zoo.monogenic(70, 70)])
+    def test_one_corrupted_cell(self, make):
+        S = make()
+        n = S.order
+        rng = random.Random(n)
+        for _ in range(3):
+            rows = [list(r) for r in S._rows]
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] = (rows[i][j] + 1 + rng.randrange(n - 1)) % n
+            triple = first_failing_triple(rows)
+            assert triple is not None
+            text = f"{n}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+            for build in (lambda: Semigroup(rows), lambda: from_table(n, rows),
+                          lambda: parse_sgt(text)):
+                with pytest.raises(NonAssociative) as e:
+                    build()
+                assert e.value.triple == triple
+
+
+class TestDerivationOracle:
+    def test_sound_derivations_pass(self):
+        S = zoo.monogenic(3, 2)
+        sub, elems = restrict(S, {2, 3})
+        Q, qmap = rees_quotient(S, {2, 3})
+        assert _raw_derivation_witness("restrict", sub, S, elems) is None
+        assert _raw_derivation_witness("quotient", Q, S, qmap) is None
+        assert _raw_derivation_witness("product", direct_product(S, sub),
+                                       S, T=sub) is None
+        assert _raw_derivation_witness("zero", adjoin_zero(S), S) is None
+        assert _raw_derivation_witness("identity", adjoin_identity(S), S) is None
+        assert check_semigroup(S) == []
+        assert check_product_pair(S, sub) == []
+
+    def test_wrong_maps_are_reported(self):
+        S = zoo.monogenic(3, 2)
+        sub, _ = restrict(S, {2, 3})
+        assert "not one-to-one" in _raw_derivation_witness(
+            "restrict", sub, S, [2, 2])
+        Q, _ = rees_quotient(S, {2, 3})
+        assert "not onto" in _raw_derivation_witness(
+            "quotient", Q, S, (0, 1, 0, 0))
+        assert "gives order" in _raw_derivation_witness(
+            "identity", adjoin_zero(sub), S)
+
+    @staticmethod
+    def corrupt(D):
+        """D with its cell (0, 0) moved to the next element."""
+        rows = [list(r) for r in D._rows]
+        rows[0][0] = (rows[0][0] + 1) % D.order
+        return Semigroup._derived([tuple(r) for r in rows], D.labels)
+
+    def test_corrupted_rees_quotient_is_caught(self, monkeypatch):
+        rees = core._rees_quotient
+
+        def corrupted(S, I):
+            Q, qmap = rees(S, I)
+            return self.corrupt(Q), qmap
+
+        monkeypatch.setattr(core, "_rees_quotient", corrupted)
+        messages = check_semigroup(zoo.monogenic(3, 2))
+        assert ("quotient table of order 3 disagrees with its parent at (0, 0)"
+                in messages)
+
+    def test_corrupted_product_is_caught(self, monkeypatch):
+        product = properties.direct_product
+        monkeypatch.setattr(properties, "direct_product",
+                            lambda S, T: self.corrupt(product(S, T)))
+        S = zoo.monogenic(3, 2)
+        T = zoo.cyclic_group(2)
+        assert check_product_pair(S, T)[0] == (
+            "product table of order 8 disagrees with its parent at (0, 0)")
+

@@ -151,9 +151,14 @@ class TestRecover:
 
     def test_each_action_computed_once(self, monkeypatch):
         calls = []
-        action = extend._action
-        monkeypatch.setattr(extend, "_action",
-                            lambda S, x, m: calls.append(x) or action(S, x, m))
+        actions = extend._actions
+
+        def counting_actions(S, members):
+            out = actions(S, members)
+            calls.extend(out)
+            return out
+
+        monkeypatch.setattr(extend, "_actions", counting_actions)
         C = clifford_z2_over_trivial()
         T = from_table(3, T_NIL3)
         for mapping in partial_hom_maps(T, C):

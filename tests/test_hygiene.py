@@ -83,3 +83,49 @@ def test_the_check_sees_an_unread_local():
               "    def g():\n        nonlocal n\n        n += 1\n"
               "    for _ in t:\n        g()\n    return tj\n")
     assert unread_locals(source) == [(2, "ti")]
+
+
+# The builders of tables associative by theorem: the only functions that
+# may skip the associativity check through `Semigroup._derived`.
+DERIVED_BUILDERS = {"_restrict", "_rees_quotient", "_quotient",
+                    "direct_product", "adjoin_zero", "adjoin_identity"}
+
+
+def derived_users(source):
+    """Names of the functions (or "<module>") that reference `_derived`,
+    each reference counted for the innermost enclosing function."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Lambda):
+            where = "<lambda>"
+        if ((isinstance(node, ast.Attribute) and node.attr == "_derived")
+                or (isinstance(node, ast.Name) and node.id == "_derived")):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_derived_builders_skip_the_check(path):
+    assert derived_users(path.read_text(encoding="utf-8")) <= DERIVED_BUILDERS
+
+
+def test_every_derived_builder_is_seen():
+    users = set()
+    for path in SOURCES:
+        users |= derived_users(path.read_text(encoding="utf-8"))
+    assert users == DERIVED_BUILDERS
+
+
+def test_the_check_sees_a_derived_call():
+    source = ("def _restrict(S):\n    return Semigroup._derived(S)\n"
+              "def g(rows):\n    make = Semigroup._derived\n"
+              "    return [lambda: make(rows)]\n"
+              "h = lambda r: _derived(r)\n")
+    assert derived_users(source) == {"_restrict", "g", "<lambda>"}
