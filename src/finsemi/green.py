@@ -31,9 +31,6 @@ class GreenStructure:
     H: Partition
     D: Partition
     J: Partition
-    r_ideals: tuple  # per element: frozenset aS^1
-    l_ideals: tuple  # per element: frozenset S^1a
-    j_ideals: tuple  # per element: frozenset S^1aS^1
     j_order: frozenset  # pairs (ci, cj) of J-class indices with ci <= cj
 
     def j_leq(self, s, t):
@@ -87,8 +84,7 @@ def _green(S):
     # J_x <= J_y iff x lies in the ideal S^1yS^1
     order = frozenset((J.index_of[x], cj)
                       for cj, cls in enumerate(J.classes) for x in js[min(cls)])
-    return GreenStructure(R=R, L=L, H=H, D=D, J=J,
-                          r_ideals=rs, l_ideals=ls, j_ideals=js, j_order=order)
+    return GreenStructure(R=R, L=L, H=H, D=D, J=J, j_order=order)
 
 
 def idempotents(S):

@@ -268,8 +268,8 @@ def check_green(S):
     W = {s: weak_inverses(S, s) for s in S.elements}
 
     rs, ls, js = _raw_principal_ideals(S)
-    if g.r_ideals != rs or g.l_ideals != ls or g.j_ideals != js:
-        bad.append("principal ideals differ from the raw recomputation")
+    if (g.R, g.L, g.J) != tuple(map(Partition.from_index, (rs, ls, js))):
+        bad.append("R, L or J differs from the raw principal ideals")
     raw_order = frozenset(
         (ci, cj) for ci, a in enumerate(map(min, g.J.classes))
         for cj, b in enumerate(map(min, g.J.classes)) if js[a] <= js[b])
@@ -456,37 +456,49 @@ def check_decompose(S):
     if Partition.from_index(h_foot) != rho:
         bad.append("H-class footprint definition disagrees with rho")
 
-    for cls in rho.classes:
-        sub, elems = restrict(S, cls)
-        if w := _raw_derivation_witness("restrict", sub, S, elems):
-            bad.append(w)
-        has_reg = bool(cls & reg)
-        if next(_raw_e_dense(sub)) != has_reg or not has_reg:
-            bad.append(f"rho-class {sorted(cls)} breaks the E-dense iff "
-                       "regular-element lemma")
     no_w = {s for s in S.elements if not W[s]}
     if no_w and not is_ideal(S, no_w):
         bad.append("{s : W(s) empty} is nonempty but not an ideal")
 
     if dc.kje_partition(S) != rho:
         bad.append("K_{J_e} partition differs from rho")
+    # the four verdicts are theorem constants: recompute each on the
+    # restricted class, compare, and state the theorems from the recomputation
     for comp in report.components:
-        if comp.is_archimedean != _raw_archimedean(S, comp.elements):
-            bad.append(f"component {sorted(comp.elements)}: archimedean "
-                       "differs from the raw recomputation")
-        if not comp.is_archimedean:
-            bad.append(f"component {sorted(comp.elements)} is not Archimedean")
+        cls = comp.elements
+        sub, elems = restrict(S, cls)
+        if w := _raw_derivation_witness("restrict", sub, S, elems):
+            bad.append(w)
+        base = base_set(sub)
+        base_lift = frozenset(elems[i] for i in base)
+        verdicts = {
+            "is_archimedean": _raw_archimedean(S, cls),
+            "is_e_dense": next(_raw_e_dense(sub)),
+            "completely_simple_base": is_completely_simple(sub, base),
+            "finitely_stratified": bool(base_lift),
+        }
+        for name, value in verdicts.items():
+            if getattr(comp, name) != value:
+                bad.append(f"component {sorted(cls)}: {name} differs from "
+                           "the raw recomputation")
+        has_reg = bool(cls & reg)
+        if verdicts["is_e_dense"] != has_reg or not has_reg:
+            bad.append(f"rho-class {sorted(cls)} breaks the E-dense iff "
+                       "regular-element lemma")
+        if frozenset(elems[i] for i in regular_elements(sub)) != comp.regular_part:
+            bad.append(f"component {sorted(cls)}: regularity inside the class "
+                       "differs from regularity in S")
+        if not verdicts["is_archimedean"]:
+            bad.append(f"component {sorted(cls)} is not Archimedean")
         if not comp.regular_part:
-            bad.append(f"component {sorted(comp.elements)} has no regular part")
-        if not comp.completely_simple_base:
-            bad.append(f"component {sorted(comp.elements)} has a base that is "
+            bad.append(f"component {sorted(cls)} has no regular part")
+        if not verdicts["completely_simple_base"]:
+            bad.append(f"component {sorted(cls)} has a base that is "
                        "not completely simple")
-        sub, elems = restrict(S, comp.elements)
-        base_lift = frozenset(elems[i] for i in base_set(sub))
         if not base_lift:
-            bad.append(f"component {sorted(comp.elements)} not finitely stratified")
+            bad.append(f"component {sorted(cls)} not finitely stratified")
         if base_lift != comp.regular_part:
-            bad.append(f"component {sorted(comp.elements)}: base != regular part")
+            bad.append(f"component {sorted(cls)}: base != regular part")
 
     for e in sorted(idempotents(S)):
         je = g.J.index_of[e]

@@ -41,6 +41,7 @@ from finsemi.core import _cached, find_isomorphism
 from finsemi.errors import (
     EmptyGenerators,
     IndexOutOfRange,
+    InvalidArgument,
     NonAssociative,
     NonSquare,
     NotACongruence,
@@ -115,6 +116,23 @@ class TestFromTable:
         with pytest.raises(IndexOutOfRange) as e:
             from_table(3, [[0, 1, 2], [0, 1, -1], [0, 3, 0]])
         assert (e.value.i, e.value.j, e.value.value) == (1, 2, -1)
+
+    @pytest.mark.parametrize("rows, cell", [
+        ([[0, 1.9], [1, 0]], "table[0][1] = 1.9"),   # int() made this Z2
+        ([[0, 0.7], [0, 0]], "table[0][1] = 0.7"),   # and this a zero table
+        ([["0", "1"], ["1", "0"]], "table[0][0] = '0'"),
+        ([["a"]], "table[0][0] = 'a'"),
+        ([[None]], "table[0][0] = None"),
+        ([[np.array([0])]], "table[0][0] = array([0])"),
+    ])
+    def test_non_integer_entries_name_the_first_bad_cell(self, rows, cell):
+        with pytest.raises(InvalidArgument) as e:
+            from_table(len(rows), rows)
+        assert str(e.value) == f"entry {cell} is not an integer"
+
+    def test_numpy_integer_entries(self, z2):
+        S = from_table(2, np.array([[0, 1], [1, 0]], dtype=np.int64))
+        assert S == z2 and type(S.mul(0, 1)) is int
 
     def test_first_failing_triple_reported(self):
         # oracle: (0,0)*0 = 1*0 = 0 but 0*(0*0) = 0*1 = 0 ... first failure

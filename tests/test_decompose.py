@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -8,6 +10,7 @@ from finsemi import (
     Partition,
     Semigroup,
     archimedean,
+    direct_product,
     from_table,
     green,
     kje_partition,
@@ -136,6 +139,34 @@ class TestVerifyRho:
             verify_rho(S)
         assert str(e.value) == message
 
+    def test_builds_no_restriction_of_a_rho_class(self, t2):
+        assert len(rho_partition(t2)) == 2
+        rep = verify_rho(t2)
+        assert not any(isinstance(k, tuple) and k[0] == "restrict"
+                       for k in t2._cache)
+        # the verdicts are theorem constants, not constructor fields
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.components[0].is_archimedean = False
+
+    def test_oracle_recomputes_the_constant_verdicts(self, monkeypatch):
+        # a corrupted rho making the whole 3-chain one class: the class is
+        # neither archimedean nor over a completely simple base (its base is
+        # the chain itself), and check_decompose must say so
+        import finsemi.decompose as dc
+        from finsemi.core import universal_partition
+        from finsemi.properties import check_decompose
+        S = zoo.chain_semilattice(3)
+        monkeypatch.setattr(dc, "_rho", universal_partition)
+        bad = check_decompose(S)
+        for message in ("component [0, 1, 2]: is_archimedean differs from "
+                        "the raw recomputation",
+                        "component [0, 1, 2] is not Archimedean",
+                        "component [0, 1, 2]: completely_simple_base differs "
+                        "from the raw recomputation",
+                        "component [0, 1, 2] has a base that is not "
+                        "completely simple"):
+            assert message in bad
+
     def test_json_fields(self, t2):
         payload = verify_rho(t2).to_json()
         assert set(payload) == {"rho_classes", "quotient_table", "components",
@@ -199,8 +230,17 @@ class TestArchimedeanOracle:
         assert calls == 1 + 8 * 3 + 113 * 7
 
     def test_whole_semigroup_order4(self):
+        """A = S for every order-4 table and 200 seeded order-9 products."""
         for S in zoo.enumerate_associative(4):
             assert archimedean(S, S.elements) == _raw_archimedean(S, S.elements)
+        order3 = list(zoo.enumerate_associative(3))
+        rng = random.Random(0)
+        verdicts = []
+        for _ in range(200):
+            P = direct_product(rng.choice(order3), rng.choice(order3))
+            verdicts.append(archimedean(P, P.elements))
+            assert verdicts[-1] == _raw_archimedean(P, P.elements), P._rows
+        assert 0 < sum(verdicts) < len(verdicts)
 
     def test_witness_is_first_pair_in_sorted_order(self, b2):
         # 0*0 and 0*1 stay inside; 0*2 = 4 is the first product outside
