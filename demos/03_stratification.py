@@ -6,7 +6,7 @@ height, and the differences S^m \\ S^(m+1) the layers.  The Rees quotient
 by the base is always a nilpotent semigroup whose index equals the height.
 """
 
-from finsemi import classify, depth, is_grillet_stratified, power_set, stratify, zoo
+from finsemi import classify, depth, is_grillet_stratified, power_set, zoo
 from finsemi.render import render_stratification
 
 m32 = zoo.monogenic(3, 2)

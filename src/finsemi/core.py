@@ -170,22 +170,12 @@ def _int_row(row):
 def _checked_rows(entries, as_row):
     """The rows as_row(entry) as a tuple, once they form a nonempty square
     table of indices in [0, n); the order cap is checked before any row."""
-    n = len(entries)
+    n = _must(len, entries, "table", "a sequence of rows")
     if n > ORDER_CAP:
         raise OrderTooLarge(n, ORDER_CAP)
     if n == 0:
         raise NonSquare(0, 0, 0)
-    try:
-        rows = tuple(map(as_row, entries))
-    except TypeError:
-        for i, row in enumerate(entries):
-            for j, v in enumerate(row):
-                try:
-                    index(v)
-                except TypeError:
-                    raise InvalidArgument(f"entry table[{i}][{j}] = {v!r} "
-                                          "is not an integer") from None
-        raise
+    rows = _rows_of(entries, as_row)
     for i, row in enumerate(rows):
         if len(row) != n:
             raise NonSquare(n, i, len(row))
@@ -195,6 +185,30 @@ def _checked_rows(entries, as_row):
                 if not 0 <= v < n:
                     raise IndexOutOfRange(i, j, v, n)
     return rows
+
+
+def _rows_of(entries, as_row):
+    """The rows as_row(entry) as a tuple; InvalidArgument names the table,
+    or its first row or cell, that is not a sequence or an integer."""
+    _must(iter, entries, "table", "a sequence of rows")
+    rows = []
+    for i, row in enumerate(entries):
+        try:
+            rows.append(as_row(row))
+        except TypeError:
+            _must(iter, row, f"row table[{i}]", "a sequence")
+            for j, v in enumerate(row):
+                _must(index, v, f"entry table[{i}][{j}]", "an integer")
+            raise
+    return tuple(rows)
+
+
+def _must(check, value, name, kind):
+    """check(value); InvalidArgument if that raises TypeError."""
+    try:
+        return check(value)
+    except TypeError:
+        raise InvalidArgument(f"{name} = {value!r} is not {kind}") from None
 
 
 def _cube_scan(t):
@@ -270,7 +284,7 @@ def _light_test(t):
 
 def from_table(n, entries, labels=None):
     """Validate and build a Semigroup from an n x n table of indices."""
-    rows = [list(row) for row in entries]
+    rows = _rows_of(entries, list)
     if len(rows) != n:
         raise NonSquare(n, len(rows), len(rows[0]) if rows else 0)
     return Semigroup(rows, labels=labels)
@@ -406,11 +420,6 @@ def power_set(S, m):
 def base_set(S):
     """Base(S): the intersection of all S^m; equals the stabilized power."""
     return _power_chain(S)[-1]
-
-
-def base_height(S):
-    """Least m with S^m = S^(m+1)."""
-    return len(_power_chain(S))
 
 
 def closure(S, gens):

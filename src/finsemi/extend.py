@@ -21,7 +21,6 @@ from .core import (
     ideal_witness,
     interchangeable_pair,
     is_ideal,
-    isomorphic,
     quotient_by_congruence,
     rees_quotient,
     restrict,
@@ -226,8 +225,9 @@ def clifford_decompose(sigma, ideal):
 
     Asserts (raising InternalTheoremViolation on failure, since these are
     the theorem's claims): the classes form a congruence, the quotient is a
-    semilattice isomorphic to Y, and each G_alpha is an ideal of its
-    component.
+    semilattice, sending each class to the G_alpha it holds is an
+    isomorphism onto Y (checked in O(|Y|^2), so |Y| is not capped), and
+    each G_alpha is an ideal of its component.
     """
     ideal = frozenset(ideal)
     sub, elems = restrict(sigma, ideal)
@@ -239,14 +239,10 @@ def clifford_decompose(sigma, ideal):
     groups = [frozenset(elems[i] for i in cls) for cls in g.J.classes]
     y_sem, _ = quotient_by_congruence(sub, g.J)
 
-    lift = {i: elems[i] for i in range(sub.order)}
-    comp_of = {}
-    for k, grp in enumerate(groups):
-        for x in grp:
-            comp_of[x] = k
+    comp_of = {x: k for k, grp in enumerate(groups) for x in grp}
     outside = [y for y in sigma.elements if y not in ideal]
     for qx, x in enumerate(outside):
-        comp_of[x] = comp_of[lift[phi.mapping[qx]]]
+        comp_of[x] = comp_of[elems[phi.mapping[qx]]]
     tilde = Partition.from_index([comp_of[x] for x in sigma.elements])
 
     try:
@@ -256,12 +252,16 @@ def clifford_decompose(sigma, ideal):
             f"~ is not a congruence, witness {e.witness}")
     if semilattice_witness(quotient) is not None:
         raise InternalTheoremViolation("Sigma/~ is not a semilattice")
-    if not isomorphic(quotient, y_sem):
+    # class k of ~ holds one group, groups[alpha[k]], so alpha is a
+    # bijection onto Y, and an isomorphism once it is a homomorphism
+    alpha = [comp_of[min(cls)] for cls in tilde.classes]
+    if any(y_sem.mul(alpha[a], alpha[b]) != alpha[quotient.mul(a, b)]
+           for a in quotient.elements for b in quotient.elements):
         raise InternalTheoremViolation("Sigma/~ is not isomorphic to Y")
 
     comps = []
     for k, cls in enumerate(tilde.classes):
-        grp = next(grp for grp in groups if grp <= cls)
+        grp = groups[alpha[k]]
         comp_sub, comp_elems = restrict(sigma, cls)
         inner = frozenset(comp_elems.index(x) for x in grp)
         if not is_ideal(comp_sub, inner):

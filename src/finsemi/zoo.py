@@ -10,18 +10,29 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
+
+import numpy as np
 
 from .core import (
     ORDER_CAP,
     Semigroup,
+    _cube_scan,
+    _profiles,
     adjoin_zero,
     direct_product,
     from_table,
+    isomorphic,
     rees_quotient,
     semilattice_witness,
 )
-from .errors import InvalidArgument, InvalidLinking, KTooLarge, OrderTooLarge
+from .errors import (
+    InvalidArgument,
+    InvalidLinking,
+    KTooLarge,
+    NonAssociative,
+    OrderTooLarge,
+)
 from .extend import build_extension, validate_partial_hom
 from .green import is_clifford
 
@@ -459,31 +470,13 @@ def _assoc_tables(n, value_order=None, limit=None):
     yield from rec(0)
 
 
-def _canonical(rows, anti=True):
-    n = len(rows)
-    best = None
-    for g in permutations(range(n)):
-        ginv = [0] * n
-        for i, gi in enumerate(g):
-            ginv[gi] = i
-        flips = (False, True) if anti else (False,)
-        for flip in flips:
-            if flip:
-                cand = tuple(tuple(ginv[rows[g[j]][g[i]]] for j in range(n))
-                             for i in range(n))
-            else:
-                cand = tuple(tuple(ginv[rows[g[i]][g[j]]] for j in range(n))
-                             for i in range(n))
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
 def enumerate_associative(n, dedup=None):
     """All associative tables on n labeled elements, as Semigroups.
 
     dedup=None yields every labeled table; "iso" keeps one representative
-    per isomorphism class, "iso+anti" folds in anti-isomorphism too.
+    per isomorphism class, "iso+anti" folds in anti-isomorphism too.  Each
+    class yields its first table; a later one is dropped when `isomorphic`
+    matches it (or, under "iso+anti", its transpose) to a kept table.
     """
     if n < 1:
         raise InvalidArgument("order must be >= 1")
@@ -491,22 +484,29 @@ def enumerate_associative(n, dedup=None):
         raise OrderTooLarge(n, ENUMERATION_ORDER_CAP)
     if dedup not in (None, "iso", "iso+anti"):
         raise InvalidArgument(f"unknown dedup mode {dedup!r}")
-    seen = set()
+    kept = {}   # profile invariant -> the representatives kept with it
     for rows in _assoc_tables(n):
+        S = Semigroup(rows)
         if dedup:
-            key = _canonical(rows, anti=dedup == "iso+anti")
-            if key in seen:
+            shapes = [S]
+            if dedup == "iso+anti":
+                # T is anti-isomorphic to S iff T is isomorphic to S's transpose
+                shapes.append(Semigroup(list(zip(*rows))))
+            key = min(tuple(sorted(_profiles(X))) for X in shapes)
+            bucket = kept.setdefault(key, [])
+            if any(isomorphic(X, R) for R in bucket for X in shapes):
                 continue
-            seen.add(key)
-        yield Semigroup(rows)
+            bucket.append(S)
+        yield S
 
 
 def sample_associative(n, count, seed=0):
-    """Uniform random n x n tables, filtered to the associative ones.
+    """Uniform random n x n tables that pass the Semigroup constructor's
+    cube scan, built only once they pass.
 
-    A uniform table of order >= 4 is associative with vanishing probability,
-    so this is a rejection filter for smoke coverage, not a generator you
-    can rely on for a non-empty yield; see random_associative for that.
+    Few uniform tables are associative (3,492 of the 4^16 of order 4 and
+    183,732 of the 5^25 of order 5), so above order 3 this rejection filter
+    usually keeps nothing; see random_associative for a non-empty yield.
     """
     rng = random.Random(seed)
     out = []
@@ -514,23 +514,12 @@ def sample_associative(n, count, seed=0):
     for _ in range(count):
         flat = [rng.randrange(n) for _ in range(cells)]
         rows = [flat[i * n:(i + 1) * n] for i in range(n)]
-        if _is_associative(rows):
-            out.append(Semigroup(rows))
+        try:
+            _cube_scan(np.array(rows))
+        except NonAssociative:
+            continue
+        out.append(Semigroup(rows))
     return out
-
-
-def _is_associative(rows):
-    n = len(rows)
-    for a in range(n):
-        ra = rows[a]
-        for b in range(n):
-            ab = ra[b]
-            rab = rows[ab]
-            rb = rows[b]
-            for c in range(n):
-                if rab[c] != ra[rb[c]]:
-                    return False
-    return True
 
 
 def random_associative(n, count, seed=0):

@@ -50,8 +50,6 @@ from finsemi.errors import (
 )
 from finsemi.properties import (
     check_core,
-    check_decompose,
-    check_green,
     check_product_pair,
     check_semigroup,
     check_stratify,

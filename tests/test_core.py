@@ -49,7 +49,6 @@ from finsemi.errors import (
     NotASubsemigroup,
     OrderTooLarge,
 )
-from conftest import BRANDT_B2, MONOGENIC_3_2
 
 
 def brute_associative(rows):
@@ -129,6 +128,21 @@ class TestFromTable:
         with pytest.raises(InvalidArgument) as e:
             from_table(len(rows), rows)
         assert str(e.value) == f"entry {cell} is not an integer"
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Semigroup(5), "table = 5 is not a sequence of rows"),
+        (lambda: Semigroup(None), "table = None is not a sequence of rows"),
+        (lambda: Semigroup([1]), "row table[0] = 1 is not a sequence"),
+        (lambda: Semigroup([[0], 5]), "row table[1] = 5 is not a sequence"),
+        (lambda: from_table(1, [5]), "row table[0] = 5 is not a sequence"),
+        (lambda: from_table(2, 7), "table = 7 is not a sequence of rows"),
+    ], ids=["Semigroup-int", "Semigroup-None", "Semigroup-int-row",
+            "Semigroup-second-row", "from_table-int-row", "from_table-int"])
+    def test_non_sequences_name_the_table_or_first_bad_row(self, build,
+                                                          message):
+        with pytest.raises(InvalidArgument) as e:
+            build()
+        assert str(e.value) == message
 
     def test_numpy_integer_entries(self, z2):
         S = from_table(2, np.array([[0, 1], [1, 0]], dtype=np.int64))

@@ -10,7 +10,6 @@ from finsemi import (
     classify_extension,
     clifford_decompose,
     from_table,
-    green,
     recover_partial_hom,
     rees_quotient,
     validate_partial_hom,
@@ -236,6 +235,38 @@ class TestCliffordDecompose:
                                                        frozenset({1, 2})}
         assert {sa for _, sa, _ in dec.components} == {frozenset({0}),
                                                        frozenset({1, 2})}
+
+    def test_more_components_than_the_isomorphism_cap(self):
+        chain = zoo.chain_semilattice(13)
+        w = build_extension(validate_partial_hom(
+            zoo.zero_semigroup(2), zoo.chain_semilattice(20), {1: 5}))
+        for sigma, ideal, k in ((chain, set(chain.elements), 13),
+                                (w.sigma, w.ideal, 20)):
+            assert k > core.ISOMORPHISM_ORDER_CAP
+            dec = clifford_decompose(sigma, ideal)
+            assert len(dec.components) == k
+            rebuilt = build_extension(canonical_phi(sigma,
+                                                    dec.component_sets()))
+            assert rebuilt.sigma._rows == sigma._rows
+
+    def test_class_map_not_a_homomorphism_is_a_theorem_violation(
+            self, monkeypatch):
+        C = clifford_z2_over_trivial()
+        quotient, calls = extend.quotient_by_congruence, []
+
+        def reversed_y(S, p):
+            calls.append(p)
+            Q, index_of = quotient(S, p)
+            if len(calls) == 1:          # Y, with its order reversed
+                Q = from_table(2, [[0, 1], [1, 1]])
+            return Q, index_of
+
+        monkeypatch.setattr(extend, "quotient_by_congruence", reversed_y)
+        # Sigma/~ is isomorphic to the reversed Y, but not by the map that
+        # sends each class to the group it holds
+        with pytest.raises(InternalTheoremViolation) as e:
+            clifford_decompose(C, set(C.elements))
+        assert str(e.value) == "Sigma/~ is not isomorphic to Y"
 
     def test_not_clifford(self):
         lz = zoo.rectangular_band(2, 1)

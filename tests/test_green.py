@@ -1,7 +1,6 @@
 import pytest
 
 from finsemi import (
-    from_table,
     green,
     idempotents,
     inverses,

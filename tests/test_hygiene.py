@@ -1,5 +1,5 @@
-"""Source hygiene: every library module uses each name it imports, and
-every function reads each local it assigns.
+"""Source hygiene: every library module, test module and demo uses each
+name it imports, and every library function reads each local it assigns.
 
 `finsemi/__init__.py` is exempt from the import check, since its imports
 are the public API.
@@ -14,6 +14,8 @@ import finsemi
 
 SOURCES = sorted(Path(finsemi.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+REPO = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted(REPO.glob("tests/*.py")) + sorted(REPO.glob("demos/*.py"))
 
 
 def unused_imports(source):
@@ -32,7 +34,7 @@ def unused_imports(source):
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -8,7 +8,6 @@ from finsemi import (
     closure,
     depth,
     direct_product,
-    from_table,
     green,
     idempotents,
     is_grillet_stratified,

@@ -1,17 +1,16 @@
-from itertools import product
+from functools import cache
+from itertools import permutations, product
 
 import pytest
 
 from finsemi import (
     base_set,
-    green,
     idempotents,
     is_clifford,
     is_completely_simple,
     is_conditionally_completely_regular,
     is_grillet_stratified,
     is_weakly_reductive,
-    regular_elements,
     stratify,
     zoo,
 )
@@ -35,6 +34,44 @@ def brute_force_tables(n):
     return out
 
 
+def _canonical(rows, anti=True):
+    n = len(rows)
+    best = None
+    for g in permutations(range(n)):
+        ginv = [0] * n
+        for i, gi in enumerate(g):
+            ginv[gi] = i
+        flips = (False, True) if anti else (False,)
+        for flip in flips:
+            if flip:
+                cand = tuple(tuple(ginv[rows[g[j]][g[i]]] for j in range(n))
+                             for i in range(n))
+            else:
+                cand = tuple(tuple(ginv[rows[g[i]][g[j]]] for j in range(n))
+                             for i in range(n))
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def canonical_representatives(n, anti):
+    """The first labelled table of each class, by the least relabelling
+    (and, with anti, transpose) of every table: the search the enumerator's
+    isomorphism test replaces, kept as its oracle."""
+    seen, out = set(), []
+    for S in zoo.enumerate_associative(n):
+        key = _canonical(S._rows, anti=anti)
+        if key not in seen:
+            seen.add(key)
+            out.append(S._rows)
+    return out
+
+
+@cache
+def deduped(n, dedup):
+    return [S._rows for S in zoo.enumerate_associative(n, dedup=dedup)]
+
+
 class TestEnumerate:
     def test_order1(self):
         assert sum(1 for _ in zoo.enumerate_associative(1)) == 1
@@ -51,6 +88,15 @@ class TestEnumerate:
         assert sum(1 for _ in zoo.enumerate_associative(2, dedup="iso+anti")) == 4
         assert sum(1 for _ in zoo.enumerate_associative(3, dedup="iso+anti")) == 18
         assert sum(1 for _ in zoo.enumerate_associative(3, dedup="iso")) == 24
+        # OEIS A001423 and A027851
+        assert len(deduped(4, "iso+anti")) == 126
+        assert len(deduped(4, "iso")) == 188
+
+    @pytest.mark.parametrize("dedup", ["iso", "iso+anti"])
+    def test_dedup_matches_the_canonical_form_oracle(self, dedup):
+        for n in range(1, 5):
+            assert deduped(n, dedup) == canonical_representatives(
+                n, anti=dedup == "iso+anti")
 
     def test_order_cap(self):
         with pytest.raises(OrderTooLarge):
