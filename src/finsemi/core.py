@@ -9,12 +9,14 @@ every operation is a pure function of its inputs.
 
 A table is checked for associativity once, where it enters the library:
 `Semigroup(...)`, `from_table` and `parse_sgt` (and so every zoo
-constructor and `extend.build_extension`) run the full check.  Six builders
-make tables that are associative by theorem from checked semigroups and
-skip it through `Semigroup._derived`: `restrict` (a subsemigroup),
-`rees_quotient` and `quotient_by_congruence` (homomorphic images, by a
-checked ideal or congruence), `direct_product`, `adjoin_zero` and
-`adjoin_identity`.  They fill their tables from whole rows of the parent.
+constructor but `partial_map_extension`) run the full check.  Seven
+builders make tables that are associative by theorem from checked
+semigroups and skip it through `Semigroup._derived`: `restrict` (a
+subsemigroup), `rees_quotient` and `quotient_by_congruence` (homomorphic
+images, by a checked ideal or congruence), `direct_product`, `adjoin_zero`,
+`adjoin_identity`, and `extend.build_extension` (an extension by a partial
+homomorphism it validates first, associative by Clifford's theorem).  They
+fill their tables from whole rows of their inputs.
 
 Structure derived from a semigroup is computed once and memoized in its
 `_cache` dict by `_cached`, for the semigroup's lifetime.  The keys:
@@ -99,16 +101,20 @@ class Semigroup:
     def _derived(cls, rows, labels=None):
         """A Semigroup on rows, a table associative by theorem.
 
-        Only the six builders of derived tables call this: `_restrict` (a
-        subsemigroup of a checked semigroup), `_rees_quotient` and
+        Only the seven builders of derived tables call this: `_restrict`
+        (a subsemigroup of a checked semigroup), `_rees_quotient` and
         `_quotient` (homomorphic images of one, by a checked ideal or a
         checked congruence), `direct_product` (of two checked semigroups),
-        and `adjoin_zero`/`adjoin_identity` (an absorbing or neutral
-        element added to one).  Each result is associative because its
-        parent is, so the O(n^3) check is skipped; the shape, range and
-        label checks and the zero and identity detection are kept.
-        `properties._raw_derivation_witness` re-checks each such table
-        against its parent for `verify`.  `rows` holds tuples of ints.
+        `adjoin_zero`/`adjoin_identity` (an absorbing or neutral element
+        added to one), and `extend.build_extension` (the extension of one
+        checked semigroup by another along a partial homomorphism it has
+        validated).  Each result is associative because its parents are,
+        so the O(n^3) check is skipped; the shape, range and label checks
+        and the zero and identity detection are kept.
+        `properties._raw_derivation_witness` re-checks the first six
+        against their parent for `verify`; the extension tables are
+        re-checked by the cube scan in the tests.  `rows` holds tuples of
+        ints.
         """
         self = object.__new__(cls)
         self._fill(_checked_rows(rows, tuple), labels)

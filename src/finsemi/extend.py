@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import index
 
 from .core import (
     Partition,
     Semigroup,
     _getter,
+    _must,
     ideal_witness,
     interchangeable_pair,
     is_ideal,
@@ -32,7 +34,6 @@ from .errors import (
     InvalidArgument,
     LawViolation,
     NoZeroInSource,
-    NonAssociative,
     NotACongruence,
     NotAnIdeal,
     NotClifford,
@@ -43,10 +44,6 @@ from .errors import (
 from .green import green, idempotents, is_clifford
 
 
-class ResultNotAssociative(InternalTheoremViolation):
-    """The construction theorem guarantees associativity; this is a bug."""
-
-
 @dataclass(frozen=True)
 class PartialHom:
     """A map from the nonzero part of T into S preserving nonzero products."""
@@ -55,16 +52,36 @@ class PartialHom:
     mapping: dict       # T-index (nonzero) -> S-index
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", dict(self.mapping))
+        object.__setattr__(self, "mapping", _as_dict(self.mapping))
+
+
+def _as_dict(mapping):
+    """A copy of mapping; InvalidArgument if it is not a mapping."""
+    try:
+        return dict(mapping.items())
+    except AttributeError:
+        raise InvalidArgument(
+            f"mapping = {mapping!r} is not a mapping") from None
 
 
 def validate_partial_hom(T, S, mapping):
-    """Check the domain and the law map(AB) = map(A)map(B) when AB != 0."""
+    """Check the domain and the law map(AB) = map(A)map(B) when AB != 0.
+
+    Keys and values must be integers (Python or numpy); InvalidArgument
+    names a `mapping` that is not a mapping, or its first key or value
+    that is not an integer.
+    """
     if T.zero is None:
         raise NoZeroInSource("source semigroup has no zero")
     nonzero = [x for x in T.elements if x != T.zero]
-    mapping = {int(k): int(v) for k, v in mapping.items()}
-    if sorted(mapping) != nonzero:
+    # index, unlike int, rejects floats, strings and None
+    pairs = []
+    for k, v in _as_dict(mapping).items():
+        k = _must(index, k, "mapping key", "an integer")
+        pairs.append((k, _must(index, v, f"mapping[{k}]", "an integer")))
+    mapping = dict(pairs)
+    # the pairs' keys, unlike the dict's, keep two keys that index alike
+    if sorted(k for k, _ in pairs) != nonzero:
         raise InvalidArgument(f"mapping keys must be exactly T \\ {{{T.zero}}}")
     if any(not 0 <= v < S.order for v in mapping.values()):
         raise InvalidArgument("mapping value outside the target")
@@ -107,7 +124,19 @@ def build_extension(phi):
 
     A*B = AB when AB != 0 in T, else map(A)map(B); A*s = map(A)s;
     s*A = s map(A); s*t = st.
+
+    phi is validated again (`validate_partial_hom`, O(|T|^2)), and then
+    Sigma is associative by Clifford's theorem (Extensions of semigroups,
+    Trans. AMS 68, 1950), so its table skips the O(n^3) check.  The map
+    bar(phi) = id_S ∪ phi is a homomorphism Sigma -> S by the law, and so
+    is psi: Sigma -> T, fixing T \\ {0} and sending S to 0.  A product
+    xyz lies in the ideal S exactly when psi(x)psi(y)psi(z) = 0, whatever
+    the bracketing; there both bracketings equal their bar(phi)-image
+    bar(phi)(x)bar(phi)(y)bar(phi)(z), computed in S.  Otherwise x, y, z
+    and every partial product lie in T \\ {0}, and both bracketings are
+    the product in T.
     """
+    phi = validate_partial_hom(phi.source, phi.target, phi.mapping)
     T, S, f = phi.source, phi.target, phi.mapping
     ns = S.order
     outside = [x for x in T.elements if x != T.zero]
@@ -126,13 +155,8 @@ def build_extension(phi):
     labels = None
     if S.labels and T.labels:
         labels = list(S.labels) + [T.label(x) for x in outside]
-    try:
-        sigma = Semigroup(rows, labels=labels)
-    except NonAssociative as e:
-        raise ResultNotAssociative(
-            f"partial-hom extension broke associativity at {e.triple}")
     return ExtensionWitness(
-        sigma=sigma,
+        sigma=Semigroup._derived(rows, labels),
         ideal=frozenset(range(ns)),
         s_map={i: i for i in range(ns)},
         t_map={ns + i: x for i, x in enumerate(outside)},

@@ -33,7 +33,7 @@ from .errors import (
     NonAssociative,
     OrderTooLarge,
 )
-from .extend import build_extension, validate_partial_hom
+from .extend import PartialHom, build_extension
 from .green import is_clifford
 
 ENUMERATION_ORDER_CAP = 4
@@ -373,8 +373,7 @@ def partial_map_extension(n, m, groups, picks=None):
         image = tuple(pow_in_group(groups[c], picks[c], f[c]) if f[c]
                       else zgroups[c].order - 1 for c in range(n))
         mapping[qmap[i]] = s_index(image)
-    phi = validate_partial_hom(T, S, mapping)
-    witness = build_extension(phi)
+    witness = build_extension(PartialHom(T, S, mapping))
 
     # dom(st) = dom(s) ∩ dom(t) across all of S
     def dom(idx):

@@ -5,7 +5,8 @@ Criteria, tolerances, and runtime budgets are pinned here and nowhere else:
   1. order-3 exhaustive sweep, zero violations, < 10 s
   2. order-4 exhaustive sweep + decomposition suite, zero violations, < 300 s
   3. monogenic grid 1 <= h, r <= 6: height == h and |base| == r, 36/36
-  4. >= 50 extension round trips, all exact
+  4. >= 50 extension round trips, all exact, every built table accepted
+     by the checked constructor
   5. negative controls with correct witnesses
   6. CCR iff semilattice of stratified extensions of completely
      simple semigroups, both directions, zero violations
@@ -45,6 +46,7 @@ from finsemi import (
     zoo,
 )
 from finsemi.errors import (
+    NonAssociative,
     NotConditionallyCompletelyRegular,
     NotWeaklyReductive,
 )
@@ -119,12 +121,26 @@ def test_criterion_3_monogenic_grid():
     _report("criterion 3: monogenic grid 36/36 exact", bad)
 
 
+def _unchecked_build_problems(where, *witnesses):
+    """build_extension skips the associativity check by Clifford's
+    theorem; the checked constructor must accept every table it built."""
+    bad = []
+    for w in witnesses:
+        try:
+            Semigroup(w.sigma._rows)
+        except NonAssociative as e:
+            bad.append(f"order-{w.sigma.order} extension {where} is not "
+                       f"associative at {e.triple}")
+    return bad
+
+
 def test_criterion_4_extension_round_trips():
     bad = []
     pool = triples(per_pair=4)
     for S, T, mapping in pool:
         phi = validate_partial_hom(T, S, mapping)
         w = build_extension(phi)
+        bad += _unchecked_build_problems(f"for {mapping}", w)
         if classify_extension(w.sigma, w.ideal).kind != "strict":
             bad.append(f"built extension not strict for {mapping}")
             continue
@@ -144,6 +160,7 @@ def test_criterion_4_extension_round_trips():
             bad.append(f"components differ from the phi prediction for {mapping}")
             continue
         rebuilt = build_extension(canonical_phi(w.sigma, dec.component_sets()))
+        bad += _unchecked_build_problems(f"rebuilt for {mapping}", rebuilt)
         if rebuilt.sigma._rows != w.sigma._rows:
             bad.append(f"canonical phi rebuild differs for {mapping}")
 
@@ -158,13 +175,16 @@ def test_criterion_4_extension_round_trips():
                     n, m, [zoo.cyclic_group(2)] * n, picks=picks)
                 pm_count += 1
                 phi = recover_partial_hom(w.sigma, w.ideal)
-                if build_extension(phi).sigma._rows != w.sigma._rows:
+                again = build_extension(phi)
+                if again.sigma._rows != w.sigma._rows:
                     bad.append(f"partial-map rebuild differs at n={n}, m={m}")
                 dec = clifford_decompose(w.sigma, w.ideal)
                 if len(dec.components) != 2 ** n:
                     bad.append(f"partial-map components != 2^{n} at n={n}, m={m}")
                 rebuilt = build_extension(
                     canonical_phi(w.sigma, dec.component_sets()))
+                bad += _unchecked_build_problems(
+                    f"at n={n}, m={m}", w, again, rebuilt)
                 if rebuilt.sigma._rows != w.sigma._rows:
                     bad.append(f"partial-map canonical rebuild differs "
                                f"at n={n}, m={m}")

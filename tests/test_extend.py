@@ -1,8 +1,10 @@
 from itertools import product
 
+import numpy as np
 import pytest
 
 from finsemi import (
+    PartialHom,
     Partition,
     adjoin_identity,
     build_extension,
@@ -19,6 +21,7 @@ from finsemi import core, extend
 from finsemi.errors import (
     GroupUnionNotIdeal,
     InternalTheoremViolation,
+    InvalidArgument,
     LawViolation,
     NoZeroInSource,
     NotAnIdeal,
@@ -67,6 +70,33 @@ class TestValidatePartialHom:
         with pytest.raises(ValueError):
             validate_partial_hom(T, z2, {0: 1, 1: 1})
 
+    @pytest.mark.parametrize("t_rows, mapping, message", [
+        (T_A0, [1, 0], "mapping = [1, 0] is not a mapping"),
+        (T_A0, {0: None}, "mapping[0] = None is not an integer"),
+        (T_NIL3, {0: 1, 1.0: 0}, "mapping key = 1.0 is not an integer"),
+        (T_NIL3, {0: "1", 1: 0}, "mapping[0] = '1' is not an integer"),
+        (T_NIL3, {0: 1.0, "1": 0}, "mapping[0] = 1.0 is not an integer"),
+    ], ids=["list", "none", "float-key", "str-value", "first-bad-entry"])
+    def test_entries_must_be_integers(self, z2, t_rows, mapping, message):
+        T = from_table(len(t_rows), t_rows)
+        with pytest.raises(InvalidArgument) as e:
+            validate_partial_hom(T, z2, mapping)
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("mapping", [[1, 0], [(0, 1)], 5])
+    def test_partial_hom_needs_a_mapping(self, z2, mapping):
+        T = from_table(2, T_A0)
+        with pytest.raises(InvalidArgument) as e:
+            PartialHom(T, z2, mapping)
+        assert str(e.value) == f"mapping = {mapping!r} is not a mapping"
+
+    def test_numpy_integers_pass(self, z2):
+        T = from_table(3, T_NIL3)
+        phi = validate_partial_hom(T, z2, {np.int64(0): np.uint8(1),
+                                           np.int32(1): np.int64(0)})
+        assert phi.mapping == {0: 1, 1: 0}
+        assert all(type(x) is int for kv in phi.mapping.items() for x in kv)
+
 
 class TestBuildExtension:
     def test_order3_fixture(self, z2):
@@ -88,6 +118,17 @@ class TestBuildExtension:
         # the zero of T became the group identity; everything else is T's table
         Q, _ = rees_quotient(w.sigma, w.ideal)
         assert Q == T
+
+    def test_source_without_zero_rejected(self, z2):
+        # unvalidated, this map would give a bogus order-4 table
+        with pytest.raises(NoZeroInSource):
+            build_extension(PartialHom(z2, z2, {0: 0, 1: 1}))
+
+    def test_law_checked_before_building(self, z2):
+        T = from_table(3, T_NIL3)
+        with pytest.raises(LawViolation) as e:
+            build_extension(PartialHom(T, z2, {0: 1, 1: 1}))
+        assert e.value.pair == (0, 0)
 
     def test_always_strict(self, z2):
         for T_rows in (T_A0, T_NIL3):
