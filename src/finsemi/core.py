@@ -2,10 +2,10 @@
 
 A semigroup of order n is a validated n x n table of element indices;
 table[i][j] is the product i*j with i the left factor.  It is stored once,
-as the row tuples `_rows`; the int64 array `table` is built from them on
-access.  Subsets of elements are plain frozensets of indices, partitions
-are `Partition` objects.  All values are immutable after construction and
-every operation is a pure function of its inputs.
+as the row tuples `_rows`; the int64 array `table` is built from them,
+and numpy imported, on access.  Subsets of elements are plain frozensets
+of indices, partitions are `Partition` objects.  All values are immutable
+after construction and every operation is a pure function of its inputs.
 
 A table is checked for associativity once, where it enters the library:
 `Semigroup(...)`, `from_table` and `parse_sgt` (and so every zoo
@@ -17,6 +17,14 @@ images, by a checked ideal or congruence), `direct_product`, `adjoin_zero`,
 `adjoin_identity`, and `extend.build_extension` (an extension by a partial
 homomorphism it validates first, associative by Clifford's theorem).  They
 fill their tables from whole rows of their inputs.
+
+The check runs in O(n^2) memory.  Up to order 256 every element fits a
+byte, so each row is a bytes object and, padded to 256 bytes, a translate
+table: translating a row by the row of x multiplies each of its entries by
+x on the left, in C.  Above order 256 the check gathers uint16 numpy
+blocks, and that is the only place the constructor imports numpy.
+`ASSOC_BLOCK_CELLS` decides between the full cube scan and Light's test at
+every order, and bounds the numpy blocks.
 
 Structure derived from a semigroup is computed once and memoized in its
 `_cache` dict by `_cached`, for the semigroup's lifetime.  The keys:
@@ -43,8 +51,6 @@ from __future__ import annotations
 from itertools import chain
 from operator import index, itemgetter
 
-import numpy as np
-
 from .errors import (
     EmptyGenerators,
     IndexOutOfRange,
@@ -61,8 +67,10 @@ from .errors import (
 CONGRUENCE_ORDER_CAP = 6
 ISOMORPHISM_ORDER_CAP = 12
 # The largest order a uint16 index array can address.
-ORDER_CAP = int(np.iinfo(np.uint16).max)
-# Cells of (i*j)*k compared per block of left factors during validation.
+ORDER_CAP = 65535
+# Tables with at most this many cells n^3 are checked by the full cube
+# scan, larger ones by Light's test; above order 256 it also bounds the
+# cells of each numpy block.
 ASSOC_BLOCK_CELLS = 2 ** 21
 _MISSING = object()
 
@@ -71,14 +79,15 @@ class Semigroup:
     """An immutable finite semigroup given by its Cayley table.
 
     `entries` is a sequence of n rows of n element indices.  Construction
-    validates every entry and full associativity, in O(n^2) memory via
-    numpy.  Up to n^3 = ASSOC_BLOCK_CELLS (n <= 128) the whole cube is
-    scanned; above that, Light's test over a magma generating set G takes
-    O(|G| n^2 + n^2) time, which is O(n^3) only when every element is a
-    generator (a chain).  A non-associative table reports the
-    lexicographically first failing triple either way.  A two-sided zero
-    and a two-sided identity are detected automatically (each is unique
-    when it exists).
+    validates every entry and full associativity, in O(n^2) memory: on
+    bytes rows, one translate per left factor, up to order 256, and on
+    uint16 numpy blocks above it.  Up to n^3 = ASSOC_BLOCK_CELLS
+    (n <= 128) the whole cube is scanned; above that, Light's test over
+    a magma generating set G takes O(|G| n^2 + n^2) time, which is
+    O(n^3) only when every element is a generator (a chain).  A
+    non-associative table reports the lexicographically first failing
+    triple either way.  A two-sided zero and a two-sided identity are
+    detected automatically (each is unique when it exists).
 
     Tables derived from a semigroup that is already checked are built by
     `_derived`, which skips the associativity check: see its docstring.
@@ -88,13 +97,11 @@ class Semigroup:
 
     def __init__(self, entries, labels=None):
         rows = _checked_rows(entries, _int_row)
-        n = len(rows)
-        t = np.array(rows, dtype=np.uint8 if n <= 256 else np.uint16)
-        # A cube that fits in one block is scanned whole; above that,
-        # Light's test decides, and the scan only finds the first failing
-        # triple once it has failed.
-        if n ** 3 <= ASSOC_BLOCK_CELLS or not _light_test(t):
-            _cube_scan(t)
+        # A cube of at most ASSOC_BLOCK_CELLS cells is scanned whole; above
+        # that, Light's test decides, and the scan only finds the first
+        # failing triple once it has failed.
+        if len(rows) ** 3 <= ASSOC_BLOCK_CELLS or not _light_test(rows):
+            _cube_scan(rows)
         self._fill(rows, labels)
 
     @classmethod
@@ -145,6 +152,7 @@ class Semigroup:
     @property
     def table(self):
         """The table as a read-only int64 array, built anew on each access."""
+        import numpy as np
         table = np.array(self._rows, dtype=np.int64)
         table.setflags(write=False)
         return table
@@ -217,12 +225,18 @@ def _must(check, value, name, kind):
         raise InvalidArgument(f"{name} = {value!r} is not {kind}") from None
 
 
-def _cube_scan(t):
+def _cube_scan(rows):
     """Raise NonAssociative with the first failing triple of the cube."""
-    n = len(t)
+    n = len(rows)
+    if n <= 256:
+        triple = _byte_failure(rows, range(n))
+        if triple:
+            raise NonAssociative(*triple)
+        return
+    import numpy as np
+    t = np.array(rows, dtype=np.uint16)
     # (i*j)*k = t[t[i,j], k];  i*(j*k) = t[i, t[j,k]].  Compare one block
-    # of left factors i at a time, in lexicographic order, so the first
-    # mismatch is the first failing triple of the whole cube.
+    # of at most ASSOC_BLOCK_CELLS cells, left factors i in order, at a time.
     step = max(1, ASSOC_BLOCK_CELLS // (n * n))
     for i0 in range(0, n, step):
         block = t[i0:i0 + step]
@@ -233,52 +247,79 @@ def _cube_scan(t):
             raise NonAssociative(i0 + i, j, k)
 
 
-def _magma_generators(t):
-    """A set G whose closure under the raw product of table t is [0, n).
+def _byte_failure(rows, mids):
+    """The first (x, m, y) with (x*m)*y != x*(m*y), for m in mids, or None;
+    the order is x, then m in the order of mids, then y.
+
+    Each row of a table of order <= 256 is a bytes object, and padded to
+    256 bytes it is a translate table.  O(|mids| n^2) time in n calls.
+    """
+    n = len(rows)
+    rb = list(map(bytes, rows))
+    pad = bytes(256 - n)
+    cells = b"".join(map(rb.__getitem__, mids))
+    pick = _getter(mids)
+    for x, row in enumerate(rows):
+        # at k*n + y: (x*m_k)*y from the row of x*m_k, and x*(m_k*y) from
+        # the row of m_k translated by the row of x
+        left = b"".join(map(rb.__getitem__, pick(row)))
+        right = cells.translate(rb[x] + pad)
+        if left != right:
+            p = next(p for p, (a, b) in enumerate(zip(left, right)) if a != b)
+            return x, mids[p // n], p % n
+    return None
+
+
+def _magma_generators(rows):
+    """A set G whose closure under the raw product of the table is [0, n).
 
     G starts with the elements that are no product (every generating set
     holds them) and grows by the least element not yet reached.  Every
-    product x*y and y*x of reached elements is read once, in numpy rounds
-    over the elements reached last, so the closure costs O(n^2) and
-    assumes nothing about associativity.
+    product x*y and y*x of reached elements is read once, in rounds over
+    the elements reached last, so the closure costs O(n^2) and assumes
+    nothing about associativity.
     """
-    n = len(t)
-    no_product = np.ones(n, dtype=bool)
-    no_product[t.ravel()] = False
-    gens = np.flatnonzero(no_product).tolist()
-    reached = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.intp)     # reached elements, oldest first
-    size = 0
-    fresh = np.array(gens, dtype=np.intp)
+    n = len(rows)
+    cols = tuple(zip(*rows))
+    gens = sorted(set(range(n)).difference(*rows))
+    reached, order, fresh = set(), [], set(gens)
     nxt = 0
     while True:
-        if not len(fresh):
-            while nxt < n and reached[nxt]:
+        if not fresh:
+            while nxt in reached:
                 nxt += 1
             if nxt == n:
                 return gens
             gens.append(nxt)
-            fresh = np.array([nxt], dtype=np.intp)
-        reached[fresh] = True
-        old, size = size, size + len(fresh)
-        order[old:size] = fresh
-        made = np.concatenate((t[np.ix_(fresh, order[:size])].ravel(),
-                               t[np.ix_(order[:old], fresh)].ravel()))
-        fresh = np.unique(made[~reached[made]])
+            fresh = {nxt}
+        reached |= fresh
+        old = len(order)
+        order += fresh
+        # x*y for fresh x and every reached y, y*x for the older y
+        right, left = _getter(order), _getter(order[:old])
+        made = set()
+        for x in fresh:
+            made.update(right(rows[x]), left(cols[x]))
+        fresh = made - reached
 
 
-def _light_test(t):
+def _light_test(rows):
     """Light's associativity test over a magma generating set G.
 
     True iff (x*g)*y = x*(g*y) for all x, y and every g in G.  The
     elements a with (x*a)*y = x*(a*y) for all x, y are closed under the
     product, so a pass over G proves the whole table associative
     (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961,
-    section 1.2).  O(|G| n^2) time; gathers of at most ASSOC_BLOCK_CELLS
-    cells.
+    section 1.2).  O(|G| n^2) time.
     """
-    n = len(t)
-    gens = np.array(_magma_generators(t), dtype=np.intp)
+    n = len(rows)
+    gens = _magma_generators(rows)
+    if n <= 256:
+        return _byte_failure(rows, gens) is None
+    import numpy as np
+    t = np.array(rows, dtype=np.uint16)
+    gens = np.array(gens, dtype=np.intp)
+    # gathers of at most ASSOC_BLOCK_CELLS cells
     step = max(1, ASSOC_BLOCK_CELLS // (n * n))
     for g0 in range(0, len(gens), step):
         g = gens[g0:g0 + step]
@@ -822,7 +863,7 @@ def parse_sgt(text):
         if len(parts) != n:
             raise SgtParseError(2 + i, f"expected {n} entries, got {len(parts)}")
         try:
-            rows.append([int(p) for p in parts])
+            rows.append(list(map(int, parts)))
         except ValueError:
             raise SgtParseError(2 + i, f"non-integer entry in {lines[1 + i]!r}")
     labels = None

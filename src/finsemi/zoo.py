@@ -12,8 +12,6 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from .core import (
     ORDER_CAP,
     Semigroup,
@@ -514,7 +512,7 @@ def sample_associative(n, count, seed=0):
         flat = [rng.randrange(n) for _ in range(cells)]
         rows = [flat[i * n:(i + 1) * n] for i in range(n)]
         try:
-            _cube_scan(np.array(rows))
+            _cube_scan(rows)
         except NonAssociative:
             continue
         out.append(Semigroup(rows))

@@ -253,7 +253,7 @@ class TestAssociativityCheck:
     ])
     def test_magma_generators_generate(self, fixture, params, size):
         S = getattr(zoo, fixture)(*params)
-        gens = core._magma_generators(np.array(S._rows))
+        gens = core._magma_generators(S._rows)
         if size is not None:
             assert len(gens) == size
         rows = S._rows
@@ -267,10 +267,16 @@ class TestAssociativityCheck:
                         todo.append(z)
         assert reached == set(range(S.order))
 
-    @pytest.mark.parametrize("fixture, params", [("monogenic", (100, 100)),
-                                                 ("rectangular_band", (12, 12))])
+    @pytest.mark.parametrize("fixture, params", [
+        ("monogenic", (100, 100)),          # 199
+        ("rectangular_band", (12, 12)),     # 144
+        ("rectangular_band", (16, 16)),     # 256, the last bytes order
+        ("rectangular_band", (17, 17)),     # 289, numpy blocks
+        ("monogenic", (150, 150)),          # 299
+    ])
     def test_corrupted_cells_report_the_cube_witness(self, fixture, params):
-        # few generators and n > 128, so Light's test decides first
+        # few generators and n > 128, so Light's test decides first, on
+        # bytes rows up to order 256 and on numpy blocks above
         S = getattr(zoo, fixture)(*params)
         n = S.order
         assert n ** 3 > core.ASSOC_BLOCK_CELLS    # Light's path

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import finsemi
 from finsemi import (
     format_phm,
     format_sgt,
@@ -92,6 +97,29 @@ class TestCli:
         path.write_text("3\n0 1 2\n0 1 2\n", encoding="utf-8")
         assert main(["validate", str(path)]) == 1
         assert "line" in capsys.readouterr().out
+
+    def test_numpy_loads_only_above_order_256(self, tmp_path):
+        # a fresh interpreter: numpy stays unloaded through analyze and
+        # validate at order 199 and is loaded by validate at order 289
+        small, large = tmp_path / "199.sgt", tmp_path / "289.sgt"
+        save_sgt(zoo.monogenic(100, 100), small)
+        save_sgt(zoo.rectangular_band(17, 17), large)
+        script = (
+            "import io, sys, contextlib\n"
+            "from finsemi import cli\n"
+            "def run(*argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(list(argv)) == 0\n"
+            "    return 'numpy' in sys.modules\n"
+            f"print(run('analyze', {str(small)!r}, '--json'),"
+            f" run('validate', {str(small)!r}),"
+            f" run('validate', {str(large)!r}))\n")
+        src = str(Path(finsemi.__file__).resolve().parent.parent)
+        paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "False", "True"]
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.sgt")]) == 3

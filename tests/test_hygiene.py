@@ -1,5 +1,6 @@
 """Source hygiene: every library module, test module and demo uses each
-name it imports, and every library function reads each local it assigns.
+name it imports, every library function reads each local it assigns, and
+no library module imports numpy when it is loaded.
 
 `finsemi/__init__.py` is exempt from the import check, since its imports
 are the public API.
@@ -134,3 +135,39 @@ def test_the_check_sees_a_derived_call():
               "    return [lambda: make(rows)]\n"
               "h = lambda r: _derived(r)\n")
     assert derived_users(source) == {"_restrict", "g", "<lambda>"}
+
+
+def module_level_imports(source, name):
+    """Lines of the imports of module name outside every function."""
+    tree = ast.parse(source)
+    inner = {id(node) for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)}
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in inner:
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(n == name or n.startswith(name + ".") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_numpy_is_imported_only_inside_functions(path):
+    # the CLI loads numpy only for a table above order 256 or for
+    # Semigroup.table, so no module may import it at load time
+    source = path.read_text(encoding="utf-8")
+    assert module_level_imports(source, "numpy") == []
+
+
+def test_the_check_sees_a_module_level_numpy_import():
+    source = ("import numpy as np\nfrom numpy import uint8\n"
+              "import numpyro\nif True:\n    import numpy.linalg\n"
+              "def f():\n    import numpy\n    return numpy\n")
+    assert module_level_imports(source, "numpy") == [1, 2, 5]
