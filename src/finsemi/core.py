@@ -21,10 +21,14 @@ fill their tables from whole rows of their inputs.
 The check runs in O(n^2) memory.  Up to order 256 every element fits a
 byte, so each row is a bytes object and, padded to 256 bytes, a translate
 table: translating a row by the row of x multiplies each of its entries by
-x on the left, in C.  Above order 256 the check gathers uint16 numpy
-blocks, and that is the only place the constructor imports numpy.
-`ASSOC_BLOCK_CELLS` decides between the full cube scan and Light's test at
-every order, and bounds the numpy blocks.
+x on the left, in C.  Above order 256 the check compares uint16 numpy
+slabs of n^2 cells, one left factor (cube scan) or one generator (Light's
+test) at a time, about 7 bytes per cell of scratch; that is the only place
+the constructor imports numpy.  `ASSOC_BLOCK_CELLS` decides only between
+the full cube scan and Light's test, at every order.  Above order 256 every
+table, checked or derived, also has its rows rebuilt from the ints of one
+tuple(range(n)), so it keeps one int object per element and one 8-byte
+pointer per cell.
 
 Structure derived from a semigroup is computed once and memoized in its
 `_cache` dict by `_cached`, for the semigroup's lifetime.  The keys:
@@ -69,8 +73,7 @@ ISOMORPHISM_ORDER_CAP = 12
 # The largest order a uint16 index array can address.
 ORDER_CAP = 65535
 # Tables with at most this many cells n^3 are checked by the full cube
-# scan, larger ones by Light's test; above order 256 it also bounds the
-# cells of each numpy block.
+# scan, larger ones by Light's test; that is all it decides.
 ASSOC_BLOCK_CELLS = 2 ** 21
 _MISSING = object()
 
@@ -80,14 +83,15 @@ class Semigroup:
 
     `entries` is a sequence of n rows of n element indices.  Construction
     validates every entry and full associativity, in O(n^2) memory: on
-    bytes rows, one translate per left factor, up to order 256, and on
-    uint16 numpy blocks above it.  Up to n^3 = ASSOC_BLOCK_CELLS
-    (n <= 128) the whole cube is scanned; above that, Light's test over
-    a magma generating set G takes O(|G| n^2 + n^2) time, which is
-    O(n^3) only when every element is a generator (a chain).  A
-    non-associative table reports the lexicographically first failing
-    triple either way.  A two-sided zero and a two-sided identity are
-    detected automatically (each is unique when it exists).
+    bytes rows, one translate per left factor, up to order 256, and one
+    uint16 numpy slab of n^2 cells per left factor or generator above it.
+    Up to n^3 = ASSOC_BLOCK_CELLS (n <= 128) the whole cube is scanned;
+    above that, Light's test over a magma generating set G takes
+    O(|G| n^2 + n^2) time, which is O(n^3) only when every element is a
+    generator (a chain).  A non-associative table reports the
+    lexicographically first failing triple either way.  Above order 256 the validated rows are rebuilt
+    from one int object per element.  A two-sided zero and a two-sided
+    identity are detected automatically (each is unique when it exists).
 
     Tables derived from a semigroup that is already checked are built by
     `_derived`, which skips the associativity check: see its docstring.
@@ -116,8 +120,9 @@ class Semigroup:
         added to one), and `extend.build_extension` (the extension of one
         checked semigroup by another along a partial homomorphism it has
         validated).  Each result is associative because its parents are,
-        so the O(n^3) check is skipped; the shape, range and label checks
-        and the zero and identity detection are kept.
+        so the O(n^3) check is skipped; the shape, range and label checks,
+        the interning of the rows above order 256 and the zero and identity
+        detection are kept.
         `properties._raw_derivation_witness` re-checks the first six
         against their parent for `verify`; the extension tables are
         re-checked by the cube scan in the tests.  `rows` holds tuples of
@@ -183,7 +188,13 @@ def _int_row(row):
 
 def _checked_rows(entries, as_row):
     """The rows as_row(entry) as a tuple, once they form a nonempty square
-    table of indices in [0, n); the order cap is checked before any row."""
+    table of indices in [0, n); the order cap is checked before any row.
+
+    Above order 256 each row is then rebuilt from the ints of one
+    tuple(range(n)), so the table holds one int object per element (CPython
+    already shares 0..256).  Only an index in range may be interned: a
+    negative one would wrap.
+    """
     n = _must(len, entries, "table", "a sequence of rows")
     if n > ORDER_CAP:
         raise OrderTooLarge(n, ORDER_CAP)
@@ -198,11 +209,16 @@ def _checked_rows(entries, as_row):
             for j, v in enumerate(row):
                 if not 0 <= v < n:
                     raise IndexOutOfRange(i, j, v, n)
-    return rows
+    if n > 256:
+        # row by row, so the old and the new table never coexist
+        ident = tuple(range(n))
+        for i, row in enumerate(rows):
+            rows[i] = itemgetter(*row)(ident)
+    return tuple(rows)
 
 
 def _rows_of(entries, as_row):
-    """The rows as_row(entry) as a tuple; InvalidArgument names the table,
+    """The rows as_row(entry) as a list; InvalidArgument names the table,
     or its first row or cell, that is not a sequence or an integer."""
     _must(iter, entries, "table", "a sequence of rows")
     rows = []
@@ -214,7 +230,7 @@ def _rows_of(entries, as_row):
             for j, v in enumerate(row):
                 _must(index, v, f"entry table[{i}][{j}]", "an integer")
             raise
-    return tuple(rows)
+    return rows
 
 
 def _must(check, value, name, kind):
@@ -235,16 +251,13 @@ def _cube_scan(rows):
         return
     import numpy as np
     t = np.array(rows, dtype=np.uint16)
-    # (i*j)*k = t[t[i,j], k];  i*(j*k) = t[i, t[j,k]].  Compare one block
-    # of at most ASSOC_BLOCK_CELLS cells, left factors i in order, at a time.
-    step = max(1, ASSOC_BLOCK_CELLS // (n * n))
-    for i0 in range(0, n, step):
-        block = t[i0:i0 + step]
-        left = t[block]
-        right = block[:, t]
+    # (x*j)*k = t[t[x, j], k];  x*(j*k) = t[x, t[j, k]].  One n x n slab
+    # per left factor x, in order, so the first hit is the first triple.
+    for x, row in enumerate(t):
+        left, right = t[row], row[t]
         if not (left == right).all():
-            i, j, k = map(int, np.argwhere(left != right)[0])
-            raise NonAssociative(i0 + i, j, k)
+            j, k = map(int, np.argwhere(left != right)[0])
+            raise NonAssociative(x, j, k)
 
 
 def _byte_failure(rows, mids):
@@ -318,15 +331,9 @@ def _light_test(rows):
         return _byte_failure(rows, gens) is None
     import numpy as np
     t = np.array(rows, dtype=np.uint16)
-    gens = np.array(gens, dtype=np.intp)
-    # gathers of at most ASSOC_BLOCK_CELLS cells
-    step = max(1, ASSOC_BLOCK_CELLS // (n * n))
-    for g0 in range(0, len(gens), step):
-        g = gens[g0:g0 + step]
-        # [x, k, y]: (x*g_k)*y on the left, x*(g_k*y) on the right
-        if not (t[t[:, g]] == t[:, t[g]]).all():
-            return False
-    return True
+    # one n x n slab per generator g: [x, y] is (x*g)*y on the left and
+    # x*(g*y) on the right
+    return all((t[t[:, g]] == t[:, t[g]]).all() for g in gens)
 
 
 def from_table(n, entries, labels=None):
@@ -857,15 +864,24 @@ def parse_sgt(text):
         raise OrderTooLarge(n, ORDER_CAP)
     if len(lines) < n + 1:
         raise SgtParseError(len(lines) + 1, f"expected {n} table rows")
+    # A row of canonical entries "0" .. str(n - 1) maps each entry to one
+    # shared int per element, so above order 256, where CPython does not
+    # share them, the fresh ints of the whole table never exist at once.
+    # Any other row goes through int(); one out of range is kept for the
+    # constructor to report, after every format check.
+    element = {str(i): i for i in range(n)}.__getitem__
     rows = []
     for i in range(n):
         parts = lines[1 + i].split()
         if len(parts) != n:
             raise SgtParseError(2 + i, f"expected {n} entries, got {len(parts)}")
         try:
-            rows.append(list(map(int, parts)))
-        except ValueError:
-            raise SgtParseError(2 + i, f"non-integer entry in {lines[1 + i]!r}")
+            rows.append(tuple(map(element, parts)))
+        except KeyError:
+            try:
+                rows.append(list(map(int, parts)))
+            except ValueError:
+                raise SgtParseError(2 + i, f"non-integer entry in {lines[1 + i]!r}")
     labels = None
     rest = lines[n + 1:]
     if rest:
@@ -877,7 +893,7 @@ def parse_sgt(text):
     if any(line.strip() for line in rest):
         raise SgtParseError(n + 2 + (1 if labels else 0), "trailing garbage")
     try:
-        return from_table(n, rows, labels=labels)
+        return Semigroup(rows, labels=labels)
     except IndexOutOfRange as e:
         raise SgtParseError(2 + e.i, str(e))
 

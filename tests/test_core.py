@@ -14,6 +14,7 @@ from finsemi import (
     closure,
     direct_product,
     enumerate_congruences,
+    format_sgt,
     from_table,
     ideal_witness,
     interchangeable,
@@ -206,6 +207,39 @@ class TestAssociativityCheck:
             tracemalloc.stop()
         assert peak <= 24 * 2 ** 20    # the n^3 int64 cubes took 407 MB
 
+    @pytest.mark.parametrize("fixture, params", [
+        ("rectangular_band", (17, 17)),     # 289, Light's test
+        ("chain_semilattice", (300,)),      # |G| = 300, so 300 slabs
+    ])
+    def test_scratch_memory_is_a_few_bytes_per_cell(self, fixture, params):
+        # one n^2 slab at a time: the rows themselves are 8 bytes per cell
+        rows = [list(row) for row in getattr(zoo, fixture)(*params)._rows]
+        n = len(rows)
+        tracemalloc.start()
+        try:
+            Semigroup(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * n * n
+
+    def test_one_int_object_per_element_above_256(self):
+        S = zoo.rectangular_band(17, 17)
+        fresh = [[int(str(v)) for v in row] for row in S._rows]
+        assert len({id(v) for row in fresh for v in row}) > S.order
+        text = format_sgt(S)
+        tables = [
+            Semigroup(fresh),
+            parse_sgt(text),
+            # a non-canonical entry sends its row through int()
+            parse_sgt(text.replace("\n0 ", "\n00 ", 1)),
+            direct_product(zoo.chain_semilattice(17), zoo.rectangular_band(4, 4)),
+        ]
+        for T in tables:
+            assert T.order > 256
+            assert len({id(v) for row in T._rows for v in row}) <= T.order
+        assert tables[0] == tables[1] == tables[2] == S
+
     @pytest.mark.parametrize("n", [4, 300])
     def test_table_is_read_only_int64(self, n):
         rows = [[min(i, j) for j in range(n)] for i in range(n)]
@@ -271,12 +305,12 @@ class TestAssociativityCheck:
         ("monogenic", (100, 100)),          # 199
         ("rectangular_band", (12, 12)),     # 144
         ("rectangular_band", (16, 16)),     # 256, the last bytes order
-        ("rectangular_band", (17, 17)),     # 289, numpy blocks
+        ("rectangular_band", (17, 17)),     # 289, numpy slabs
         ("monogenic", (150, 150)),          # 299
     ])
     def test_corrupted_cells_report_the_cube_witness(self, fixture, params):
         # few generators and n > 128, so Light's test decides first, on
-        # bytes rows up to order 256 and on numpy blocks above
+        # bytes rows up to order 256 and on numpy slabs above
         S = getattr(zoo, fixture)(*params)
         n = S.order
         assert n ** 3 > core.ASSOC_BLOCK_CELLS    # Light's path

@@ -55,6 +55,42 @@ class TestSgtFormat:
             parse_sgt("2\n0 9\n0 1\n")
         assert e.value.line == 2
 
+    @pytest.mark.parametrize("edits, expected", [
+        ({(100, 5): "-1"}, (102, "entry table[100][5] = -1 is outside [0, 289)")),
+        ({(100, 5): "289"}, (102, "entry table[100][5] = 289 is outside [0, 289)")),
+        ({(100, 5): "-1", (50, 3): "300"},
+         (52, "entry table[50][3] = 300 is outside [0, 289)")),
+        # a later format error wins over an earlier row out of range
+        ({(100, 5): "-1", (200, 7): "x"}, (202, "non-integer entry in {}")),
+        ({(100, 5): "289", (200, None): ""}, (202, "expected 289 entries, got 288")),
+        ({(100, 5): "-1", "labels": "a b c"}, (291, "expected 289 labels, got 3")),
+        ({(100, 5): "-1", "tail": "junk"}, (292, "trailing garbage")),
+    ], ids=["negative", "too-large", "first-row-wins", "non-integer-later",
+            "short-row-later", "labels-later", "garbage-later"])
+    def test_out_of_range_above_256(self, edits, expected):
+        # order 289, where rows in range are interned as they are read: an
+        # out-of-range entry never wraps, and the messages are unchanged
+        lines = format_sgt(zoo.rectangular_band(17, 17)).splitlines()
+        for key, value in edits.items():
+            if key == "labels":
+                lines[-1] = value
+            elif key == "tail":
+                lines.append(value)
+            else:
+                i, j = key
+                parts = lines[1 + i].split()
+                if j is None:
+                    parts.pop()
+                else:
+                    parts[j] = value
+                lines[1 + i] = " ".join(parts)
+        with pytest.raises(SgtParseError) as e:
+            parse_sgt("\n".join(lines) + "\n")
+        line, message = expected
+        if "{}" in message:
+            message = message.format(repr(lines[line - 1]))
+        assert (e.value.line, str(e.value)) == (line, f"line {line}: {message}")
+
     def test_rejects_empty(self):
         with pytest.raises(SgtParseError):
             parse_sgt("")
