@@ -48,20 +48,6 @@ from .decompose import (
     verify_rho,
     weak_inverse_location,
 )
-from .extend import (
-    CliffordDecomposition,
-    ExtensionClassification,
-    ExtensionWitness,
-    PartialHom,
-    build_extension,
-    canonical_phi,
-    classify_extension,
-    clifford_decompose,
-    format_phm,
-    parse_phm,
-    recover_partial_hom,
-    validate_partial_hom,
-)
 from .green import (
     GreenStructure,
     green,
@@ -84,6 +70,39 @@ from .stratify import (
     stratify,
 )
 
-from . import errors, properties, render, zoo  # noqa: F401  (public namespaces)
+from . import errors  # noqa: F401  (public namespace)
 
 __version__ = "0.1.0"
+
+# Loaded on first use (PEP 562), so a call that runs no extension, property
+# suite, rendering or fixture does not compile those modules.  The import
+# system binds each module here once it is loaded; the extend names are
+# read from extend on every access and never stored here.
+_LAZY_MODULES = frozenset({"extend", "properties", "render", "zoo"})
+_EXTEND_NAMES = frozenset({
+    "CliffordDecomposition",
+    "ExtensionClassification",
+    "ExtensionWitness",
+    "PartialHom",
+    "build_extension",
+    "canonical_phi",
+    "classify_extension",
+    "clifford_decompose",
+    "format_phm",
+    "parse_phm",
+    "recover_partial_hom",
+    "validate_partial_hom",
+})
+
+
+def __getattr__(name):
+    from importlib import import_module
+    if name in _LAZY_MODULES:
+        return import_module(f"{__name__}.{name}")
+    if name in _EXTEND_NAMES:
+        return getattr(import_module(f"{__name__}.extend"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _LAZY_MODULES | _EXTEND_NAMES)

@@ -14,7 +14,6 @@ import os
 import sys
 
 from . import decompose as dc
-from . import properties, render, zoo
 from .core import format_sgt, is_weakly_reductive, load_sgt, read_text
 from .green import (
     ccr_witness,
@@ -32,7 +31,6 @@ from .errors import (
     SemigroupError,
     SgtParseError,
 )
-from .extend import build_extension, parse_phm
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 0
@@ -40,21 +38,24 @@ DEFAULT_SEED = 0
 # grows linearly in the count.
 SAMPLES_CAP = 100_000
 
+# fixture name -> (zoo function name, parameter count); zoo is imported
+# only by the commands that build a fixture
 _ZOO_TABLE = {
-    "monogenic": (zoo.monogenic, 2),
-    "cyclic": (zoo.cyclic_group, 1),
-    "zero": (zoo.zero_semigroup, 1),
-    "chain": (zoo.chain_semilattice, 1),
-    "rectangular_band": (zoo.rectangular_band, 2),
-    "brandt_b2": (zoo.brandt_b2, 0),
-    "powerset_nil": (zoo.powerset_nilsemigroup, 1),
-    "free_nilpotent": (zoo.free_nilpotent, 2),
-    "full_transformations": (zoo.full_transformations, 1),
-    "trivial": (zoo.trivial, 0),
+    "monogenic": ("monogenic", 2),
+    "cyclic": ("cyclic_group", 1),
+    "zero": ("zero_semigroup", 1),
+    "chain": ("chain_semilattice", 1),
+    "rectangular_band": ("rectangular_band", 2),
+    "brandt_b2": ("brandt_b2", 0),
+    "powerset_nil": ("powerset_nilsemigroup", 1),
+    "free_nilpotent": ("free_nilpotent", 2),
+    "full_transformations": ("full_transformations", 1),
+    "trivial": ("trivial", 0),
 }
 
 
 def _zoo_build(name, params):
+    from . import zoo
     if name == "partial_map":
         if len(params) < 3:
             raise SemigroupError("partial_map needs n m and n group orders")
@@ -69,7 +70,7 @@ def _zoo_build(name, params):
     fn, arity = _ZOO_TABLE[name]
     if len(params) != arity:
         raise SemigroupError(f"zoo fixture {name} takes {arity} parameter(s)")
-    return fn(*params)
+    return getattr(zoo, fn)(*params)
 
 
 def _resolve_ref(ref, base_dir):
@@ -140,6 +141,7 @@ def cmd_analyze(args):
     if args.json:
         print(json.dumps(analysis_bundle(S), indent=2))
     else:
+        from . import render
         ccr = is_conditionally_completely_regular(S)
         print(render.render_analysis(S))
         print(f"\nconditionally completely regular: {ccr}")
@@ -162,11 +164,13 @@ def cmd_decompose(args):
         payload.update(report.to_json())
         print(json.dumps(payload, indent=2))
     else:
+        from . import render
         print(render.render_decomposition(S, report))
     return 0
 
 
 def cmd_extend(args):
+    from .extend import build_extension, parse_phm
     text = read_text(args.path)
     base_dir = os.path.dirname(os.path.abspath(args.path))
     phi = parse_phm(text, lambda ref: _resolve_ref(ref, base_dir))
@@ -194,6 +198,7 @@ def cmd_zoo(args):
 
 
 def cmd_enumerate(args):
+    from . import zoo
     count = 0
     for S in zoo.enumerate_associative(args.order, dedup=args.dedup):
         count += 1
@@ -208,6 +213,7 @@ def cmd_verify(args):
     if not 0 <= args.samples <= SAMPLES_CAP:
         raise InvalidArgument(
             f"samples must be between 0 and {SAMPLES_CAP}, got {args.samples}")
+    from . import properties, zoo
     failures = []
     checked = 0
 

@@ -18,17 +18,21 @@ images, by a checked ideal or congruence), `direct_product`, `adjoin_zero`,
 homomorphism it validates first, associative by Clifford's theorem).  They
 fill their tables from whole rows of their inputs.
 
-The check runs in O(n^2) memory.  Up to order 256 every element fits a
-byte, so each row is a bytes object and, padded to 256 bytes, a translate
-table: translating a row by the row of x multiplies each of its entries by
-x on the left, in C.  Above order 256 the check compares uint16 numpy
-slabs of n^2 cells, one left factor (cube scan) or one generator (Light's
-test) at a time, about 7 bytes per cell of scratch; that is the only place
-the constructor imports numpy.  `ASSOC_BLOCK_CELLS` decides only between
-the full cube scan and Light's test, at every order.  Above order 256 every
-table, checked or derived, also has its rows rebuilt from the ints of one
-tuple(range(n)), so it keeps one int object per element and one 8-byte
-pointer per cell.
+The check runs in O(n^2) memory on one of three kernels.  Up to order 256
+every element fits a byte, so each row is a bytes object and, padded to
+256 bytes, a translate table: translating a row by the row of x multiplies
+each of its entries by x on the left, in C.  Above order 256, Light's test
+over a generating set G compares row tuples, the row of x*g against the
+row of x gathered by `itemgetter` at the row of g, while its |G| n^2 cells
+are at most `LIGHT_TUPLE_CELLS`.  Above that budget, and in the cube scan
+that finds the first failing triple of a table above order 256, the check
+compares uint16 numpy slabs of n^2 cells, one left factor (cube scan) or
+one generator (Light's test) at a time, about 7 bytes per cell of
+scratch; that is the only place the constructor imports numpy.
+`ASSOC_BLOCK_CELLS` decides only between the full cube scan and Light's
+test, at every order.  Above order 256 every table, checked or derived,
+also has its rows rebuilt from the ints of one tuple(range(n)), so it
+keeps one int object per element and one 8-byte pointer per cell.
 
 Structure derived from a semigroup is computed once and memoized in its
 `_cache` dict by `_cached`, for the semigroup's lifetime.  The keys:
@@ -53,7 +57,7 @@ filling the same key store equal values.
 from __future__ import annotations
 
 from itertools import chain
-from operator import index, itemgetter
+from operator import eq, index, itemgetter
 
 from .errors import (
     EmptyGenerators,
@@ -75,6 +79,11 @@ ORDER_CAP = 65535
 # Tables with at most this many cells n^3 are checked by the full cube
 # scan, larger ones by Light's test; that is all it decides.
 ASSOC_BLOCK_CELLS = 2 ** 21
+# Above order 256, Light's test over a generating set G runs on the row
+# tuples while its |G| n^2 cells are at most this many, and on numpy slabs
+# above: a gathered cell costs 7-9 ns, a numpy one about 1 ns after some
+# 40-60 ms and 13 MB to import numpy, so the two break even near 6M cells.
+LIGHT_TUPLE_CELLS = 2 ** 22
 _MISSING = object()
 
 
@@ -82,16 +91,19 @@ class Semigroup:
     """An immutable finite semigroup given by its Cayley table.
 
     `entries` is a sequence of n rows of n element indices.  Construction
-    validates every entry and full associativity, in O(n^2) memory: on
-    bytes rows, one translate per left factor, up to order 256, and one
-    uint16 numpy slab of n^2 cells per left factor or generator above it.
-    Up to n^3 = ASSOC_BLOCK_CELLS (n <= 128) the whole cube is scanned;
+    validates every entry and full associativity, in O(n^2) memory.  Up
+    to n^3 = ASSOC_BLOCK_CELLS (n <= 128) the whole cube is scanned;
     above that, Light's test over a magma generating set G takes
     O(|G| n^2 + n^2) time, which is O(n^3) only when every element is a
-    generator (a chain).  A non-associative table reports the
-    lexicographically first failing triple either way.  Above order 256 the validated rows are rebuilt
-    from one int object per element.  A two-sided zero and a two-sided
-    identity are detected automatically (each is unique when it exists).
+    generator (a chain).  Up to order 256 both run on bytes rows, one
+    translate per left factor.  Above it, Light's test gathers row tuples
+    while |G| n^2 <= LIGHT_TUPLE_CELLS, and otherwise compares one uint16
+    numpy slab of n^2 cells per generator, as the cube scan does per left
+    factor.  A non-associative table reports the lexicographically first
+    failing triple either way.  Above order 256 the validated rows are
+    rebuilt from one int object per element.  A two-sided zero and a
+    two-sided identity are detected automatically (each is unique when it
+    exists).
 
     Tables derived from a semigroup that is already checked are built by
     `_derived`, which skips the associativity check: see its docstring.
@@ -139,16 +151,19 @@ class Semigroup:
             if len(labels) != n:
                 raise InvalidArgument(f"expected {n} labels, got {len(labels)}")
 
-        cols = tuple(zip(*rows))
         ident = tuple(range(n))
         self.order = n
         self._rows = rows
         self.labels = labels
+        # only an idempotent's row is counted, and a column is read only
+        # for an element whose row passes, up to its first mismatch
         self.zero = next((z for z in range(n)
-                          if rows[z].count(z) == n and cols[z].count(z) == n),
+                          if rows[z][z] == z and rows[z].count(z) == n
+                          and not any(map(z.__ne__, map(itemgetter(z), rows)))),
                          None)
-        self.identity = next((e for e in range(n)
-                              if rows[e] == ident and cols[e] == ident), None)
+        self.identity = next((e for e in range(n) if rows[e] == ident
+                              and all(map(eq, map(itemgetter(e), rows), ident))),
+                             None)
         self._cache = {}
 
     def mul(self, i, j):
@@ -323,12 +338,20 @@ def _light_test(rows):
     elements a with (x*a)*y = x*(a*y) for all x, y are closed under the
     product, so a pass over G proves the whole table associative
     (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961,
-    section 1.2).  O(|G| n^2) time.
+    section 1.2).  O(|G| n^2) time; rows are tuples.
     """
     n = len(rows)
     gens = _magma_generators(rows)
     if n <= 256:
         return _byte_failure(rows, gens) is None
+    if len(gens) * n * n <= LIGHT_TUPLE_CELLS:
+        # for each row x: the row of x*g holds (x*g)*y, and the row of x
+        # read at the row of g holds x*(g*y), both for every y
+        for g in gens:
+            x_times_g = map(rows.__getitem__, map(itemgetter(g), rows))
+            if not all(map(eq, x_times_g, map(itemgetter(*rows[g]), rows))):
+                return False
+        return True
     import numpy as np
     t = np.array(rows, dtype=np.uint16)
     # one n x n slab per generator g: [x, y] is (x*g)*y on the left and

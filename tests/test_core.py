@@ -70,6 +70,30 @@ def cube_witness(rows):
     return None
 
 
+def corrupted_relabellings(S, count=50):
+    """count copies of a seeded relabelling of S, each with one random cell
+    overwritten, as lists of lists."""
+    n = S.order
+    assert n ** 3 > core.ASSOC_BLOCK_CELLS    # Light's path
+    rng = random.Random(n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    base = relabel(S._rows, perm)
+    for _ in range(count):
+        rows = [list(row) for row in base]
+        rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        yield rows
+
+
+def verdict(rows):
+    """None if Semigroup accepts rows, else its NonAssociative triple."""
+    try:
+        Semigroup(rows)
+    except NonAssociative as e:
+        return e.triple
+    return None
+
+
 def relabel(rows, perm):
     """The table of the same semigroup with element x renamed perm[x]."""
     n = len(rows)
@@ -310,24 +334,34 @@ class TestAssociativityCheck:
     ])
     def test_corrupted_cells_report_the_cube_witness(self, fixture, params):
         # few generators and n > 128, so Light's test decides first, on
-        # bytes rows up to order 256 and on numpy slabs above
+        # bytes rows up to order 256 and on row tuples above
+        for rows in corrupted_relabellings(getattr(zoo, fixture)(*params)):
+            expected = cube_witness(rows)
+            assert verdict(rows) == expected
+
+    @pytest.mark.parametrize("fixture, params", [
+        ("rectangular_band", (17, 17)),     # 289, |G| <= 33
+        ("monogenic", (150, 150)),          # 299, |G| = 1
+    ])
+    def test_both_light_kernels_agree_above_256(self, fixture, params,
+                                                monkeypatch):
+        # S and the same corrupted tables on row tuples and, with the budget
+        # at 0, on numpy slabs: the same Light verdict and the same witness
         S = getattr(zoo, fixture)(*params)
         n = S.order
-        assert n ** 3 > core.ASSOC_BLOCK_CELLS    # Light's path
-        rng = random.Random(n)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        base = relabel(S._rows, perm)
-        for _ in range(50):
-            rows = [list(row) for row in base]
-            rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
-            expected = cube_witness(rows)
-            if expected is None:
-                Semigroup(rows)
-                continue
-            with pytest.raises(NonAssociative) as e:
-                Semigroup(rows)
-            assert e.value.triple == expected
+        assert len(core._magma_generators(S._rows)) * n * n \
+            <= core.LIGHT_TUPLE_CELLS
+        tables = [S._rows, *corrupted_relabellings(S)]
+
+        def run():
+            return [(core._light_test(tuple(map(tuple, rows))), verdict(rows))
+                    for rows in tables]
+
+        on_tuples = run()
+        monkeypatch.setattr(core, "LIGHT_TUPLE_CELLS", 0)
+        on_numpy = run()
+        assert on_tuples == on_numpy
+        assert {passed for passed, _ in on_tuples} == {True, False}
 
     def test_full_scan_only_in_one_block_or_on_failure(self, monkeypatch):
         scans = []

@@ -8,6 +8,7 @@ import pytest
 
 import finsemi
 from finsemi import (
+    Semigroup,
     format_phm,
     format_sgt,
     load_sgt,
@@ -19,7 +20,7 @@ from finsemi import (
     zoo,
 )
 from finsemi.cli import main
-from finsemi.errors import SgtParseError
+from finsemi.errors import NonAssociative, SgtParseError
 from finsemi.render import render_egg_box, render_hasse
 
 
@@ -135,27 +136,52 @@ class TestCli:
         assert "line" in capsys.readouterr().out
 
     def test_numpy_loads_only_above_order_256(self, tmp_path):
-        # a fresh interpreter: numpy stays unloaded through analyze and
-        # validate at order 199 and is loaded by validate at order 289
-        small, large = tmp_path / "199.sgt", tmp_path / "289.sgt"
-        save_sgt(zoo.monogenic(100, 100), small)
-        save_sgt(zoo.rectangular_band(17, 17), large)
+        # A fresh interpreter reports, after each call, its exit code, first
+        # output line and which of numpy and the modules no analysis command
+        # runs it has loaded.  Above order 256 Light's test runs on tuples
+        # while |G| n^2 <= 2^22 (33 * 289^2 for rectangular_band(17, 17)),
+        # on numpy above (300^3 for chain_semilattice(300)), and a failing
+        # table is scanned for its witness with numpy.
+        rb = zoo.rectangular_band(17, 17)
+        bad = [list(row) for row in rb._rows]
+        bad[5][7] = 0
+        with pytest.raises(NonAssociative) as witness:
+            Semigroup(bad)
+        save_sgt(zoo.monogenic(100, 100), tmp_path / "199.sgt")
+        save_sgt(rb, tmp_path / "289.sgt")
+        save_sgt(zoo.chain_semilattice(300), tmp_path / "chain300.sgt")
+        (tmp_path / "bad289.sgt").write_text(
+            "289\n" + "".join(" ".join(map(str, row)) + "\n" for row in bad),
+            encoding="utf-8")
         script = (
             "import io, sys, contextlib\n"
             "from finsemi import cli\n"
-            "def run(*argv):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert cli.main(list(argv)) == 0\n"
-            "    return 'numpy' in sys.modules\n"
-            f"print(run('analyze', {str(small)!r}, '--json'),"
-            f" run('validate', {str(small)!r}),"
-            f" run('validate', {str(large)!r}))\n")
+            "for argv in sys.argv[1:]:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        rc = cli.main(argv.split())\n"
+            "    print(rc, out.getvalue().splitlines()[0], sep='|', end='|')\n"
+            "    print(*sorted(m for m in ('numpy', 'finsemi.extend',\n"
+            "        'finsemi.properties', 'finsemi.render', 'finsemi.zoo')\n"
+            "        if m in sys.modules))\n")
         src = str(Path(finsemi.__file__).resolve().parent.parent)
         paths = filter(None, [src, os.environ.get("PYTHONPATH")])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-        out = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["False", "False", "True"]
+
+        def run(*calls):
+            argv = [f"{cmd} {tmp_path / name}.sgt" for cmd, name in calls]
+            out = subprocess.run([sys.executable, "-c", script, *argv],
+                                 env=env, capture_output=True, text=True,
+                                 check=True)
+            return [line.split("|") for line in out.stdout.splitlines()]
+
+        calls = [(cmd, name) for name in ("199", "289")
+                 for cmd in ("validate", "analyze --json")]
+        assert [(rc, loaded) for rc, _, loaded in run(*calls)] == [("0", "")] * 4
+        assert run(("validate", "chain300")) == [
+            ["0", "valid semigroup of order 300 (zero=0, identity=299)", "numpy"]]
+        assert run(("validate", "bad289")) == [
+            ["1", f"invalid: {witness.value}", "numpy"]]
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.sgt")]) == 3
@@ -293,13 +319,11 @@ class TestCli:
 
     @pytest.mark.parametrize("samples", ["-5", "-1", "100001"])
     def test_verify_samples_out_of_range(self, capsys, monkeypatch, samples):
-        from finsemi import cli as cli_mod
-
         def no_sweep(*args, **kw):
             raise AssertionError("sampling started")
 
-        monkeypatch.setattr(cli_mod.zoo, "enumerate_associative", no_sweep)
-        monkeypatch.setattr(cli_mod.zoo, "sample_associative", no_sweep)
+        monkeypatch.setattr(finsemi.zoo, "enumerate_associative", no_sweep)
+        monkeypatch.setattr(finsemi.zoo, "sample_associative", no_sweep)
         assert main(["verify", "--order", "2", "--samples", samples]) == 1
         captured = capsys.readouterr()
         assert captured.err.strip() == (
@@ -325,12 +349,10 @@ class TestCli:
         assert capsys.readouterr().out == first
 
     def test_verify_prints_offender_verbatim(self, capsys, monkeypatch):
-        from finsemi import cli as cli_mod
-
         def fake_check(S, **kw):
             return ["planted violation"] if S.order == 2 and S.zero == 0 else []
 
-        monkeypatch.setattr(cli_mod.properties, "check_semigroup", fake_check)
+        monkeypatch.setattr(finsemi.properties, "check_semigroup", fake_check)
         assert main(["verify", "--order", "2", "--samples", "0"]) == 1
         out = capsys.readouterr().out
         assert "planted violation" in out

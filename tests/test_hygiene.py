@@ -1,12 +1,18 @@
 """Source hygiene: every library module, test module and demo uses each
-name it imports, every library function reads each local it assigns, and
-no library module imports numpy when it is loaded.
+name it imports, every library function reads each local it assigns, no
+library module imports numpy when it is loaded, and the CLI and the package
+load extend, properties, render and zoo only on first use, with every
+public name of the package still its defining object.
 
 `finsemi/__init__.py` is exempt from the import check, since its imports
 are the public API.
 """
 
 import ast
+import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -138,7 +144,9 @@ def test_the_check_sees_a_derived_call():
 
 
 def module_level_imports(source, name):
-    """Lines of the imports of module name outside every function."""
+    """Lines of the imports of module name outside every function; a
+    relative import names the module after its dots, so `from . import zoo`
+    and `from .zoo import x` both import "zoo"."""
     tree = ast.parse(source)
     inner = {id(node) for fn in ast.walk(tree)
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -149,8 +157,10 @@ def module_level_imports(source, name):
             continue
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
+        elif isinstance(node, ast.ImportFrom) and node.module:
             names = [node.module]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
         else:
             continue
         if any(n == name or n.startswith(name + ".") for n in names):
@@ -160,7 +170,8 @@ def module_level_imports(source, name):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_numpy_is_imported_only_inside_functions(path):
-    # the CLI loads numpy only for a table above order 256 or for
+    # the CLI loads numpy only above order 256, for a Light's test over more
+    # than LIGHT_TUPLE_CELLS cells or a failing table's witness, or for
     # Semigroup.table, so no module may import it at load time
     source = path.read_text(encoding="utf-8")
     assert module_level_imports(source, "numpy") == []
@@ -171,3 +182,80 @@ def test_the_check_sees_a_module_level_numpy_import():
               "import numpyro\nif True:\n    import numpy.linalg\n"
               "def f():\n    import numpy\n    return numpy\n")
     assert module_level_imports(source, "numpy") == [1, 2, 5]
+
+
+# Modules no analysis command runs: the CLI and the package load them on
+# first use, so validate, analyze and decompose never compile them.
+LAZY_MODULES = ("extend", "properties", "render", "zoo")
+
+
+@pytest.mark.parametrize("name", ["cli.py", "__init__.py"])
+def test_lazy_modules_are_imported_only_inside_functions(name):
+    source = (Path(finsemi.__file__).parent / name).read_text(encoding="utf-8")
+    assert {mod: module_level_imports(source, mod)
+            for mod in LAZY_MODULES} == dict.fromkeys(LAZY_MODULES, [])
+
+
+def test_the_check_sees_a_module_level_relative_import():
+    source = ("from . import zoo, render\nfrom .zoo import monogenic\n"
+              "from .zoology import x\nfrom . import zoology\n"
+              "def f():\n    from . import zoo\n    return zoo\n")
+    assert module_level_imports(source, "zoo") == [1, 2]
+
+
+# Every public name of the package at the commit that made extend,
+# properties, render and zoo lazy.
+PUBLIC_API = (
+    "Classification CliffordDecomposition ComponentReport DecompositionReport "
+    "ExtensionClassification ExtensionWitness GreenStructure PartialHom "
+    "Partition Semigroup StratificationReport adjoin_identity adjoin_zero "
+    "archimedean base_set build_extension canonical_phi classify "
+    "classify_extension clifford_decompose closure congruence_witness core "
+    "decompose depth direct_product enumerate_congruences errors extend "
+    "format_phm format_sgt from_table green ideal_witness idempotents "
+    "identity_partition interchangeable inverses is_clifford "
+    "is_completely_simple is_conditionally_completely_regular is_congruence "
+    "is_globally_idempotent is_grillet_stratified is_ideal is_left_ideal "
+    "is_right_ideal is_subsemigroup is_weakly_reductive isomorphic k_class "
+    "kje_partition load_sgt maximal_subgroup monoid_completion pair_index "
+    "parse_phm parse_sgt power_set product_set properties "
+    "quotient_by_congruence recover_partial_hom rees_quotient "
+    "regular_elements render restrict rho_partition save_sgt "
+    "semilattice_witness stratify subsemigroup_witness universal_partition "
+    "validate_partial_hom verify_rho weak_inverse_location weak_inverses zoo"
+).split()
+
+
+@pytest.mark.parametrize("name", PUBLIC_API)
+def test_public_name_is_its_defining_object(name):
+    obj = getattr(finsemi, name)
+    if inspect.ismodule(obj):
+        assert obj is sys.modules[f"finsemi.{name}"]
+    else:
+        # green and stratify are the functions, not their modules
+        assert obj is getattr(sys.modules[obj.__module__], name)
+        assert obj.__module__.startswith("finsemi.")
+
+
+def test_public_names_are_listed():
+    public = {n for n in dir(finsemi) if not n.startswith("_")}
+    # finsemi.cli is bound here once something imports it
+    assert public - {"cli"} == set(PUBLIC_API)
+    with pytest.raises(AttributeError):
+        finsemi.no_such_name
+
+
+def test_lazy_names_import_in_a_fresh_interpreter():
+    script = ("import sys\n"
+              "from finsemi import zoo, build_extension\n"
+              "import finsemi.extend as extend\n"
+              "assert build_extension is extend.build_extension\n"
+              "assert 'build_extension' not in vars(sys.modules['finsemi'])\n"
+              "print(zoo.__name__, sorted(m for m in sys.modules\n"
+              "      if m in ('finsemi.properties', 'finsemi.render')))\n")
+    src = str(Path(finsemi.__file__).resolve().parent.parent)
+    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["finsemi.zoo", "[]"]
