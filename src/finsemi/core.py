@@ -18,21 +18,12 @@ images, by a checked ideal or congruence), `direct_product`, `adjoin_zero`,
 homomorphism it validates first, associative by Clifford's theorem).  They
 fill their tables from whole rows of their inputs.
 
-The check runs in O(n^2) memory on one of three kernels.  Up to order 256
-every element fits a byte, so each row is a bytes object and, padded to
-256 bytes, a translate table: translating a row by the row of x multiplies
-each of its entries by x on the left, in C.  Above order 256, Light's test
-over a generating set G compares row tuples, the row of x*g against the
-row of x gathered by `itemgetter` at the row of g, while its |G| n^2 cells
-are at most `LIGHT_TUPLE_CELLS`.  Above that budget, and in the cube scan
-that finds the first failing triple of a table above order 256, the check
-compares uint16 numpy slabs of n^2 cells, one left factor (cube scan) or
-one generator (Light's test) at a time, about 7 bytes per cell of
-scratch; that is the only place the constructor imports numpy.
-`ASSOC_BLOCK_CELLS` decides only between the full cube scan and Light's
-test, at every order.  Above order 256 every table, checked or derived,
-also has its rows rebuilt from the ints of one tuple(range(n)), so it
-keeps one int object per element and one 8-byte pointer per cell.
+The check is the cube scan up to order 128 and Light's test above, in
+O(n^2) memory, on bytes rows up to order 256, on row tuples within
+`LIGHT_TUPLE_CELLS` and on numpy above: see `_failure`, the only place
+the constructor imports numpy.  Above order 256 every table, checked or
+derived, also has its rows rebuilt from the ints of one tuple(range(n)),
+so it keeps one int object per element and one 8-byte pointer per cell.
 
 Structure derived from a semigroup is computed once and memoized in its
 `_cache` dict by `_cached`, for the semigroup's lifetime.  The keys:
@@ -79,10 +70,8 @@ ORDER_CAP = 65535
 # Tables with at most this many cells n^3 are checked by the full cube
 # scan, larger ones by Light's test; that is all it decides.
 ASSOC_BLOCK_CELLS = 2 ** 21
-# Above order 256, Light's test over a generating set G runs on the row
-# tuples while its |G| n^2 cells are at most this many, and on numpy slabs
-# above: a gathered cell costs 7-9 ns, a numpy one about 1 ns after some
-# 40-60 ms and 13 MB to import numpy, so the two break even near 6M cells.
+# Above order 256, `_failure` runs on the row tuples while its |mids| n^2
+# cells are at most this many, and on numpy slabs above.
 LIGHT_TUPLE_CELLS = 2 ** 22
 _MISSING = object()
 
@@ -91,19 +80,16 @@ class Semigroup:
     """An immutable finite semigroup given by its Cayley table.
 
     `entries` is a sequence of n rows of n element indices.  Construction
-    validates every entry and full associativity, in O(n^2) memory.  Up
-    to n^3 = ASSOC_BLOCK_CELLS (n <= 128) the whole cube is scanned;
-    above that, Light's test over a magma generating set G takes
+    validates every entry and full associativity, in O(n^2) memory: the
+    whole cube is scanned up to n^3 = ASSOC_BLOCK_CELLS (n <= 128), and
+    above that Light's test over a magma generating set G takes
     O(|G| n^2 + n^2) time, which is O(n^3) only when every element is a
-    generator (a chain).  Up to order 256 both run on bytes rows, one
-    translate per left factor.  Above it, Light's test gathers row tuples
-    while |G| n^2 <= LIGHT_TUPLE_CELLS, and otherwise compares one uint16
-    numpy slab of n^2 cells per generator, as the cube scan does per left
-    factor.  A non-associative table reports the lexicographically first
-    failing triple either way.  Above order 256 the validated rows are
-    rebuilt from one int object per element.  A two-sided zero and a
-    two-sided identity are detected automatically (each is unique when it
-    exists).
+    generator (a chain).  Both run on bytes rows up to order 256, on row
+    tuples within LIGHT_TUPLE_CELLS and on numpy above (`_failure`).  A
+    non-associative table reports the lexicographically first failing
+    triple either way.  Above order 256 the validated rows are rebuilt
+    from one int object per element.  A two-sided zero and a two-sided
+    identity are detected automatically (each is unique when it exists).
 
     Tables derived from a semigroup that is already checked are built by
     `_derived`, which skips the associativity check: see its docstring.
@@ -113,11 +99,14 @@ class Semigroup:
 
     def __init__(self, entries, labels=None):
         rows = _checked_rows(entries, _int_row)
+        n = len(rows)
         # A cube of at most ASSOC_BLOCK_CELLS cells is scanned whole; above
-        # that, Light's test decides, and the scan only finds the first
-        # failing triple once it has failed.
-        if len(rows) ** 3 <= ASSOC_BLOCK_CELLS or not _light_test(rows):
-            _cube_scan(rows)
+        # that, Light's test decides, and the cube scan only finds the
+        # first failing triple once it has failed.
+        if (n ** 3 <= ASSOC_BLOCK_CELLS
+                or _failure(rows, _magma_generators(rows))):
+            if triple := _failure(rows, range(n)):
+                raise NonAssociative(*triple)
         self._fill(rows, labels)
 
     @classmethod
@@ -147,7 +136,8 @@ class Semigroup:
     def _fill(self, rows, labels):
         n = len(rows)
         if labels is not None:
-            labels = tuple(str(x) for x in labels)
+            labels = _must(iter, labels, "labels", "a sequence")
+            labels = tuple(map(str, labels))
             if len(labels) != n:
                 raise InvalidArgument(f"expected {n} labels, got {len(labels)}")
 
@@ -256,48 +246,6 @@ def _must(check, value, name, kind):
         raise InvalidArgument(f"{name} = {value!r} is not {kind}") from None
 
 
-def _cube_scan(rows):
-    """Raise NonAssociative with the first failing triple of the cube."""
-    n = len(rows)
-    if n <= 256:
-        triple = _byte_failure(rows, range(n))
-        if triple:
-            raise NonAssociative(*triple)
-        return
-    import numpy as np
-    t = np.array(rows, dtype=np.uint16)
-    # (x*j)*k = t[t[x, j], k];  x*(j*k) = t[x, t[j, k]].  One n x n slab
-    # per left factor x, in order, so the first hit is the first triple.
-    for x, row in enumerate(t):
-        left, right = t[row], row[t]
-        if not (left == right).all():
-            j, k = map(int, np.argwhere(left != right)[0])
-            raise NonAssociative(x, j, k)
-
-
-def _byte_failure(rows, mids):
-    """The first (x, m, y) with (x*m)*y != x*(m*y), for m in mids, or None;
-    the order is x, then m in the order of mids, then y.
-
-    Each row of a table of order <= 256 is a bytes object, and padded to
-    256 bytes it is a translate table.  O(|mids| n^2) time in n calls.
-    """
-    n = len(rows)
-    rb = list(map(bytes, rows))
-    pad = bytes(256 - n)
-    cells = b"".join(map(rb.__getitem__, mids))
-    pick = _getter(mids)
-    for x, row in enumerate(rows):
-        # at k*n + y: (x*m_k)*y from the row of x*m_k, and x*(m_k*y) from
-        # the row of m_k translated by the row of x
-        left = b"".join(map(rb.__getitem__, pick(row)))
-        right = cells.translate(rb[x] + pad)
-        if left != right:
-            p = next(p for p, (a, b) in enumerate(zip(left, right)) if a != b)
-            return x, mids[p // n], p % n
-    return None
-
-
 def _magma_generators(rows):
     """A set G whose closure under the raw product of the table is [0, n).
 
@@ -331,32 +279,67 @@ def _magma_generators(rows):
         fresh = made - reached
 
 
-def _light_test(rows):
-    """Light's associativity test over a magma generating set G.
+def _failure(rows, mids):
+    """The first (x, m, y) with (x*m)*y != x*(m*y), for m in mids, or None;
+    ordered by x, then m in the order of mids, then y.
 
-    True iff (x*g)*y = x*(g*y) for all x, y and every g in G.  The
-    elements a with (x*a)*y = x*(a*y) for all x, y are closed under the
-    product, so a pass over G proves the whole table associative
-    (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961,
-    section 1.2).  O(|G| n^2) time; rows are tuples.
+    With mids = range(n) this is the cube scan.  With mids a set G that
+    generates the table as a magma it is Light's test: the elements a with
+    (x*a)*y = x*(a*y) for all x, y are closed under the product, so a pass
+    over G proves the whole table associative (Clifford & Preston, The
+    Algebraic Theory of Semigroups I, 1961, section 1.2).  O(|mids| n^2)
+    time, one left factor x at a time, on one of three kernels:
+
+    - up to order 256 every element fits a byte, so each row is a bytes
+      object and, padded to 256 bytes, a translate table: translating the
+      rows of mids by the row of x multiplies each entry by x on the left;
+    - above order 256, while |mids| n^2 <= LIGHT_TUPLE_CELLS, row tuples:
+      the row of x*m against the row of x gathered by `itemgetter` at the
+      row of m.  A gathered cell costs 7-9 ns, a numpy one about 1 ns after
+      some 40-60 ms and 13 MB to import numpy, so the two break even near
+      6M cells;
+    - above that budget, uint16 numpy slabs of |mids| n cells per left
+      factor against an intp index of m*y built once, about 13 bytes per
+      cell of scratch.  Only this kernel imports numpy.
+
+    `rows` holds tuples of ints.
     """
     n = len(rows)
-    gens = _magma_generators(rows)
     if n <= 256:
-        return _byte_failure(rows, gens) is None
-    if len(gens) * n * n <= LIGHT_TUPLE_CELLS:
-        # for each row x: the row of x*g holds (x*g)*y, and the row of x
-        # read at the row of g holds x*(g*y), both for every y
-        for g in gens:
-            x_times_g = map(rows.__getitem__, map(itemgetter(g), rows))
-            if not all(map(eq, x_times_g, map(itemgetter(*rows[g]), rows))):
-                return False
-        return True
+        rb = list(map(bytes, rows))
+        pad = bytes(256 - n)
+        cells = b"".join(map(rb.__getitem__, mids))
+        pick = _getter(mids)
+        for x, row in enumerate(rows):
+            # at k*n + y: (x*m_k)*y from the row of x*m_k, and x*(m_k*y)
+            # from the row of m_k translated by the row of x
+            left = b"".join(map(rb.__getitem__, pick(row)))
+            right = cells.translate(rb[x] + pad)
+            if left != right:
+                p = next(p for p, (a, b) in enumerate(zip(left, right)) if a != b)
+                return x, mids[p // n], p % n
+        return None
+    if len(mids) * n * n <= LIGHT_TUPLE_CELLS:
+        # get(row of x) is x*(m*y) for every y
+        gets = [(m, _getter(rows[m])) for m in mids]
+        for x, row in enumerate(rows):
+            for m, get in gets:
+                left, right = rows[row[m]], get(row)
+                if left != right:
+                    pairs = enumerate(zip(left, right))
+                    return x, m, next(y for y, (a, b) in pairs if a != b)
+        return None
     import numpy as np
     t = np.array(rows, dtype=np.uint16)
-    # one n x n slab per generator g: [x, y] is (x*g)*y on the left and
-    # x*(g*y) on the right
-    return all((t[t[:, g]] == t[:, t[g]]).all() for g in gens)
+    at = np.array(mids, dtype=np.intp)
+    products = t[at].astype(np.intp)
+    for x, row in enumerate(t):
+        # [k, y]: (x*m_k)*y on the left, x*(m_k*y) on the right
+        left, right = t[row[at]], row[products]
+        if not (left == right).all():
+            k, y = map(int, np.argwhere(left != right)[0])
+            return x, mids[k], y
+    return None
 
 
 def from_table(n, entries, labels=None):
@@ -503,7 +486,7 @@ def closure(S, gens):
     """Smallest subsemigroup containing gens."""
     if not gens:
         raise EmptyGenerators("generating set is empty")
-    cur = frozenset(gens)
+    cur = _members(S, gens)
     while True:
         nxt = cur | product_set(S, cur, cur)
         if nxt == cur:
@@ -513,11 +496,13 @@ def closure(S, gens):
 
 def is_left_ideal(S, A):
     """True iff S^1 A is contained in A."""
-    return bool(A) and product_set(S, frozenset(S.elements), A) <= frozenset(A)
+    A = _members(S, A)
+    return bool(A) and product_set(S, frozenset(S.elements), A) <= A
 
 
 def is_right_ideal(S, A):
-    return bool(A) and product_set(S, A, frozenset(S.elements)) <= frozenset(A)
+    A = _members(S, A)
+    return bool(A) and product_set(S, A, frozenset(S.elements)) <= A
 
 
 def is_ideal(S, A):
@@ -525,7 +510,18 @@ def is_ideal(S, A):
 
 
 def is_subsemigroup(S, A):
-    return bool(A) and product_set(S, A, A) <= frozenset(A)
+    A = _members(S, A)
+    return bool(A) and product_set(S, A, A) <= A
+
+
+def _members(S, A):
+    """A as a frozenset; InvalidArgument names its first member that is
+    not an integer in [0, n), so none is read through a wrapping index."""
+    A = frozenset(A)
+    for a in A:
+        if not 0 <= _must(index, a, "element", "an integer") < S.order:
+            raise InvalidArgument(f"element {a!r} is not in [0, {S.order})")
+    return A
 
 
 def subsemigroup_witness(S, A):
@@ -562,7 +558,7 @@ def restrict(S, A):
     (elements in increasing S-index order).  When A is all of S, T is S
     itself, so its cached structure is shared.  T is cached on S.
     """
-    A = frozenset(A)
+    A = _members(S, A)
     if len(A) == S.order and A == frozenset(S.elements):
         return S, list(S.elements)
     T, elems = _cached(S, ("restrict", A), lambda: _restrict(S, A))
@@ -589,7 +585,7 @@ def rees_quotient(S, I):
     order at indices 0..k-1 and puts the collapsed zero last.  Returns
     (Q, qmap) with qmap[s] the quotient index of s; cached on S.
     """
-    I = frozenset(I)
+    I = _members(S, I)
     return _cached(S, ("rees", I), lambda: _rees_quotient(S, I))
 
 
@@ -639,6 +635,9 @@ def pair_index(T, i, j):
 
 def congruence_witness(S, partition):
     """None if the partition is a congruence, else a witness (a, b, c)."""
+    if partition.n != S.order:
+        raise InvalidArgument(f"partition of [0, {partition.n}) given for "
+                              f"a semigroup of order {S.order}")
     idx = partition.index_of
     t = S._rows
     classes = [sorted(c) for c in partition.classes if len(c) > 1]

@@ -15,7 +15,7 @@ from itertools import product
 from .core import (
     ORDER_CAP,
     Semigroup,
-    _cube_scan,
+    _failure,
     _profiles,
     adjoin_zero,
     direct_product,
@@ -28,7 +28,6 @@ from .errors import (
     InvalidArgument,
     InvalidLinking,
     KTooLarge,
-    NonAssociative,
     OrderTooLarge,
 )
 from .extend import PartialHom, build_extension
@@ -498,8 +497,8 @@ def enumerate_associative(n, dedup=None):
 
 
 def sample_associative(n, count, seed=0):
-    """Uniform random n x n tables that pass the Semigroup constructor's
-    cube scan, built only once they pass.
+    """Uniform random n x n tables that pass the cube scan, built into
+    Semigroups only once they pass.
 
     Few uniform tables are associative (3,492 of the 4^16 of order 4 and
     183,732 of the 5^25 of order 5), so above order 3 this rejection filter
@@ -510,12 +509,9 @@ def sample_associative(n, count, seed=0):
     cells = n * n
     for _ in range(count):
         flat = [rng.randrange(n) for _ in range(cells)]
-        rows = [flat[i * n:(i + 1) * n] for i in range(n)]
-        try:
-            _cube_scan(rows)
-        except NonAssociative:
-            continue
-        out.append(Semigroup(rows))
+        rows = [tuple(flat[i * n:(i + 1) * n]) for i in range(n)]
+        if _failure(rows, range(n)) is None:
+            out.append(Semigroup(rows))
     return out
 
 

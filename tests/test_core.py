@@ -161,8 +161,10 @@ class TestFromTable:
         (lambda: Semigroup([[0], 5]), "row table[1] = 5 is not a sequence"),
         (lambda: from_table(1, [5]), "row table[0] = 5 is not a sequence"),
         (lambda: from_table(2, 7), "table = 7 is not a sequence of rows"),
+        (lambda: Semigroup([[0]], labels=5), "labels = 5 is not a sequence"),
     ], ids=["Semigroup-int", "Semigroup-None", "Semigroup-int-row",
-            "Semigroup-second-row", "from_table-int-row", "from_table-int"])
+            "Semigroup-second-row", "from_table-int-row", "from_table-int",
+            "Semigroup-int-labels"])
     def test_non_sequences_name_the_table_or_first_bad_row(self, build,
                                                           message):
         with pytest.raises(InvalidArgument) as e:
@@ -339,43 +341,47 @@ class TestAssociativityCheck:
             expected = cube_witness(rows)
             assert verdict(rows) == expected
 
+    @pytest.mark.parametrize("budget", [0, 10 ** 12],
+                             ids=["numpy", "tuples"])
     @pytest.mark.parametrize("fixture, params", [
         ("rectangular_band", (17, 17)),     # 289, |G| <= 33
         ("monogenic", (150, 150)),          # 299, |G| = 1
     ])
-    def test_both_light_kernels_agree_above_256(self, fixture, params,
-                                                monkeypatch):
-        # S and the same corrupted tables on row tuples and, with the budget
-        # at 0, on numpy slabs: the same Light verdict and the same witness
+    def test_every_kernel_reports_the_cube_witness(self, fixture, params,
+                                                   budget, monkeypatch):
+        # S and the same corrupted tables on the kernel the budget forces
+        # above order 256: Light's test gives the same verdict on each,
+        # and the cube scan the witness of the oracle on a few (a tuple
+        # cube scan takes some 0.2 s at order 289).
         S = getattr(zoo, fixture)(*params)
         n = S.order
-        assert len(core._magma_generators(S._rows)) * n * n \
-            <= core.LIGHT_TUPLE_CELLS
-        tables = [S._rows, *corrupted_relabellings(S)]
-
-        def run():
-            return [(core._light_test(tuple(map(tuple, rows))), verdict(rows))
-                    for rows in tables]
-
-        on_tuples = run()
+        tables = [S._rows, *(tuple(map(tuple, rows))
+                             for rows in corrupted_relabellings(S))]
         monkeypatch.setattr(core, "LIGHT_TUPLE_CELLS", 0)
-        on_numpy = run()
-        assert on_tuples == on_numpy
-        assert {passed for passed, _ in on_tuples} == {True, False}
+        on_numpy = [core._failure(rows, core._magma_generators(rows)) is None
+                    for rows in tables]
+        assert set(on_numpy) == {True, False}
+        monkeypatch.setattr(core, "LIGHT_TUPLE_CELLS", budget)
+        assert [core._failure(rows, core._magma_generators(rows)) is None
+                for rows in tables] == on_numpy
+        witnesses = [core._failure(rows, range(n)) for rows in tables[:4]]
+        assert witnesses == list(map(cube_witness, tables[:4]))
+        assert witnesses[0] is None and any(witnesses)
 
     def test_full_scan_only_in_one_block_or_on_failure(self, monkeypatch):
         scans = []
-        scan = core._cube_scan
-        monkeypatch.setattr(core, "_cube_scan",
-                            lambda t: scans.append(len(t)) or scan(t))
+        failure = core._failure
+        monkeypatch.setattr(core, "_failure", lambda t, mids: scans.append(
+            (len(t), mids == range(len(t)))) or failure(t, mids))
         for n in (128, 129):
             Semigroup([[min(i, j) for j in range(n)] for i in range(n)])
-        assert scans == [128]
+        # the cube at 128; Light's test over the 129 elements of the chain
+        assert scans == [(128, True), (129, False)]
         rows = [[min(i, j) for j in range(200)] for i in range(200)]
         rows[3][5] = 7
         with pytest.raises(NonAssociative):
             Semigroup(rows)
-        assert scans == [128, 200]
+        assert scans[2:] == [(200, False), (200, True)]
 
 
 class TestSetAlgebra:
@@ -458,6 +464,30 @@ class TestIdeals:
         assert Q.order == 4 - 2 + 1
         assert sorted(qmap[x] for x in outside) == list(range(len(outside)))
 
+    @pytest.mark.parametrize("call", [
+        restrict, rees_quotient, closure, core.is_subsemigroup, is_left_ideal,
+        core.is_right_ideal, is_ideal])
+    @pytest.mark.parametrize("members, message", [
+        # read as element 0 through a wrapping index
+        ({-3, 0}, "element -3 is not in [0, 3)"),
+        ([0, -1], "element -1 is not in [0, 3)"),
+        ({0, 3}, "element 3 is not in [0, 3)"),     # a bare IndexError
+        ([1.0], "element = 1.0 is not an integer"),
+        (["1"], "element = '1' is not an integer"),
+    ])
+    def test_members_outside_the_elements_are_named(self, call, members,
+                                                    message):
+        Z = zoo.zero_semigroup(3)
+        with pytest.raises(InvalidArgument) as e:
+            call(Z, members)
+        assert str(e.value) == message
+        assert Z._cache == {}
+
+    def test_numpy_members_are_elements(self):
+        Z = zoo.zero_semigroup(3)
+        assert is_ideal(Z, {np.int64(0)})
+        assert restrict(Z, [np.int64(0), np.int64(1)])[1] == [0, 1]
+
 
 class TestProductsQuotients:
     def test_product_base(self, z2, n2):
@@ -515,6 +545,19 @@ class TestProductsQuotients:
         assert p.same(a, b)
         assert (not p.same(m32.mul(a, c), m32.mul(b, c))
                 or not p.same(m32.mul(c, a), m32.mul(c, b)))
+
+    @pytest.mark.parametrize("classes", [[[0], [1]], [[0, 1, 2, 3]]])
+    def test_partitions_of_another_order_are_rejected(self, classes):
+        # [[0], [1]] passed as a congruence of order 3 and [[0, 1, 2, 3]]
+        # raised a bare IndexError
+        Z, p = zoo.zero_semigroup(3), Partition(classes)
+        for call in (core.congruence_witness, is_congruence,
+                     quotient_by_congruence):
+            with pytest.raises(InvalidArgument) as e:
+                call(Z, p)
+            assert str(e.value) == (f"partition of [0, {p.n}) given for a "
+                                    f"semigroup of order 3")
+        assert Z._cache == {}
 
 
 class TestElementPredicates:

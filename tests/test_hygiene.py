@@ -143,29 +143,47 @@ def test_the_check_sees_a_derived_call():
     assert derived_users(source) == {"_restrict", "g", "<lambda>"}
 
 
-def module_level_imports(source, name):
-    """Lines of the imports of module name outside every function; a
+def imports_module(node, name):
+    """Whether node is an import of module name or a submodule of it; a
     relative import names the module after its dots, so `from . import zoo`
     and `from .zoo import x` both import "zoo"."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.module:
+        names = [node.module]
+    elif isinstance(node, ast.ImportFrom):
+        names = [alias.name for alias in node.names]
+    else:
+        return False
+    return any(n == name or n.startswith(name + ".") for n in names)
+
+
+def module_level_imports(source, name):
+    """Lines of the imports of module name outside every function."""
     tree = ast.parse(source)
     inner = {id(node) for fn in ast.walk(tree)
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
              for node in ast.walk(fn)}
-    lines = []
-    for node in ast.walk(tree):
-        if id(node) in inner:
-            continue
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            names = [node.module]
-        elif isinstance(node, ast.ImportFrom):
-            names = [alias.name for alias in node.names]
-        else:
-            continue
-        if any(n == name or n.startswith(name + ".") for n in names):
-            lines.append(node.lineno)
-    return lines
+    return [node.lineno for node in ast.walk(tree)
+            if id(node) not in inner and imports_module(node, name)]
+
+
+def importers(source, name):
+    """Dotted names of the functions and classes (or "<module>") that hold
+    an import of module name, each import counted for the innermost."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            where = node.name if where == "<module>" else f"{where}.{node.name}"
+        if imports_module(node, name):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -182,6 +200,22 @@ def test_the_check_sees_a_module_level_numpy_import():
               "import numpyro\nif True:\n    import numpy.linalg\n"
               "def f():\n    import numpy\n    return numpy\n")
     assert module_level_imports(source, "numpy") == [1, 2, 5]
+
+
+def test_numpy_is_imported_only_by_the_scan_and_the_table():
+    # core._failure is the one associativity scan, so a second numpy
+    # kernel cannot come back unnoticed
+    found = {(path.name, where) for path in SOURCES
+             for where in importers(path.read_text(encoding="utf-8"), "numpy")}
+    assert found == {("core.py", "_failure"), ("core.py", "Semigroup.table")}
+
+
+def test_the_check_sees_every_numpy_importer():
+    source = ("import numpy as np\nclass A:\n    from numpy import uint8\n"
+              "    def f(self):\n        def g():\n"
+              "            import numpy.linalg\n        import numpyro\n"
+              "def h():\n    import json\n")
+    assert importers(source, "numpy") == {"<module>", "A", "A.f.g"}
 
 
 # Modules no analysis command runs: the CLI and the package load them on
