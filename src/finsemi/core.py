@@ -514,26 +514,31 @@ def is_subsemigroup(S, A):
     return bool(A) and product_set(S, A, A) <= A
 
 
+def _member(S, a):
+    """a; InvalidArgument unless it is an integer in [0, n), so that no
+    element is read through a wrapping index."""
+    if not 0 <= _must(index, a, "element", "an integer") < S.order:
+        raise InvalidArgument(f"element {a!r} is not in [0, {S.order})")
+    return a
+
+
 def _members(S, A):
-    """A as a frozenset; InvalidArgument names its first member that is
-    not an integer in [0, n), so none is read through a wrapping index."""
-    A = frozenset(A)
-    for a in A:
-        if not 0 <= _must(index, a, "element", "an integer") < S.order:
-            raise InvalidArgument(f"element {a!r} is not in [0, {S.order})")
-    return A
+    """A as a frozenset, each member checked by `_member`."""
+    return frozenset([_member(S, a) for a in A])
 
 
 def subsemigroup_witness(S, A):
     """The first (a, b) in sorted A x A with a*b outside A, or None."""
-    A, elems = frozenset(A), sorted(A)
+    A = _members(S, A)
+    elems = sorted(A)
     return next(((a, b) for a in elems for b in elems
                  if S.mul(a, b) not in A), None)
 
 
 def ideal_witness(S, A):
     """The first (s, a) in S x sorted A with s*a or a*s outside A, or None."""
-    A, elems = frozenset(A), sorted(A)
+    A = _members(S, A)
+    elems = sorted(A)
     return next(((s, a) for s in S.elements for a in elems
                  if S.mul(s, a) not in A or S.mul(a, s) not in A), None)
 
@@ -743,7 +748,7 @@ def _quotient(S, partition):
 
 def interchangeable(S, a, b):
     """Distinct elements with identical left and right actions."""
-    if a == b:
+    if _member(S, a) == _member(S, b):
         return False
     t = S._rows
     return all(t[a][x] == t[b][x] and t[x][a] == t[x][b] for x in S.elements)

@@ -23,6 +23,7 @@ from .core import (
     ideal_witness,
     interchangeable_pair,
     is_ideal,
+    product_set,
     quotient_by_congruence,
     rees_quotient,
     restrict,
@@ -41,7 +42,7 @@ from .errors import (
     NotWeaklyReductive,
     SgtParseError,
 )
-from .green import green, idempotents, is_clifford
+from .green import green, is_clifford, is_group
 
 
 @dataclass(frozen=True)
@@ -286,9 +287,7 @@ def clifford_decompose(sigma, ideal):
     comps = []
     for k, cls in enumerate(tilde.classes):
         grp = groups[alpha[k]]
-        comp_sub, comp_elems = restrict(sigma, cls)
-        inner = frozenset(comp_elems.index(x) for x in grp)
-        if not is_ideal(comp_sub, inner):
+        if not product_set(sigma, cls, grp) | product_set(sigma, grp, cls) <= grp:
             raise InternalTheoremViolation(
                 "component group is not an ideal of its component")
         comps.append((k, frozenset(cls), grp))
@@ -302,7 +301,8 @@ def canonical_phi(sigma, components):
     semilattice of group extensions.
 
     `components` lists (sigma_alpha, g_alpha) pairs partitioning sigma with
-    the g_alpha groups; their union must be an ideal.  build_extension of
+    the g_alpha groups; their union must be an ideal, and a g_alpha that is
+    not a group (`green.is_group`) raises NotClifford.  build_extension of
     the result reproduces sigma's multiplication exactly (up to the standard
     index order: ideal first)."""
     pairs = [(frozenset(sa), frozenset(ga)) for sa, ga in components]
@@ -316,10 +316,9 @@ def canonical_phi(sigma, components):
     mapping = {}
     for sa, ga in pairs:
         sub, sub_elems = restrict(sigma, ga)
-        ids = [sub_elems[e] for e in idempotents(sub)]
-        if len(ids) != 1:
+        if not is_group(sub):
             raise NotClifford(f"component part {sorted(ga)} is not a group")
-        e_alpha = ids[0]
+        e_alpha = sub_elems[sub.identity]
         for a in sa - ga:
             mapping[qmap[a]] = pos[sigma.mul(a, e_alpha)]
     return validate_partial_hom(source, target, mapping)

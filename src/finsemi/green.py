@@ -5,18 +5,17 @@ The principal ideals come from the Cayley graphs, as in Froidure & Pin
 S^1aS^1 = S^1(aS^1) the union of S^1x over x in aS^1, built once per
 distinct R-ideal.  That is at most n^2 set insertions per R-class: O(n^2)
 when R-classes are few, O(n^3) at worst (a chain), and no n x n gather per
-element.  The
-five relations are cross-validated at construction: D is computed as R∘L
-from the L-classes each R-class meets, asserted to be an equivalence,
-asserted equal to L∘R, and asserted equal to J (theorems on finite
-semigroups, so a mismatch is an engine bug, not an input property).
+element.  D = J is checked by the egg-box test: the R- and L-classes that
+meet a J-class lie inside it and each R-class there meets each L-class,
+which holds iff R∘L = L∘R = J (a theorem on finite semigroups, so a
+failure is an engine bug, not an input property).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Partition, _cached, restrict
+from .core import Partition, _cached, _member, restrict
 from .errors import (
     InternalTheoremViolation,
     NotConditionallyCompletelyRegular,
@@ -57,34 +56,25 @@ def green(S):
 
 
 def _green(S):
-    n = S.order
     rs, ls, js = _principal_ideals(S)
     R = Partition.from_index(rs)
     L = Partition.from_index(ls)
     H = Partition.from_index(tuple(zip(rs, ls)))
     J = Partition.from_index(js)
 
-    # D = R∘L: a D b iff some c has a R c and c L b, so D_a is the union of
-    # the L-classes that R_a meets.  Compare those sets of class indices.
-    l_of_r = [frozenset(L.index_of[c] for c in r) for r in R.classes]
-    r_of_l = [frozenset(R.index_of[c] for c in lc) for lc in L.classes]
-    for ls_met in l_of_r:
-        for lc in ls_met:
-            if any(l_of_r[r] != ls_met for r in r_of_l[lc]):
-                raise InternalTheoremViolation("R∘L is not an equivalence")
-    d_sets = [frozenset().union(*(L.classes[lc] for lc in met)) for met in l_of_r]
-    ld_sets = [frozenset().union(*(R.classes[r] for r in met)) for met in r_of_l]
-    for a in range(n):
-        if ld_sets[L.index_of[a]] != d_sets[R.index_of[a]]:
-            raise InternalTheoremViolation("R∘L != L∘R")
-    D = Partition.from_index([l_of_r[r] for r in R.index_of])
-    if D != J:
-        raise InternalTheoremViolation("D != J on a finite semigroup")
+    # the egg-box test of the module docstring (Howie 1995, §2.1)
+    for cls in J.classes:
+        rc = {R.index_of[x] for x in cls}
+        lc = {L.index_of[x] for x in cls}
+        if (sum(len(R.classes[r]) for r in rc) != len(cls)
+                or sum(len(L.classes[c]) for c in lc) != len(cls)
+                or len({H.index_of[x] for x in cls}) != len(rc) * len(lc)):
+            raise InternalTheoremViolation("D != J on a finite semigroup")
 
     # J_x <= J_y iff x lies in the ideal S^1yS^1
     order = frozenset((J.index_of[x], cj)
                       for cj, cls in enumerate(J.classes) for x in js[min(cls)])
-    return GreenStructure(R=R, L=L, H=H, D=D, J=J, j_order=order)
+    return GreenStructure(R=R, L=L, H=H, D=J, J=J, j_order=order)
 
 
 def idempotents(S):
@@ -108,26 +98,31 @@ def _regular(S):
 
 def weak_inverses(S, s):
     """W(s) = {x : x s x = x}."""
-    t = S._rows
+    t, s = S._rows, _member(S, s)
     return frozenset(x for x in S.elements if t[t[x][s]][x] == x)
 
 
 def inverses(S, s):
     """V(s) = {x : x s x = x and s x s = s}."""
-    t = S._rows
+    t, s = S._rows, _member(S, s)
     return frozenset(x for x in S.elements
                      if t[t[x][s]][x] == x and t[t[s][x]][s] == s)
 
 
 def element_powers(S, s):
     """The distinct powers s, s^2, ... in order, up to the first repeat."""
-    seq = [s]
+    seq = [_member(S, s)]
     seen = {s}
     p = s
     while (p := S.mul(p, s)) not in seen:
         seq.append(p)
         seen.add(p)
     return seq
+
+
+def is_group(S):
+    """S has an identity e in every row (finite: xy = e implies yx = e)."""
+    return S.identity is not None and all(S.identity in r for r in S._rows)
 
 
 def ccr_witness(S):
@@ -175,7 +170,7 @@ def is_clifford(S):
 
 def maximal_subgroup(S, e):
     """H_e, the largest subgroup containing the idempotent e."""
-    if S.mul(e, e) != e:
+    if S.mul(_member(S, e), e) != e:
         raise NotIdempotent(e)
     return green(S).H.class_of(e)
 

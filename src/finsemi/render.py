@@ -3,6 +3,8 @@ Hasse diagrams for semilattice quotients."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .green import green, idempotents
 from .stratify import stratify
 
@@ -17,8 +19,7 @@ def render_egg_box(S):
     idempotents are starred.  Higher J-classes come first."""
     g = green(S)
     E = idempotents(S)
-    above = {c: sum(1 for d in range(len(g.J)) if (c, d) in g.j_order)
-             for c in range(len(g.J))}
+    above = Counter(c for c, _ in g.j_order)  # J-classes at or above c
     lines = []
     for ci in sorted(range(len(g.D)), key=lambda c: (above[c], min(g.D.classes[c]))):
         dcls = g.D.classes[ci]
@@ -42,8 +43,8 @@ def render_egg_box(S):
     return "\n".join(lines)
 
 
-def render_stratification(S, report=None):
-    report = report or stratify(S)
+def render_stratification(S):
+    report = stratify(S)
     lines = [f"height {report.height}; "
              f"base {{{_cell_text(S, report.base, idempotents(S))}}}"]
     for m, layer in enumerate(report.layers, start=1):
@@ -93,9 +94,9 @@ def render_decomposition(S, report):
     return "\n".join(lines)
 
 
-def render_analysis(S, strat_report=None):
+def render_analysis(S):
     head = [repr(S)]
     if S.labels:
         head.append("elements: " + " ".join(S.labels))
     return "\n".join(head + ["", render_egg_box(S), "",
-                             render_stratification(S, strat_report)])
+                             render_stratification(S)])

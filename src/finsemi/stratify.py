@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .core import _cached, _power_chain, base_set, rees_quotient
+from .core import _cached, _member, _power_chain, base_set, rees_quotient
 from .green import regular_elements
 
 BASE = "base"
@@ -62,7 +62,7 @@ def _stratify(S):
 
 def depth(S, s):
     """The layer index of s, or "base"."""
-    return stratify(S).depth_of[s]
+    return stratify(S).depth_of[_member(S, s)]
 
 
 def is_grillet_stratified(S):

@@ -31,7 +31,7 @@ from .errors import (
     OrderTooLarge,
 )
 from .extend import PartialHom, build_extension
-from .green import is_clifford
+from .green import is_clifford, is_group
 
 ENUMERATION_ORDER_CAP = 4
 FREE_NILPOTENT_ORDER_CAP = 200
@@ -296,12 +296,10 @@ def strong_semilattice(Y, parts, linking):
 
 
 def clifford(data):
-    """The Clifford semigroup S[Y; G_a; phi]; validated to be Clifford."""
-    for g in data.groups:
-        e = g.identity
-        if e is None or any(all(g.mul(x, y) != e for y in g.elements)
-                            for x in g.elements):
-            raise InvalidLinking(None, "every part must be a group")
+    """The Clifford semigroup S[Y; G_a; phi]; validated to be Clifford, and
+    InvalidLinking when a part G_a is not a group (`green.is_group`)."""
+    if not all(map(is_group, data.groups)):
+        raise InvalidLinking(None, "every part must be a group")
     S = strong_semilattice(data.semilattice, data.groups, data.linking)
     if not is_clifford(S):
         raise InvalidLinking(None, "assembled semigroup is not Clifford")
@@ -317,13 +315,14 @@ def partial_map_extension(n, m, groups, picks=None):
     picks are validated and can be rejected with LawViolation: with n >= 2
     and m >= 3 a product can cap one coordinate while staying below the cap
     in another, and then g^(capped) != g^(true sum) unless g is trivial.
+    A factor that is not a group (a monoid, say) raises InvalidArgument.
     """
     if n < 1 or m < 1 or len(groups) != n:
         raise InvalidArgument("need n >= 1, m >= 1 and one group per coordinate")
     if picks is None:
         picks = [g.identity for g in groups]
     for g, p in zip(groups, picks):
-        if g.identity is None:
+        if not is_group(g):
             raise InvalidArgument("every factor must be a group")
         if not 0 <= p < g.order:
             raise InvalidArgument(f"pick {p} outside the group")

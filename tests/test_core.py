@@ -12,18 +12,22 @@ from finsemi import (
     adjoin_zero,
     base_set,
     closure,
+    depth,
     direct_product,
     enumerate_congruences,
     format_sgt,
     from_table,
     ideal_witness,
     interchangeable,
+    inverses,
     is_congruence,
     is_globally_idempotent,
     is_ideal,
     is_left_ideal,
     is_weakly_reductive,
+    k_class,
     isomorphic,
+    maximal_subgroup,
     monoid_completion,
     pair_index,
     parse_sgt,
@@ -35,10 +39,12 @@ from finsemi import (
     semilattice_witness,
     stratify,
     subsemigroup_witness,
+    weak_inverses,
     zoo,
 )
 from finsemi import core
 from finsemi.core import _cached, find_isomorphism
+from finsemi.green import element_powers
 from finsemi.errors import (
     EmptyGenerators,
     IndexOutOfRange,
@@ -466,7 +472,7 @@ class TestIdeals:
 
     @pytest.mark.parametrize("call", [
         restrict, rees_quotient, closure, core.is_subsemigroup, is_left_ideal,
-        core.is_right_ideal, is_ideal])
+        core.is_right_ideal, is_ideal, subsemigroup_witness, ideal_witness])
     @pytest.mark.parametrize("members, message", [
         # read as element 0 through a wrapping index
         ({-3, 0}, "element -3 is not in [0, 3)"),
@@ -487,6 +493,35 @@ class TestIdeals:
         Z = zoo.zero_semigroup(3)
         assert is_ideal(Z, {np.int64(0)})
         assert restrict(Z, [np.int64(0), np.int64(1)])[1] == [0, 1]
+
+    @pytest.mark.parametrize("call", [
+        lambda S, s: interchangeable(S, s, 0),
+        lambda S, s: interchangeable(S, 0, s),
+        weak_inverses, inverses, element_powers, maximal_subgroup, k_class,
+        depth,
+    ], ids=["interchangeable-a", "interchangeable-b", "weak_inverses",
+            "inverses", "element_powers", "maximal_subgroup", "k_class",
+            "depth"])
+    @pytest.mark.parametrize("element, message", [
+        # -1 and -3 were read as elements 2 and 0 through a wrapping index
+        (-1, "element -1 is not in [0, 3)"),
+        (-3, "element -3 is not in [0, 3)"),
+        (3, "element 3 is not in [0, 3)"),
+        (7, "element 7 is not in [0, 3)"),      # a bare IndexError
+        (1.0, "element = 1.0 is not an integer"),
+        ("1", "element = '1' is not an integer"),
+    ])
+    def test_an_element_outside_the_semigroup_is_named(self, call, element,
+                                                       message):
+        with pytest.raises(InvalidArgument) as e:
+            call(zoo.zero_semigroup(3), element)
+        assert str(e.value) == message
+
+    def test_numpy_elements_are_elements(self):
+        Z = zoo.zero_semigroup(3)
+        assert weak_inverses(Z, np.int64(1)) == {0}
+        assert depth(Z, np.int64(0)) == depth(Z, 0)
+        assert not interchangeable(Z, np.int64(1), 1)
 
 
 class TestProductsQuotients:

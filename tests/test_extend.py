@@ -309,6 +309,44 @@ class TestCliffordDecompose:
             clifford_decompose(C, set(C.elements))
         assert str(e.value) == "Sigma/~ is not isomorphic to Y"
 
+    def test_quotient_not_a_semilattice_is_a_theorem_violation(
+            self, monkeypatch):
+        C = clifford_z2_over_trivial()
+        quotient, calls = extend.quotient_by_congruence, []
+
+        def z2_quotient(S, p):
+            calls.append(p)
+            Q, index_of = quotient(S, p)
+            if len(calls) == 2:          # Sigma/~, made a group
+                Q = from_table(2, [[0, 1], [1, 0]])
+            return Q, index_of
+
+        monkeypatch.setattr(extend, "quotient_by_congruence", z2_quotient)
+        with pytest.raises(InternalTheoremViolation) as e:
+            clifford_decompose(C, set(C.elements))
+        assert str(e.value) == "Sigma/~ is not a semilattice"
+
+    def test_group_not_an_ideal_is_a_theorem_violation(self, monkeypatch):
+        C = clifford_z2_over_trivial()
+        # every product set made all of Sigma, which leaves the bottom
+        # component's group {0}
+        monkeypatch.setattr(extend, "product_set",
+                            lambda S, A, B: frozenset(S.elements))
+        with pytest.raises(InternalTheoremViolation) as e:
+            clifford_decompose(C, set(C.elements))
+        assert str(e.value) == (
+            "component group is not an ideal of its component")
+
+    def test_builds_no_restriction_of_a_component(self):
+        C = clifford_z2_over_trivial()
+        T = from_table(2, T_A0)
+        sigma = build_extension(validate_partial_hom(T, C, {0: 1})).sigma
+        dec = clifford_decompose(sigma, set(C.elements))
+        classes = {sa for _, sa, _ in dec.components}
+        assert classes == {frozenset({0}), frozenset({1, 2, 3})}
+        assert not any(isinstance(k, tuple) and k[0] == "restrict"
+                       and k[1] in classes for k in sigma._cache)
+
     def test_not_clifford(self):
         lz = zoo.rectangular_band(2, 1)
         sigma = adjoin_identity(lz)
@@ -352,6 +390,12 @@ class TestCanonicalPhi:
     def test_group_union_not_ideal(self, t2):
         with pytest.raises(GroupUnionNotIdeal):
             canonical_phi(t2, [({0, 3}, {0}), ({1, 2}, {1, 2})])
+
+    def test_part_with_one_idempotent_that_is_no_group(self):
+        # the zero is its only idempotent, but it has no identity
+        with pytest.raises(NotClifford) as e:
+            canonical_phi(zoo.zero_semigroup(2), [({0, 1}, {0, 1})])
+        assert str(e.value) == "component part [0, 1] is not a group"
 
 
 def test_monoid_ideal_forces_strict():

@@ -1,3 +1,6 @@
+import importlib
+import random
+
 import pytest
 
 from finsemi import (
@@ -16,8 +19,12 @@ from finsemi import (
     weak_inverses,
     zoo,
 )
-from finsemi.errors import NotASubsemigroup, NotIdempotent
-from finsemi.green import _principal_ideals, ccr_witness
+from finsemi.errors import (
+    InternalTheoremViolation,
+    NotASubsemigroup,
+    NotIdempotent,
+)
+from finsemi.green import _principal_ideals, ccr_witness, is_group
 from finsemi.properties import (
     _raw_e_dense,
     _raw_eventually_regular,
@@ -26,6 +33,9 @@ from finsemi.properties import (
     _raw_principal_ideals,
 )
 from test_golden import FIXTURES, _relabel
+
+# the module, since `finsemi.green` is the function
+green_module = importlib.import_module("finsemi.green")
 
 
 class TestGreenClasses:
@@ -41,7 +51,7 @@ class TestGreenClasses:
         assert g.L.as_lists() == [[0, 2], [1, 3], [4]]
         assert g.H.as_lists() == [[0], [1], [2], [3], [4]]
         assert g.J.as_lists() == [[0, 1, 2, 3], [4]]
-        assert g.D == g.J
+        assert g.D is g.J
 
     def test_t2_classes(self, t2):
         g = green(t2)
@@ -52,6 +62,69 @@ class TestGreenClasses:
         g = green(m32)
         assert g.j_leq(3, 0) and not g.j_leq(0, 3)
         assert g.j_leq(2, 1) and g.j_leq(1, 0)
+
+
+class TestEggBoxCheck:
+    @staticmethod
+    def literal_d_is_not_j(rs, ls, js):
+        """Whether R∘L, L∘R and J, each built as a set of pairs from the
+        principal ideals, are not all equal."""
+        n = len(rs)
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        r_l = {(a, b) for a, b in pairs
+               if any(rs[a] == rs[c] and ls[c] == ls[b] for c in range(n))}
+        l_r = {(a, b) for a, b in pairs
+               if any(ls[a] == ls[c] and rs[c] == rs[b] for c in range(n))}
+        j = {(a, b) for a, b in pairs if js[a] == js[b]}
+        return not r_l == l_r == j
+
+    def test_raises_exactly_when_d_is_not_j(self, monkeypatch):
+        # on every table of order <= 3, replace one element's R-, L- or
+        # J-ideal by another element's in every way, then two at a time in
+        # five seeded draws
+        rng = random.Random(19)
+        verdicts = []
+        for n in (1, 2, 3):
+            for S in zoo.enumerate_associative(n):
+                ideals = _principal_ideals(S)
+                singles = [(k, a, b) for k in range(3)
+                           for a in range(n) for b in range(n) if a != b]
+                swaps = [[]] + [[s] for s in singles]
+                if singles:
+                    swaps += [rng.sample(singles, 2) for _ in range(5)]
+                for swap in swaps:
+                    bad = [list(t) for t in ideals]
+                    for k, a, b in swap:
+                        bad[k][a] = bad[k][b]
+                    bad = tuple(map(tuple, bad))
+                    monkeypatch.setattr(green_module, "_principal_ideals",
+                                        lambda _, bad=bad: bad)
+                    expected = self.literal_d_is_not_j(*bad)
+                    assert swap or not expected
+                    if expected:
+                        with pytest.raises(InternalTheoremViolation) as e:
+                            green_module._green(S)
+                        assert str(e.value) == "D != J on a finite semigroup"
+                    else:
+                        green_module._green(S)
+                    verdicts.append(expected)
+        assert verdicts.count(True) > 500 and verdicts.count(False) > 500
+
+
+class TestIsGroup:
+    def test_matches_the_definition_on_every_table_up_to_order4(self):
+        groups = 0
+        for n in (1, 2, 3, 4):
+            for S in zoo.enumerate_associative(n):
+                t, el = S._rows, range(n)
+                ids = [e for e in el
+                       if all(t[e][x] == x == t[x][e] for x in el)]
+                literal = any(all(any(t[x][y] == e == t[y][x] for y in el)
+                                  for x in el) for e in ids)
+                assert is_group(S) == literal, t
+                groups += literal
+        # n!/|Aut G| labellings of each group: 1, 2, 3 and 12 + 4
+        assert groups == 1 + 2 + 3 + 16
 
 
 class TestPrincipalIdeals:

@@ -2,7 +2,8 @@
 name it imports, every library function reads each local it assigns, no
 library module imports numpy when it is loaded, and the CLI and the package
 load extend, properties, render and zoo only on first use, with every
-public name of the package still its defining object.
+public name of the package still its defining object, and the text of
+every InternalTheoremViolation message appears in some test.
 
 `finsemi/__init__.py` is exempt from the import check, since its imports
 are the public API.
@@ -293,3 +294,51 @@ def test_lazy_names_import_in_a_fresh_interpreter():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["finsemi.zoo", "[]"]
+
+
+def theorem_messages(source):
+    """The constant text of each `raise InternalTheoremViolation(...)`
+    message: a string, the literal parts of an f-string, and both arms of
+    an if-expression."""
+
+    def texts(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+        elif isinstance(node, ast.JoinedStr):
+            for part in node.values:
+                yield from texts(part)
+        elif isinstance(node, ast.IfExp):
+            yield from texts(node.body)
+            yield from texts(node.orelse)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name)
+                and node.exc.func.id == "InternalTheoremViolation"):
+            for arg in node.exc.args:
+                found.extend(texts(arg))
+    return found
+
+
+# every test module but this one, whose snippet names messages of its own
+TEST_TEXT = "".join(p.read_text(encoding="utf-8")
+                    for p in sorted(REPO.glob("tests/*.py"))
+                    if p.name != Path(__file__).name)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_theorem_message_is_tested(path):
+    messages = theorem_messages(path.read_text(encoding="utf-8"))
+    assert [m for m in messages if m not in TEST_TEXT] == []
+
+
+def test_the_check_sees_every_theorem_message():
+    source = ("def f(S, w):\n"
+              "    if w:\n"
+              "        raise InternalTheoremViolation('plain')\n"
+              "    raise InternalTheoremViolation(\n"
+              "        f'witness {w} of {S}' if w[0] else 'the other arm')\n"
+              "def g():\n    raise ValueError('not a theorem')\n")
+    assert sorted(theorem_messages(source)) == [" of ", "plain",
+                                                "the other arm", "witness "]

@@ -166,11 +166,15 @@ class TestClifford:
         assert e.value.reason == "Y is not a semilattice"
         assert e.value.witness is None
 
-    def test_non_group_part_rejected(self):
-        with pytest.raises(InvalidLinking):
+    # with no identity, and a monoid whose zero has no inverse
+    @pytest.mark.parametrize("part", [zoo.zero_semigroup(2),
+                                      zoo.chain_semilattice(2)])
+    def test_non_group_part_rejected(self, part):
+        with pytest.raises(InvalidLinking) as e:
             zoo.clifford(zoo.CliffordData(
-                zoo.chain_semilattice(2),
-                (zoo.trivial(), zoo.zero_semigroup(2)), {(1, 0): (0, 0)}))
+                zoo.chain_semilattice(2), (zoo.trivial(), part),
+                {(1, 0): (0, 0)}))
+        assert e.value.reason == "every part must be a group"
 
 
 class TestAbsorptionSum:
@@ -300,6 +304,12 @@ class TestPartialMapExtension:
     def test_order_cap(self):
         with pytest.raises(OrderTooLarge):
             zoo.partial_map_extension(3, 3, [zoo.cyclic_group(3)] * 3)
+
+    def test_monoid_factor_rejected(self):
+        # a monoid has an identity, and was once taken for a group
+        with pytest.raises(InvalidArgument) as e:
+            zoo.partial_map_extension(1, 2, [zoo.chain_semilattice(2)])
+        assert str(e.value) == "every factor must be a group"
 
 
 def _ideal_size(n, m):
