@@ -18,12 +18,11 @@ images, by a checked ideal or congruence), `direct_product`, `adjoin_zero`,
 homomorphism it validates first, associative by Clifford's theorem).  They
 fill their tables from whole rows of their inputs.
 
-The check is the cube scan up to order 128 and Light's test above, in
-O(n^2) memory, on bytes rows up to order 256, on row tuples within
-`LIGHT_TUPLE_CELLS` and on numpy above: see `_failure`, the only place
-the constructor imports numpy.  Above order 256 every table, checked or
-derived, also has its rows rebuilt from the ints of one tuple(range(n)),
-so it keeps one int object per element and one 8-byte pointer per cell.
+The check is Light's test; the cube scan only names the witness.  Both
+run in `_failure`, in O(n^2) memory, the only place the constructor
+imports numpy.  Above order 256 every table, checked or derived, also has
+its rows rebuilt from the ints of one tuple(range(n)), so it keeps one
+int object per element and one 8-byte pointer per cell.
 
 Structure derived from a semigroup is computed once and memoized in its
 `_cache` dict by `_cached`, for the semigroup's lifetime.  The keys:
@@ -67,9 +66,6 @@ CONGRUENCE_ORDER_CAP = 6
 ISOMORPHISM_ORDER_CAP = 12
 # The largest order a uint16 index array can address.
 ORDER_CAP = 65535
-# Tables with at most this many cells n^3 are checked by the full cube
-# scan, larger ones by Light's test; that is all it decides.
-ASSOC_BLOCK_CELLS = 2 ** 21
 # Above order 256, `_failure` runs on the row tuples while its |mids| n^2
 # cells are at most this many, and on numpy slabs above.
 LIGHT_TUPLE_CELLS = 2 ** 22
@@ -80,16 +76,13 @@ class Semigroup:
     """An immutable finite semigroup given by its Cayley table.
 
     `entries` is a sequence of n rows of n element indices.  Construction
-    validates every entry and full associativity, in O(n^2) memory: the
-    whole cube is scanned up to n^3 = ASSOC_BLOCK_CELLS (n <= 128), and
-    above that Light's test over a magma generating set G takes
-    O(|G| n^2 + n^2) time, which is O(n^3) only when every element is a
-    generator (a chain).  Both run on bytes rows up to order 256, on row
-    tuples within LIGHT_TUPLE_CELLS and on numpy above (`_failure`).  A
-    non-associative table reports the lexicographically first failing
-    triple either way.  Above order 256 the validated rows are rebuilt
-    from one int object per element.  A two-sided zero and a two-sided
-    identity are detected automatically (each is unique when it exists).
+    validates every entry and full associativity, in O(n^2) memory, by
+    Light's test over a magma generating set G in O(|G| n^2 + n^2) time;
+    the cube scan only names the witness, the lexicographically first
+    failing triple of a non-associative table (`_failure`).  Above order
+    256 the validated rows are rebuilt from one int object per element.
+    A two-sided zero and a two-sided identity are detected automatically
+    (each is unique when it exists).
 
     Tables derived from a semigroup that is already checked are built by
     `_derived`, which skips the associativity check: see its docstring.
@@ -99,14 +92,8 @@ class Semigroup:
 
     def __init__(self, entries, labels=None):
         rows = _checked_rows(entries, _int_row)
-        n = len(rows)
-        # A cube of at most ASSOC_BLOCK_CELLS cells is scanned whole; above
-        # that, Light's test decides, and the cube scan only finds the
-        # first failing triple once it has failed.
-        if (n ** 3 <= ASSOC_BLOCK_CELLS
-                or _failure(rows, _magma_generators(rows))):
-            if triple := _failure(rows, range(n)):
-                raise NonAssociative(*triple)
+        if _failure(rows, _magma_generators(rows)):
+            raise NonAssociative(*_failure(rows, range(len(rows))))
         self._fill(rows, labels)
 
     @classmethod

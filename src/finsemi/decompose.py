@@ -25,10 +25,9 @@ from .core import (
 )
 from .errors import InternalTheoremViolation, NotACongruence, NotASubsemigroup
 from .green import (
+    _idempotent_power,
     ccr_check,
     green,
-    idempotents,
-    k_class,
     regular_elements,
     weak_inverses,
 )
@@ -135,17 +134,12 @@ def kje_partition(S):
 
     K_e is the set of elements with a power in the maximal subgroup at e;
     K_{J_e} glues the K_f together over all idempotents f in the J-class
-    of e.
+    of e, so s lies in K_{J_f} for f its one idempotent power.
     """
     ccr_check(S)
-    g = green(S)
-    blocks = {}
-    for e in idempotents(S):
-        blocks.setdefault(g.J.index_of[e], set()).update(k_class(S, e))
-    classes = list(blocks.values())
-    if sum(len(c) for c in classes) != S.order:
-        raise InternalTheoremViolation("K_{J_e} sets do not partition S")
-    return Partition(classes, n=S.order)
+    J = green(S).J
+    return Partition.from_index([J.index_of[_idempotent_power(S, s)]
+                                 for s in S.elements])
 
 
 def archimedean(S, A):

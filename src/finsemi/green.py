@@ -9,6 +9,9 @@ element.  D = J is checked by the egg-box test: the R- and L-classes that
 meet a J-class lie inside it and each R-class there meets each L-class,
 which holds iff R∘L = L∘R = J (a theorem on finite semigroups, so a
 failure is an engine bug, not an input property).
+
+K_e is read off idempotent powers: the powers of s end in the cyclic group
+H_f of its one idempotent power f, so s has a power in H_e iff f = e.
 """
 
 from __future__ import annotations
@@ -175,11 +178,20 @@ def maximal_subgroup(S, e):
     return green(S).H.class_of(e)
 
 
+def _idempotent_power(S, s):
+    """The one idempotent among the powers of s."""
+    rows = S._rows
+    p = s
+    while rows[p][p] != p:
+        p = rows[p][s]
+    return p
+
+
 def k_class(S, e):
-    """K_e = {s : some power of s lies in H_e}."""
-    he = maximal_subgroup(S, e)
-    return frozenset(s for s in S.elements
-                     if any(p in he for p in element_powers(S, s)))
+    """K_e = {s : some power of s lies in H_e} = {s : e is a power of s}."""
+    if S.mul(_member(S, e), e) != e:
+        raise NotIdempotent(e)
+    return frozenset(s for s in S.elements if _idempotent_power(S, s) == e)
 
 
 def ccr_check(S):

@@ -93,6 +93,13 @@ def _raw_group_bound(S):
     return True
 
 
+def _raw_k_class(S, e):
+    """K_e by its definition: the s with some power in H_e."""
+    he = green(S).H.class_of(e)
+    return frozenset(s for s in S.elements
+                     if any(p in he for p in element_powers(S, s)))
+
+
 def _raw_e_dense(S):
     """The four equivalent E-dense tests, each evaluated on its own.
 
@@ -308,8 +315,10 @@ def check_green(S):
             and _raw_group_bound(S)):
         bad.append("a finite semigroup fails periodic/eventually regular/group-bound")
 
-    kmap = {e: k_class(S, e) for e in sorted(E)}
+    kmap = {e: _raw_k_class(S, e) for e in sorted(E)}
     for e in kmap:
+        if k_class(S, e) != kmap[e]:
+            bad.append(f"K_{e} differs from its definition")
         for f in kmap:
             if e < f and kmap[e] & kmap[f]:
                 bad.append(f"K_{e} and K_{f} overlap")

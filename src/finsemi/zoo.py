@@ -16,6 +16,8 @@ from .core import (
     ORDER_CAP,
     Semigroup,
     _failure,
+    _member,
+    _must,
     _profiles,
     adjoin_zero,
     direct_product,
@@ -315,17 +317,19 @@ def partial_map_extension(n, m, groups, picks=None):
     picks are validated and can be rejected with LawViolation: with n >= 2
     and m >= 3 a product can cap one coordinate while staying below the cap
     in another, and then g^(capped) != g^(true sum) unless g is trivial.
-    A factor that is not a group (a monoid, say) raises InvalidArgument.
+    A factor that is not a group (a monoid, say), or picks that are not
+    one element per group, raise InvalidArgument.
     """
-    if n < 1 or m < 1 or len(groups) != n:
-        raise InvalidArgument("need n >= 1, m >= 1 and one group per coordinate")
     if picks is None:
         picks = [g.identity for g in groups]
+    picks = _must(tuple, picks, "picks", "a sequence")
+    if n < 1 or m < 1 or not len(groups) == len(picks) == n:
+        raise InvalidArgument("need n >= 1, m >= 1 and one group and one pick "
+                              "per coordinate")
     for g, p in zip(groups, picks):
         if not is_group(g):
             raise InvalidArgument("every factor must be a group")
-        if not 0 <= p < g.order:
-            raise InvalidArgument(f"pick {p} outside the group")
+        _member(g, p)
 
     t_order = (m + 1) ** n
     s_order = 1

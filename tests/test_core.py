@@ -80,7 +80,6 @@ def corrupted_relabellings(S, count=50):
     """count copies of a seeded relabelling of S, each with one random cell
     overwritten, as lists of lists."""
     n = S.order
-    assert n ** 3 > core.ASSOC_BLOCK_CELLS    # Light's path
     rng = random.Random(n)
     perm = list(range(n))
     rng.shuffle(perm)
@@ -294,9 +293,7 @@ class TestAssociativityCheck:
         with pytest.raises(OrderTooLarge):
             parse_sgt("65536\n0 0\n")
 
-    def test_light_path_matches_full_cube_to_order_3(self, monkeypatch):
-        # one cell per block: every order >= 2 takes Light's test
-        monkeypatch.setattr(core, "ASSOC_BLOCK_CELLS", 1)
+    def test_light_path_matches_full_cube_to_order_3(self):
         count = 0
         for n in range(1, 4):
             for flat in itertools.product(range(n), repeat=n * n):
@@ -334,6 +331,8 @@ class TestAssociativityCheck:
         assert reached == set(range(S.order))
 
     @pytest.mark.parametrize("fixture, params", [
+        ("rectangular_band", (8, 8)),       # 64
+        ("monogenic", (40, 40)),            # 79
         ("monogenic", (100, 100)),          # 199
         ("rectangular_band", (12, 12)),     # 144
         ("rectangular_band", (16, 16)),     # 256, the last bytes order
@@ -341,8 +340,8 @@ class TestAssociativityCheck:
         ("monogenic", (150, 150)),          # 299
     ])
     def test_corrupted_cells_report_the_cube_witness(self, fixture, params):
-        # few generators and n > 128, so Light's test decides first, on
-        # bytes rows up to order 256 and on row tuples above
+        # Light's test decides first, on bytes rows up to order 256 and on
+        # row tuples above; the cube scan names the witness
         for rows in corrupted_relabellings(getattr(zoo, fixture)(*params)):
             expected = cube_witness(rows)
             assert verdict(rows) == expected
@@ -374,20 +373,21 @@ class TestAssociativityCheck:
         assert witnesses == list(map(cube_witness, tables[:4]))
         assert witnesses[0] is None and any(witnesses)
 
-    def test_full_scan_only_in_one_block_or_on_failure(self, monkeypatch):
+    def test_full_scan_only_on_failure(self, monkeypatch):
         scans = []
         failure = core._failure
         monkeypatch.setattr(core, "_failure", lambda t, mids: scans.append(
             (len(t), mids == range(len(t)))) or failure(t, mids))
-        for n in (128, 129):
+        orders = (2, 64, 128, 129)
+        for n in orders:
             Semigroup([[min(i, j) for j in range(n)] for i in range(n)])
-        # the cube at 128; Light's test over the 129 elements of the chain
-        assert scans == [(128, True), (129, False)]
+        # Light's test alone over the n generators of each chain
+        assert scans == [(n, False) for n in orders]
         rows = [[min(i, j) for j in range(200)] for i in range(200)]
         rows[3][5] = 7
         with pytest.raises(NonAssociative):
             Semigroup(rows)
-        assert scans[2:] == [(200, False), (200, True)]
+        assert scans[len(orders):] == [(200, False), (200, True)]
 
 
 class TestSetAlgebra:

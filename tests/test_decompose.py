@@ -192,16 +192,6 @@ class TestKje:
         for S in (t2, z2, m32):
             assert kje_partition(S) == rho_partition(S)
 
-    def test_overlapping_blocks_are_a_theorem_violation(self, monkeypatch):
-        import finsemi.decompose as dc
-        S = zoo.chain_semilattice(2)
-        # each idempotent's K-class made all of S, so the two J-classes'
-        # blocks overlap
-        monkeypatch.setattr(dc, "k_class", lambda S, e: frozenset(S.elements))
-        with pytest.raises(InternalTheoremViolation) as e:
-            kje_partition(S)
-        assert str(e.value) == "K_{J_e} sets do not partition S"
-
 
 class TestArchimedean:
     def test_group(self, z2):

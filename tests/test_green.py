@@ -4,6 +4,7 @@ import random
 import pytest
 
 from finsemi import (
+    Semigroup,
     green,
     idempotents,
     inverses,
@@ -15,6 +16,7 @@ from finsemi import (
     k_class,
     maximal_subgroup,
     product_set,
+    properties,
     regular_elements,
     weak_inverses,
     zoo,
@@ -31,6 +33,7 @@ from finsemi.properties import (
     _raw_group_bound,
     _raw_periodic,
     _raw_principal_ideals,
+    check_green,
 )
 from test_golden import FIXTURES, _relabel
 
@@ -249,6 +252,37 @@ class TestMaximalSubgroups:
                 assert not k & seen
                 seen |= k
             assert seen == set(S.elements)
+
+    def test_k_class_is_its_definition_up_to_order4(self):
+        # K_e = {s : some power p of s has pS^1 = eS^1 and S^1p = S^1e},
+        # with the powers s^1..s^n and the ideals read off the raw table
+        tables = 0
+        for n in (1, 2, 3, 4):
+            for T in zoo.enumerate_associative(n):
+                tables += 1
+                S = Semigroup(T._rows)
+                t = S._rows
+                right = [{a, *t[a]} for a in range(n)]
+                left = [{a, *(t[x][a] for x in range(n))} for a in range(n)]
+                for e in idempotents(S):
+                    raw = set()
+                    for s in range(n):
+                        p = s
+                        for _ in range(n):
+                            if right[p] == right[e] and left[p] == left[e]:
+                                raw.add(s)
+                                break
+                            p = t[p][s]
+                    assert k_class(S, e) == raw, (t, e)
+                # read off the idempotent powers, not Green's relations
+                assert "green" not in S._cache
+        assert tables == 3614
+
+    def test_check_green_compares_k_class_with_its_definition(self, m32,
+                                                              monkeypatch):
+        assert check_green(m32) == []
+        monkeypatch.setattr(properties, "k_class", lambda S, e: frozenset({e}))
+        assert check_green(m32) == ["K_3 differs from its definition"]
 
 
 def test_weak_inverse_lemmas_exhaustive_order3():

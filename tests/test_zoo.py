@@ -311,6 +311,11 @@ class TestPartialMapExtension:
             zoo.partial_map_extension(1, 2, [zoo.chain_semilattice(2)])
         assert str(e.value) == "every factor must be a group"
 
+    @pytest.mark.parametrize("picks", [["a"], [None], [], 5, [0, 0], [2], [-1]])
+    def test_picks_are_one_element_per_group(self, picks):
+        with pytest.raises(InvalidArgument):
+            zoo.partial_map_extension(1, 2, [zoo.cyclic_group(2)], picks=picks)
+
 
 def _ideal_size(n, m):
     return sum(1 for f in product(range(m + 1), repeat=n)
