@@ -407,7 +407,12 @@ def universal_partition(S):
 
 
 def product_set(S, A, B):
-    """The set {a*b : a in A, b in B}."""
+    """The set {a*b : a in A, b in B}, each member of A and B checked by
+    `_member`; `_product_set` is the unchecked form for internal callers."""
+    return _product_set(S, _members(S, A), _members(S, B))
+
+
+def _product_set(S, A, B):
     if not A or not B:
         return frozenset()
     rows = S._rows
@@ -450,7 +455,7 @@ def _powers(S):
     full = frozenset(S.elements)
     chain = [full]
     while True:
-        nxt = product_set(S, chain[-1], full)
+        nxt = _product_set(S, chain[-1], full)
         if nxt == chain[-1]:
             return chain
         chain.append(nxt)
@@ -475,7 +480,7 @@ def closure(S, gens):
         raise EmptyGenerators("generating set is empty")
     cur = _members(S, gens)
     while True:
-        nxt = cur | product_set(S, cur, cur)
+        nxt = cur | _product_set(S, cur, cur)
         if nxt == cur:
             return cur
         cur = nxt
@@ -484,21 +489,31 @@ def closure(S, gens):
 def is_left_ideal(S, A):
     """True iff S^1 A is contained in A."""
     A = _members(S, A)
-    return bool(A) and product_set(S, frozenset(S.elements), A) <= A
+    return bool(A) and _product_set(S, frozenset(S.elements), A) <= A
 
 
 def is_right_ideal(S, A):
     A = _members(S, A)
-    return bool(A) and product_set(S, A, frozenset(S.elements)) <= A
+    return bool(A) and _product_set(S, A, frozenset(S.elements)) <= A
 
 
 def is_ideal(S, A):
-    return is_left_ideal(S, A) and is_right_ideal(S, A)
+    return _is_ideal(S, _members(S, A))
 
 
 def is_subsemigroup(S, A):
-    A = _members(S, A)
-    return bool(A) and product_set(S, A, A) <= A
+    return _is_subsemigroup(S, _members(S, A))
+
+
+# the unchecked forms of the two predicates above, for a member set A
+def _is_ideal(S, A):
+    full = frozenset(S.elements)
+    return (bool(A) and _product_set(S, full, A) <= A
+            and _product_set(S, A, full) <= A)
+
+
+def _is_subsemigroup(S, A):
+    return bool(A) and _product_set(S, A, A) <= A
 
 
 def _member(S, a):
@@ -558,7 +573,7 @@ def restrict(S, A):
 
 
 def _restrict(S, A):
-    if not is_subsemigroup(S, A):
+    if not _is_subsemigroup(S, A):
         raise NotASubsemigroup(subsemigroup_witness(S, A))
     elems = sorted(A)
     pos = [0] * S.order
@@ -582,7 +597,7 @@ def rees_quotient(S, I):
 
 
 def _rees_quotient(S, I):
-    if not is_ideal(S, I):
+    if not _is_ideal(S, I):
         raise NotAnIdeal(ideal_witness(S, I))
     outside = [x for x in S.elements if x not in I]
     k = len(outside)
@@ -762,7 +777,7 @@ def is_weakly_reductive(S):
 def is_globally_idempotent(S):
     """S^2 = S."""
     full = frozenset(S.elements)
-    return product_set(S, full, full) == full
+    return _product_set(S, full, full) == full
 
 
 def adjoin_zero(S):

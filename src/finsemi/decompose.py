@@ -18,7 +18,8 @@ from .core import (
     Partition,
     Semigroup,
     _cached,
-    is_subsemigroup,
+    _is_subsemigroup,
+    _members,
     quotient_by_congruence,
     semilattice_witness,
     subsemigroup_witness,
@@ -149,10 +150,10 @@ def archimedean(S, A):
     ideal K(A), so K(A) = A^1 z A^1, and a finite A is archimedean iff
     every idempotent lies in K(A), which is inside every A^1 b A^1.
     """
-    A = frozenset(A)
+    A = _members(S, A)
     if not A:
         return False
-    if not is_subsemigroup(S, A):
+    if not _is_subsemigroup(S, A):
         raise NotASubsemigroup(subsemigroup_witness(S, A))
     elems = sorted(A)
     t = S._rows

@@ -19,11 +19,12 @@ from .core import (
     Partition,
     Semigroup,
     _getter,
+    _is_ideal,
+    _members,
     _must,
+    _product_set,
     ideal_witness,
     interchangeable_pair,
-    is_ideal,
-    product_set,
     quotient_by_congruence,
     rees_quotient,
     restrict,
@@ -193,8 +194,8 @@ def classify_extension(sigma, ideal):
 def _classify(sigma, ideal):
     """classify_extension plus the sorted ideal and every element's action
     on it, each action computed once."""
-    ideal = frozenset(ideal)
-    if not is_ideal(sigma, ideal):
+    ideal = _members(sigma, ideal)
+    if not _is_ideal(sigma, ideal):
         raise NotAnIdeal(ideal_witness(sigma, ideal))
     members = sorted(ideal)
     actions = _actions(sigma, members)
@@ -287,7 +288,7 @@ def clifford_decompose(sigma, ideal):
     comps = []
     for k, cls in enumerate(tilde.classes):
         grp = groups[alpha[k]]
-        if not product_set(sigma, cls, grp) | product_set(sigma, grp, cls) <= grp:
+        if not _product_set(sigma, cls, grp) | _product_set(sigma, grp, cls) <= grp:
             raise InternalTheoremViolation(
                 "component group is not an ideal of its component")
         comps.append((k, frozenset(cls), grp))
@@ -307,8 +308,8 @@ def canonical_phi(sigma, components):
     index order: ideal first)."""
     pairs = [(frozenset(sa), frozenset(ga)) for sa, ga in components]
     Partition([sa for sa, _ in pairs], n=sigma.order)  # disjoint cover check
-    union = frozenset().union(*(ga for _, ga in pairs))
-    if not is_ideal(sigma, union):
+    union = _members(sigma, frozenset().union(*(ga for _, ga in pairs)))
+    if not _is_ideal(sigma, union):
         raise GroupUnionNotIdeal(ideal_witness(sigma, union))
     target, elems = restrict(sigma, union)
     pos = {a: i for i, a in enumerate(elems)}

@@ -3,12 +3,17 @@
 The principal ideals come from the Cayley graphs, as in Froidure & Pin
 (1997): aS^1 is the row of a plus a, S^1a its column plus a, and
 S^1aS^1 = S^1(aS^1) the union of S^1x over x in aS^1, built once per
-distinct R-ideal.  That is at most n^2 set insertions per R-class: O(n^2)
-when R-classes are few, O(n^3) at worst (a chain), and no n x n gather per
-element.  D = J is checked by the egg-box test: the R- and L-classes that
-meet a J-class lie inside it and each R-class there meets each L-class,
-which holds iff R∘L = L∘R = J (a theorem on finite semigroups, so a
-failure is an engine bug, not an input property).
+distinct R-ideal.  Each ideal is one int bitset of n bits (n/8 bytes), so
+the three ideals of all n elements take O(n^2) bits, not O(n^2) set
+entries.  Building them costs n^2 set insertions for the rows and
+columns, then at most n ORs of n-bit ints per R-class: O(n^2) when
+R-classes are few, n^2 such ORs at worst (a chain), and no n x n gather
+per element.  The J-order takes one bit test per pair of J-classes.
+
+D = J is checked by the egg-box test: the R- and L-classes that meet a
+J-class lie inside it and each R-class there meets each L-class, which
+holds iff R∘L = L∘R = J (a theorem on finite semigroups, so a failure is
+an engine bug, not an input property).
 
 K_e is read off idempotent powers: the powers of s end in the cyclic group
 H_f of its one idempotent power f, so s has a power in H_e iff f = e.
@@ -17,6 +22,8 @@ H_f of its one idempotent power f, so s has a power in H_e iff f = e.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .core import Partition, _cached, _member, restrict
 from .errors import (
@@ -41,15 +48,16 @@ class GreenStructure:
 
 
 def _principal_ideals(S):
-    """(aS^1, S^1a, S^1aS^1) for every a, as tuples of frozensets."""
+    """(aS^1, S^1a, S^1aS^1) for every a, each an int bitset of n bits."""
     rows = S._rows
-    rs = tuple(frozenset(row) | {a} for a, row in enumerate(rows))
-    ls = tuple(frozenset(col) | {a} for a, col in enumerate(zip(*rows)))
+    bit = [1 << x for x in range(len(rows))].__getitem__
+    rs = tuple(sum(map(bit, {a, *row})) for a, row in enumerate(rows))
+    ls = tuple(sum(map(bit, {a, *col})) for a, col in enumerate(zip(*rows)))
     # S^1aS^1 = S^1(aS^1) depends only on the R-ideal aS^1
     by_r = {}
-    for r in rs:
+    for a, r in enumerate(rs):
         if r not in by_r:
-            by_r[r] = frozenset().union(*map(ls.__getitem__, r))
+            by_r[r] = reduce(or_, map(ls.__getitem__, {a, *rows[a]}))
     return rs, ls, tuple(map(by_r.__getitem__, rs))
 
 
@@ -75,8 +83,9 @@ def _green(S):
             raise InternalTheoremViolation("D != J on a finite semigroup")
 
     # J_x <= J_y iff x lies in the ideal S^1yS^1
-    order = frozenset((J.index_of[x], cj)
-                      for cj, cls in enumerate(J.classes) for x in js[min(cls)])
+    reps = [min(cls) for cls in J.classes]
+    order = frozenset((ci, cj) for cj, b in enumerate(reps)
+                      for ci, a in enumerate(reps) if js[b] >> a & 1)
     return GreenStructure(R=R, L=L, H=H, D=J, J=J, j_order=order)
 
 

@@ -16,16 +16,16 @@ from . import decompose as dc
 from .core import (
     CONGRUENCE_ORDER_CAP,
     Partition,
+    _is_ideal,
+    _is_subsemigroup,
+    _product_set,
     adjoin_zero,
     base_set,
     closure,
     direct_product,
     enumerate_congruences,
-    is_ideal,
-    is_subsemigroup,
     pair_index,
     power_set,
-    product_set,
     quotient_by_congruence,
     rees_quotient,
     restrict,
@@ -283,11 +283,11 @@ def check_green(S):
     if g.j_order != raw_order:
         bad.append("J-class order differs from the raw recomputation")
 
-    band = is_subsemigroup(S, E) if E else False
+    band = _is_subsemigroup(S, E) if E else False
     for s in S.elements:
         for t in S.elements:
             st_ = S.mul(s, t)
-            prod = product_set(S, W[t], W[s])
+            prod = _product_set(S, W[t], W[s])
             if not W[st_] <= prod:
                 bad.append(f"W({s}*{t}) not inside W({t})W({s})")
             if band and W[st_] != prod:
@@ -328,15 +328,15 @@ def check_green(S):
     if is_conditionally_completely_regular(S):
         for d in g.D.classes:
             if d & reg:
-                if not is_subsemigroup(S, d) or not is_completely_simple(S, d):
+                if not _is_subsemigroup(S, d) or not is_completely_simple(S, d):
                     bad.append(f"regular D-class {sorted(d)} is not a "
                                "completely simple subsemigroup")
         for s in S.elements:
             for h in g.H.classes:
                 if len(h & W[s]) > 1:
                     bad.append(f"H-class {sorted(h)} holds two weak inverses of {s}")
-    if is_subsemigroup(S, reg) and is_completely_simple(S, reg):
-        if not is_ideal(S, reg):
+    if _is_subsemigroup(S, reg) and is_completely_simple(S, reg):
+        if not _is_ideal(S, reg):
             bad.append("Reg(S) completely simple but not an ideal")
     return bad
 
@@ -368,7 +368,7 @@ def check_stratify(S):
     for s in S.elements:
         if s not in base and len(g.J.class_of(s)) != 1:
             bad.append(f"{s} outside the base has a non-singleton J-class")
-    if not is_ideal(S, base):
+    if not _is_ideal(S, base):
         bad.append("Base(S) is not an ideal")
     Q, qmap = rees_quotient(S, base)
     if w := _raw_derivation_witness("quotient", Q, S, qmap):
@@ -383,7 +383,7 @@ def check_stratify(S):
             bad.append("Base(S^0) != Base(S) ∪ {0}")
         if is_grillet_stratified(S) != is_grillet_stratified(S0):
             bad.append("S and S^0 disagree on Grillet stratification")
-    if product_set(S, base, base) != base:
+    if _product_set(S, base, base) != base:
         bad.append("the base is not globally idempotent")
     rep = stratify(S)
     for s in S.elements:
@@ -412,7 +412,7 @@ def check_stratify(S):
         if sub.identity is not None and not sub_set <= base:
             bad.append(f"monoid subsemigroup {sorted(sub_set)} escapes the base")
 
-    if is_subsemigroup(S, reg) and is_completely_simple(S, reg):
+    if _is_subsemigroup(S, reg) and is_completely_simple(S, reg):
         if base != reg:
             bad.append("Reg(S) completely simple but Base(S) != Reg(S)")
     return bad
@@ -466,7 +466,7 @@ def check_decompose(S):
         bad.append("H-class footprint definition disagrees with rho")
 
     no_w = {s for s in S.elements if not W[s]}
-    if no_w and not is_ideal(S, no_w):
+    if no_w and not _is_ideal(S, no_w):
         bad.append("{s : W(s) empty} is nonempty but not an ideal")
 
     if dc.kje_partition(S) != rho:

@@ -472,7 +472,9 @@ class TestIdeals:
 
     @pytest.mark.parametrize("call", [
         restrict, rees_quotient, closure, core.is_subsemigroup, is_left_ideal,
-        core.is_right_ideal, is_ideal, subsemigroup_witness, ideal_witness])
+        core.is_right_ideal, is_ideal, subsemigroup_witness, ideal_witness,
+        lambda S, A: product_set(S, A, {0, 1}),
+        lambda S, B: product_set(S, {0, 1}, B)])
     @pytest.mark.parametrize("members, message", [
         # read as element 0 through a wrapping index
         ({-3, 0}, "element -3 is not in [0, 3)"),
@@ -493,6 +495,7 @@ class TestIdeals:
         Z = zoo.zero_semigroup(3)
         assert is_ideal(Z, {np.int64(0)})
         assert restrict(Z, [np.int64(0), np.int64(1)])[1] == [0, 1]
+        assert product_set(Z, {np.int64(1)}, [np.uint8(2), 1]) == {0}
 
     @pytest.mark.parametrize("call", [
         lambda S, s: interchangeable(S, s, 0),

@@ -330,7 +330,7 @@ class TestCliffordDecompose:
         C = clifford_z2_over_trivial()
         # every product set made all of Sigma, which leaves the bottom
         # component's group {0}
-        monkeypatch.setattr(extend, "product_set",
+        monkeypatch.setattr(extend, "_product_set",
                             lambda S, A, B: frozenset(S.elements))
         with pytest.raises(InternalTheoremViolation) as e:
             clifford_decompose(C, set(C.elements))

@@ -1,5 +1,6 @@
 import importlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -130,19 +131,39 @@ class TestIsGroup:
         assert groups == 1 + 2 + 3 + 16
 
 
+def decoded_ideals(S):
+    """`_principal_ideals(S)` with each int bitset decoded to the frozenset
+    of its members, the form `_raw_principal_ideals` returns."""
+    n = S.order
+    return tuple(tuple(frozenset(x for x in range(n) if m >> x & 1)
+                       for m in ideals)
+                 for ideals in _principal_ideals(S))
+
+
 class TestPrincipalIdeals:
     def test_match_raw_loops_on_every_table_up_to_order4(self):
         count = 0
         for n in (1, 2, 3, 4):
             for S in zoo.enumerate_associative(n):
                 count += 1
-                assert _principal_ideals(S) == _raw_principal_ideals(S), S._rows
+                assert decoded_ideals(S) == _raw_principal_ideals(S), S._rows
         assert count == 3614
 
     @pytest.mark.parametrize("name,build", FIXTURES, ids=[f[0] for f in FIXTURES])
     def test_match_raw_loops_on_bench_fixtures(self, name, build):
         S = _relabel(build(), f"oracle:{name}")
-        assert _principal_ideals(S) == _raw_principal_ideals(S)
+        assert decoded_ideals(S) == _raw_principal_ideals(S)
+
+    def test_green_memory_is_a_few_bits_per_ideal(self):
+        # one frozenset per ideal peaked at 4.3 MB
+        S = zoo.monogenic(100, 100)
+        tracemalloc.start()
+        try:
+            green_module._green(S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2 ** 20
 
     def test_chain_j_order_is_total(self):
         g = green(zoo.chain_semilattice(6))

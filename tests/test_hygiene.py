@@ -2,8 +2,9 @@
 name it imports, every library function reads each local it assigns, no
 library module imports numpy when it is loaded, and the CLI and the package
 load extend, properties, render and zoo only on first use, with every
-public name of the package still its defining object, and the text of
-every InternalTheoremViolation message appears in some test.
+public name of the package still its defining object, the text of every
+InternalTheoremViolation message appears in some test, and no library code
+reads a public set function that checks its members.
 
 `finsemi/__init__.py` is exempt from the import check, since its imports
 are the public API.
@@ -217,6 +218,56 @@ def test_the_check_sees_every_numpy_importer():
               "            import numpy.linalg\n        import numpyro\n"
               "def h():\n    import json\n")
     assert importers(source, "numpy") == {"<module>", "A", "A.f.g"}
+
+
+# The public set functions that check each member through `core._members`.
+# A library caller already holds a member set, so it uses the unchecked
+# private form (`_product_set`, `_is_ideal`, ...) and pays no second check.
+CHECKED_SET_FUNCTIONS = {"product_set", "is_subsemigroup", "is_left_ideal",
+                         "is_right_ideal", "is_ideal"}
+
+
+def readers(source, names):
+    """(dotted function or class, or "<module>", name) for each read of a
+    name in names, bare or as an attribute, each counted for the
+    innermost; a call is a read, and so is `f = mod.is_ideal`."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            where = node.name if where == "<module>" else f"{where}.{node.name}"
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        else:
+            name = None
+        if name in names:
+            found.add((where, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_library_calls_no_checked_set_function(path):
+    source = path.read_text(encoding="utf-8")
+    assert readers(source, CHECKED_SET_FUNCTIONS) == set()
+
+
+def test_the_check_sees_every_checked_set_call():
+    source = ("from .core import is_ideal, _is_ideal\n"
+              "def product_set(S, A, B):\n    return _product_set(S, A, B)\n"
+              "class T:\n    def f(self, S):\n"
+              "        test = core.is_subsemigroup\n"
+              "        return test(S, {0}) and is_ideal(S, {0})\n"
+              "x = [_is_ideal(S, A), core.is_left_ideal(S, A)]\n")
+    assert readers(source, CHECKED_SET_FUNCTIONS) == {
+        ("T.f", "is_subsemigroup"), ("T.f", "is_ideal"),
+        ("<module>", "is_left_ideal")}
 
 
 # Modules no analysis command runs: the CLI and the package load them on
