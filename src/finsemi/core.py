@@ -369,11 +369,17 @@ class Partition:
             groups.setdefault(k, []).append(x)
         return cls(groups.values(), n=len(index))
 
+    def _point(self, x):
+        """x as an int; InvalidArgument unless it is an integer in [0, n)."""
+        if not 0 <= (x := _must(index, x, "point", "an integer")) < self.n:
+            raise InvalidArgument(f"point {x!r} is not in [0, {self.n})")
+        return x
+
     def class_of(self, x):
-        return self.classes[self.index_of[x]]
+        return self.classes[self.index_of[self._point(x)]]
 
     def same(self, a, b):
-        return self.index_of[a] == self.index_of[b]
+        return self.index_of[self._point(a)] == self.index_of[self._point(b)]
 
     def as_lists(self):
         return [sorted(c) for c in self.classes]
@@ -632,8 +638,10 @@ def direct_product(S, T):
 
 
 def pair_index(T, i, j):
-    """Index of (i, j) inside direct_product(S, T)."""
-    return i * T.order + j
+    """Index of (i, j) inside direct_product(S, T), for i in S and j in T."""
+    if _must(index, i, "i", "an integer") < 0:
+        raise InvalidArgument(f"i = {i!r} is negative")
+    return i * T.order + _member(T, j)
 
 
 # ---------------------------------------------------------------------------

@@ -88,14 +88,23 @@ class DecompositionReport:
     quotient: Semigroup
     quotient_map: tuple
     components: tuple
-    quotient_order: frozenset  # pairs (a, b) of component indices with a <= b
+
+    @property
+    def quotient_order(self):
+        """Pairs (a, b) of component indices with a <= b, i.e. ab = a."""
+        return frozenset(self._order_pairs())
+
+    def _order_pairs(self):
+        # sorted as built, so to_json needs no set of them
+        return [(a, b) for a, row in enumerate(self.quotient._rows)
+                for b, ab in enumerate(row) if ab == a]
 
     def to_json(self):
         return {
             "rho_classes": self.rho.as_lists(),
             "quotient_table": [list(row) for row in self.quotient._rows],
             "components": [c.to_json() for c in self.components],
-            "quotient_order": sorted(self.quotient_order),
+            "quotient_order": self._order_pairs(),
         }
 
 
@@ -119,15 +128,11 @@ def verify_rho(S):
         raise InternalTheoremViolation(
             "S/rho has a non-idempotent element" if w[0] == w[1]
             else "S/rho is not commutative")
-    t = quotient._rows
-    k = quotient.order
 
     reg = regular_elements(S)
     comps = tuple(ComponentReport(cls, reg & cls) for cls in rho.classes)
-    order = frozenset((a, b) for a in range(k) for b in range(k)
-                      if t[a][b] == a)
     return DecompositionReport(rho=rho, quotient=quotient, quotient_map=qmap,
-                               components=comps, quotient_order=order)
+                               components=comps)
 
 
 def kje_partition(S):

@@ -8,7 +8,7 @@ the three ideals of all n elements take O(n^2) bits, not O(n^2) set
 entries.  Building them costs n^2 set insertions for the rows and
 columns, then at most n ORs of n-bit ints per R-class: O(n^2) when
 R-classes are few, n^2 such ORs at worst (a chain), and no n x n gather
-per element.  The J-order takes one bit test per pair of J-classes.
+per element.  J_s <= J_t is one bit test, s in the ideal kept for J_t.
 
 D = J is checked by the egg-box test: the R- and L-classes that meet a
 J-class lie inside it and each R-class there meets each L-class, which
@@ -40,11 +40,19 @@ class GreenStructure:
     H: Partition
     D: Partition
     J: Partition
-    j_order: frozenset  # pairs (ci, cj) of J-class indices with ci <= cj
+    ideals: tuple  # S^1aS^1 as an n-bit int, one per J-class, a in the class
+
+    @property
+    def j_order(self):
+        """Pairs (ci, cj) of J-class indices with ci <= cj, built on read."""
+        reps = [min(cls) for cls in self.J.classes]
+        return frozenset((ci, cj) for cj, ideal in enumerate(self.ideals)
+                         for ci, a in enumerate(reps) if ideal >> a & 1)
 
     def j_leq(self, s, t):
-        """J_s <= J_t in the J-class order."""
-        return (self.J.index_of[s], self.J.index_of[t]) in self.j_order
+        """J_s <= J_t in the J-class order: s lies in the ideal S^1tS^1."""
+        J = self.J
+        return bool(self.ideals[J.index_of[J._point(t)]] >> J._point(s) & 1)
 
 
 def _principal_ideals(S):
@@ -82,11 +90,8 @@ def _green(S):
                 or len({H.index_of[x] for x in cls}) != len(rc) * len(lc)):
             raise InternalTheoremViolation("D != J on a finite semigroup")
 
-    # J_x <= J_y iff x lies in the ideal S^1yS^1
-    reps = [min(cls) for cls in J.classes]
-    order = frozenset((ci, cj) for cj, b in enumerate(reps)
-                      for ci, a in enumerate(reps) if js[b] >> a & 1)
-    return GreenStructure(R=R, L=L, H=H, D=J, J=J, j_order=order)
+    return GreenStructure(R=R, L=L, H=H, D=J, J=J,
+                          ideals=tuple(js[min(cls)] for cls in J.classes))
 
 
 def idempotents(S):

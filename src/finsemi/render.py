@@ -3,8 +3,6 @@ Hasse diagrams for semilattice quotients."""
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .green import green, idempotents
 from .stratify import stratify
 
@@ -19,7 +17,7 @@ def render_egg_box(S):
     idempotents are starred.  Higher J-classes come first."""
     g = green(S)
     E = idempotents(S)
-    above = Counter(c for c, _ in g.j_order)  # J-classes at or above c
+    above = [sum(i >> a & 1 for i in g.ideals) for a in map(min, g.J.classes)]
     lines = []
     for ci in sorted(range(len(g.D)), key=lambda c: (above[c], min(g.D.classes[c]))):
         dcls = g.D.classes[ci]
@@ -59,15 +57,16 @@ def render_hasse(Q, names=None):
     and the cover relations below."""
     n = Q.order
     names = names or [Q.label(i) for i in range(n)]
-    leq = {(a, b) for a in range(n) for b in range(n) if Q.mul(a, b) == a}
-    covers = [(a, b) for (a, b) in leq if a != b
-              and not any(c != a and c != b and (a, c) in leq and (c, b) in leq
-                          for c in range(n))]
+    # a <= b iff ab = a; b covers a when the interval up[a] & down[b] is {a, b}
+    up = [sum(1 << b for b, ab in enumerate(row) if ab == a)
+          for a, row in enumerate(Q._rows)]
+    down = [sum(1 << a for a, ab in enumerate(col) if ab == a)
+            for col in zip(*Q._rows)]
+    covers = [(a, b) for a in range(n) for b in range(n)
+              if a != b and up[a] & down[b] == 1 << a | 1 << b]
     level = {}
-    for a in sorted(range(n), key=lambda a: sum(1 for b in range(n)
-                                                if (b, a) in leq)):
-        below = [b for (b, c) in covers if c == a]
-        level[a] = 1 + max((level[b] for b in below), default=-1)
+    for a in sorted(range(n), key=lambda a: down[a].bit_count()):
+        level[a] = 1 + max((level[b] for b, c in covers if c == a), default=-1)
     lines = []
     for lv in sorted(set(level.values()), reverse=True):
         members = "   ".join(names[a] for a in sorted(level) if level[a] == lv)

@@ -227,10 +227,6 @@ class CliffordData:
         object.__setattr__(self, "linking", dict(self.linking))
 
 
-def _semilattice_leq(Y, a, b):
-    return Y.mul(a, b) == a
-
-
 def strong_semilattice(Y, parts, linking):
     """The strong semilattice of semigroups [Y; parts; linking].
 
@@ -253,7 +249,7 @@ def strong_semilattice(Y, parts, linking):
         return tuple(m)
 
     for (a, b), m in linking.items():
-        if not _semilattice_leq(Y, b, a) or a == b:
+        if Y.mul(b, a) != b or a == b:
             raise InvalidLinking((a, b), "map not along the order (need a > b)")
         if len(m) != parts[a].order:
             raise InvalidLinking((a, b), "wrong domain size")
@@ -266,7 +262,7 @@ def strong_semilattice(Y, parts, linking):
     for a in Y.elements:
         for b in Y.elements:
             for c in Y.elements:
-                if (_semilattice_leq(Y, c, b) and _semilattice_leq(Y, b, a)
+                if (Y.mul(c, b) == c and Y.mul(b, a) == b
                         and len({a, b, c}) == 3):
                     ab, bc, ac = link(a, b), link(b, c), link(a, c)
                     if any(bc[ab[x]] != ac[x] for x in range(parts[a].order)):
@@ -281,14 +277,16 @@ def strong_semilattice(Y, parts, linking):
     for a, part in enumerate(parts):
         owner.extend([a] * part.order)
 
+    maps = {(a, c): link(a, c) for a in Y.elements for c in Y.elements
+            if Y.mul(c, a) == c}
     rows = [[0] * total for _ in range(total)]
     for x in range(total):
         a = owner[x]
         for y in range(total):
             b = owner[y]
             c = Y.mul(a, b)
-            xa = link(a, c)[x - offsets[a]]
-            yb = link(b, c)[y - offsets[b]]
+            xa = maps[a, c][x - offsets[a]]
+            yb = maps[b, c][y - offsets[b]]
             rows[x][y] = offsets[c] + parts[c].mul(xa, yb)
     labels = None
     if all(p.labels for p in parts):

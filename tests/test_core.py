@@ -526,12 +526,51 @@ class TestIdeals:
         assert depth(Z, np.int64(0)) == depth(Z, 0)
         assert not interchangeable(Z, np.int64(1), 1)
 
+    @pytest.mark.parametrize("call", [
+        lambda p, x: p.class_of(x),
+        lambda p, x: p.same(x, 1),
+        lambda p, x: p.same(1, x),
+    ], ids=["class_of", "same-a", "same-b"])
+    @pytest.mark.parametrize("point, message", [
+        # class_of(-1) was {1, 2} and same(-1, 1) True through a wrapping index
+        (-1, "point -1 is not in [0, 3)"),
+        (3, "point 3 is not in [0, 3)"),        # a bare IndexError
+        (1.0, "point = 1.0 is not an integer"),
+    ])
+    def test_a_point_outside_the_partition_is_named(self, call, point,
+                                                    message):
+        with pytest.raises(InvalidArgument) as e:
+            call(Partition([[0], [1, 2]]), point)
+        assert str(e.value) == message
+
+    def test_numpy_points_are_points(self):
+        p = Partition([[0], [1, 2]])
+        assert p.class_of(np.int64(2)) == {1, 2}
+        assert p.same(np.uint8(1), 2) and not p.same(np.int64(0), 1)
+
 
 class TestProductsQuotients:
     def test_product_base(self, z2, n2):
         P = direct_product(z2, n2)
         assert P.order == 4
         assert base_set(P) == {pair_index(n2, a, 0) for a in (0, 1)}
+
+    @pytest.mark.parametrize("i, j, message", [
+        (0, 5, "element 5 is not in [0, 3)"),   # was 5, the index of (1, 2)
+        (0, -1, "element -1 is not in [0, 3)"),
+        (-1, 0, "i = -1 is negative"),          # was -3
+        (0.5, 1, "i = 0.5 is not an integer"),  # was 2.5
+    ])
+    def test_pair_index_names_what_would_alias(self, i, j, message):
+        with pytest.raises(InvalidArgument) as e:
+            pair_index(zoo.zero_semigroup(3), i, j)
+        assert str(e.value) == message
+
+    def test_pair_index_is_the_product_encoding(self):
+        Z = zoo.zero_semigroup(3)
+        assert [pair_index(Z, i, j) for i in (0, 1, 7) for j in range(3)] \
+            == [0, 1, 2, 3, 4, 5, 21, 22, 23]
+        assert pair_index(Z, np.int64(1), np.uint8(2)) == 5
 
     def test_trivial_product_isomorphic(self, m32):
         P = direct_product(zoo.trivial(), m32)

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -91,6 +92,19 @@ class TestVerifyRho:
             assert c.completely_simple_base and c.finitely_stratified
             assert c.regular_part == c.elements
         assert rep.quotient_order == {(0, 0), (1, 1), (0, 1)}
+
+    def test_report_keeps_no_order_pairs(self):
+        # the stored pairs of the quotient order kept 5.68 MB
+        S = zoo.chain_semilattice(300)
+        green(S)
+        tracemalloc.start()
+        try:
+            rep = verify_rho(S)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= 2 * 2 ** 20
+        assert len(rep.quotient_order) == 300 * 301 // 2
 
     def test_group_trivial_quotient(self, z2):
         rep = verify_rho(z2)

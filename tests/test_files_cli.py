@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -368,3 +369,57 @@ class TestRender:
         text = render_hasse(zoo.chain_semilattice(3))
         assert "covers:" in text
         assert text.index("e2") < text.index("e0")   # top rendered first
+
+    @staticmethod
+    def set_hasse(Q):
+        """render_hasse from the order stored as a set of pairs, with an
+        O(n^3) scan for the covers: the reference for the bitset version."""
+        n = Q.order
+        names = [Q.label(i) for i in range(n)]
+        leq = {(a, b) for a in range(n) for b in range(n) if Q.mul(a, b) == a}
+        covers = [(a, b) for (a, b) in leq if a != b
+                  and not any(c != a and c != b and (a, c) in leq
+                              and (c, b) in leq for c in range(n))]
+        level = {}
+        for a in sorted(range(n), key=lambda a: sum(1 for b in range(n)
+                                                    if (b, a) in leq)):
+            below = [b for (b, c) in covers if c == a]
+            level[a] = 1 + max((level[b] for b in below), default=-1)
+        lines = []
+        for lv in sorted(set(level.values()), reverse=True):
+            members = "   ".join(names[a] for a in sorted(level)
+                                 if level[a] == lv)
+            lines.append(f"  {members}")
+        if covers:
+            lines.append("covers: " + ", ".join(f"{names[a]} < {names[b]}"
+                                                for a, b in sorted(covers)))
+        return "\n".join(lines)
+
+    @staticmethod
+    def subset_semilattice(family, op):
+        members = sorted(family, key=lambda m: (len(m), sorted(m)))
+        pos = {m: i for i, m in enumerate(members)}
+        return from_table(len(members), [[pos[op(a, b)] for b in members]
+                                         for a in members])
+
+    def hasse_cases(self):
+        chain, product = zoo.chain_semilattice, finsemi.direct_product
+        yield from (chain(n) for n in range(1, 41))
+        yield product(chain(3), chain(3))
+        yield product(product(chain(2), chain(2)), chain(4))
+        subsets = [frozenset(x for x in range(5) if m >> x & 1)
+                   for m in range(32)]
+        yield self.subset_semilattice(subsets, frozenset.__and__)
+        yield self.subset_semilattice(subsets, frozenset.__or__)
+        rng = random.Random(2019)
+        for _ in range(30):
+            family = {frozenset(x for x in range(6) if rng.random() < 0.5)
+                      for _ in range(rng.randint(2, 9))}
+            while (grown := family | {a & b for a in family
+                                      for b in family}) != family:
+                family = grown
+            yield self.subset_semilattice(family, frozenset.__and__)
+
+    def test_hasse_matches_the_pair_set_reference(self):
+        for Q in self.hasse_cases():
+            assert render_hasse(Q) == self.set_hasse(Q), Q._rows

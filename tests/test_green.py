@@ -24,6 +24,7 @@ from finsemi import (
 )
 from finsemi.errors import (
     InternalTheoremViolation,
+    InvalidArgument,
     NotASubsemigroup,
     NotIdempotent,
 )
@@ -66,6 +67,17 @@ class TestGreenClasses:
         g = green(m32)
         assert g.j_leq(3, 0) and not g.j_leq(0, 3)
         assert g.j_leq(2, 1) and g.j_leq(1, 0)
+
+    @pytest.mark.parametrize("s, t, message", [
+        (-1, 0, "point -1 is not in [0, 4)"),   # True through a wrapping index
+        (5, 0, "point 5 is not in [0, 4)"),     # a bare IndexError
+        (0, 4, "point 4 is not in [0, 4)"),
+        (0, 0.0, "point = 0.0 is not an integer"),
+    ])
+    def test_j_leq_names_a_point_outside(self, s, t, message):
+        with pytest.raises(InvalidArgument) as e:
+            green(zoo.monogenic(3, 2)).j_leq(s, t)
+        assert str(e.value) == message
 
 
 class TestEggBoxCheck:
@@ -157,6 +169,17 @@ class TestPrincipalIdeals:
     def test_green_memory_is_a_few_bits_per_ideal(self):
         # one frozenset per ideal peaked at 4.3 MB
         S = zoo.monogenic(100, 100)
+        tracemalloc.start()
+        try:
+            green_module._green(S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2 ** 20
+
+    def test_green_keeps_no_j_order_pairs(self):
+        # the stored pairs of the J-order peaked at 4.76 MB
+        S = zoo.chain_semilattice(300)
         tracemalloc.start()
         try:
             green_module._green(S)

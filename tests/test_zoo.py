@@ -157,6 +157,21 @@ class TestClifford:
                 (zoo.cyclic_group(2), zoo.cyclic_group(2)),
                 {(1, 0): (0, 0)}))  # g -> g is fine, e -> g is not a hom
 
+    def test_each_linking_map_is_read_once(self):
+        # it was read twice per cell of the product table
+        reads = []
+
+        class Linking(dict):
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+
+        S = zoo.strong_semilattice(
+            zoo.chain_semilattice(2), (zoo.cyclic_group(2),) * 2,
+            Linking({(1, 0): (0, 1)}))
+        assert is_clifford(S) and S.order == 4
+        assert reads == [(1, 0)]
+
     def test_non_idempotent_y_rejected_as_not_a_semilattice(self):
         # squaring permutes Z_3, but no element except the identity is
         # idempotent
