@@ -469,7 +469,7 @@ def _powers(S):
 
 def power_set(S, m):
     """S^m, the set of products of m elements (S^1 = S)."""
-    if m < 1:
+    if _must(index, m, "m", "an integer") < 1:
         raise InvalidArgument("m must be >= 1")
     chain = _power_chain(S)
     return chain[m - 1] if m <= len(chain) else chain[-1]
@@ -532,7 +532,8 @@ def _member(S, a):
 
 def _members(S, A):
     """A as a frozenset, each member checked by `_member`."""
-    return frozenset([_member(S, a) for a in A])
+    return frozenset([_member(S, a)
+                      for a in _must(iter, A, "member set", "iterable")])
 
 
 def subsemigroup_witness(S, A):

@@ -1,12 +1,12 @@
 """The semilattice decomposition of conditionally completely regular
 semigroups.
 
-Two elements are related when their weak inverses meet exactly the same
-D-classes; on a CCR semigroup this is a congruence whose quotient is a
-semilattice, and on group-bound input it coincides with the partition into
-K_{J_e} = union of K_f over idempotents f in the J-class of e.  Violations
-of these statements are theorems failing, so they raise
-InternalTheoremViolation instead of flowing into the report.
+rho relates two elements when their idempotent powers are J-related: its
+classes are the K_{J_e}.  On finite CCR input it is the partition by equal
+weak-inverse footprints over D, a congruence with a semilattice quotient
+and archimedean classes (Putcha, Semigroup Forum 6, 1973; Bogdanovic &
+Ciric, Filomat 7, 1993).  Violations of these statements are theorems
+failing, so they raise InternalTheoremViolation, not a report entry.
 """
 
 from __future__ import annotations
@@ -34,14 +34,9 @@ from .green import (
 )
 
 
-def footprint(S, s):
-    """The set of D-class indices whose classes meet W(s)."""
-    g = green(S)
-    return frozenset(g.D.index_of[x] for x in weak_inverses(S, s))
-
-
 def rho_partition(S):
-    """Partition by equal weak-inverse footprints (requires CCR input).
+    """K_{J_e} classes (requires CCR input): s rho t iff the idempotent
+    powers of s and t are J-related, one walk up each element's powers.
 
     The partition is cached on S; the CCR check runs on every call.
     """
@@ -50,7 +45,9 @@ def rho_partition(S):
 
 
 def _rho(S):
-    return Partition.from_index([footprint(S, s) for s in S.elements])
+    J = green(S).J
+    return Partition.from_index([J.index_of[_idempotent_power(S, s)]
+                                 for s in S.elements])
 
 
 @dataclass(frozen=True)
@@ -118,34 +115,33 @@ def verify_rho(S):
     restricted, stratified or given its own Green structure here.
     """
     rho = rho_partition(S)
-    try:
-        quotient, qmap = quotient_by_congruence(S, rho)
-    except NotACongruence as e:
-        raise InternalTheoremViolation(
-            f"rho is not a congruence, witness {e.witness}")
-    w = semilattice_witness(quotient)
-    if w is not None:
-        raise InternalTheoremViolation(
-            "S/rho has a non-idempotent element" if w[0] == w[1]
-            else "S/rho is not commutative")
-
+    quotient, qmap = _semilattice_quotient(S, rho, "rho", "S/rho")
     reg = regular_elements(S)
     comps = tuple(ComponentReport(cls, reg & cls) for cls in rho.classes)
     return DecompositionReport(rho=rho, quotient=quotient, quotient_map=qmap,
                                components=comps)
 
 
-def kje_partition(S):
-    """Partition into K_{J_e} sets (CCR input; finite input is group-bound).
+def _semilattice_quotient(S, p, name, qname):
+    """(S/p, quotient map); InternalTheoremViolation, calling p name and S/p
+    qname, unless p is a congruence whose quotient is a semilattice."""
+    try:
+        quotient, qmap = quotient_by_congruence(S, p)
+    except NotACongruence as e:
+        raise InternalTheoremViolation(
+            f"{name} is not a congruence, witness {e.witness}")
+    w = semilattice_witness(quotient)
+    if w is not None:
+        raise InternalTheoremViolation(
+            f"{qname} has a non-idempotent element" if w[0] == w[1]
+            else f"{qname} is not commutative")
+    return quotient, qmap
 
-    K_e is the set of elements with a power in the maximal subgroup at e;
-    K_{J_e} glues the K_f together over all idempotents f in the J-class
-    of e, so s lies in K_{J_f} for f its one idempotent power.
-    """
-    ccr_check(S)
-    J = green(S).J
-    return Partition.from_index([J.index_of[_idempotent_power(S, s)]
-                                 for s in S.elements])
+
+def kje_partition(S):
+    """Partition into K_{J_e}, the union of the K_f over the idempotents f
+    in the J-class of e (CCR input): rho is computed as this partition."""
+    return rho_partition(S)
 
 
 def archimedean(S, A):

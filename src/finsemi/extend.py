@@ -28,15 +28,14 @@ from .core import (
     quotient_by_congruence,
     rees_quotient,
     restrict,
-    semilattice_witness,
 )
+from .decompose import _semilattice_quotient
 from .errors import (
     GroupUnionNotIdeal,
     InternalTheoremViolation,
     InvalidArgument,
     LawViolation,
     NoZeroInSource,
-    NotACongruence,
     NotAnIdeal,
     NotClifford,
     NotStrict,
@@ -255,7 +254,7 @@ def clifford_decompose(sigma, ideal):
     isomorphism onto Y (checked in O(|Y|^2), so |Y| is not capped), and
     each G_alpha is an ideal of its component.
     """
-    ideal = frozenset(ideal)
+    ideal = _members(sigma, ideal)
     sub, elems = restrict(sigma, ideal)
     if not is_clifford(sub):
         raise NotClifford("the ideal is not a Clifford semigroup")
@@ -271,13 +270,7 @@ def clifford_decompose(sigma, ideal):
         comp_of[x] = comp_of[elems[phi.mapping[qx]]]
     tilde = Partition.from_index([comp_of[x] for x in sigma.elements])
 
-    try:
-        quotient, qmap2 = quotient_by_congruence(sigma, tilde)
-    except NotACongruence as e:
-        raise InternalTheoremViolation(
-            f"~ is not a congruence, witness {e.witness}")
-    if semilattice_witness(quotient) is not None:
-        raise InternalTheoremViolation("Sigma/~ is not a semilattice")
+    quotient, qmap2 = _semilattice_quotient(sigma, tilde, "~", "Sigma/~")
     # class k of ~ holds one group, groups[alpha[k]], so alpha is a
     # bijection onto Y, and an isomorphism once it is a homomorphism
     alpha = [comp_of[min(cls)] for cls in tilde.classes]

@@ -128,6 +128,12 @@ def _raw_principal_ideals(S):
     return tuple(rs), tuple(ls), tuple(js)
 
 
+def _raw_footprint(S, s):
+    """D-class indices of the classes meeting W(s); rho by its definition."""
+    g = green(S)
+    return frozenset(g.D.index_of[x] for x in weak_inverses(S, s))
+
+
 def _raw_archimedean(S, A):
     """Independent raw-loop recomputation of `decompose.archimedean`."""
     A = frozenset(A)
@@ -459,7 +465,9 @@ def check_decompose(S):
             if rho.same(s, t) != g.D.same(s, t):
                 bad.append(f"rho and D disagree on regular pair ({s},{t})")
 
-    # H-class footprints refine to the same partition (equivalent definition)
+    # footprints over D and over H give rho too (equivalent definitions)
+    if Partition.from_index([_raw_footprint(S, s) for s in S.elements]) != rho:
+        bad.append("D-class footprint definition disagrees with rho")
     h_foot = [frozenset(g.H.index_of[x] for x in W[s]) for s in S.elements]
     if Partition.from_index(h_foot) != rho:
         bad.append("H-class footprint definition disagrees with rho")
@@ -468,8 +476,6 @@ def check_decompose(S):
     if no_w and not _is_ideal(S, no_w):
         bad.append("{s : W(s) empty} is nonempty but not an ideal")
 
-    if dc.kje_partition(S) != rho:
-        bad.append("K_{J_e} partition differs from rho")
     # the four verdicts are theorem constants: recompute each on the
     # restricted class, compare, and state the theorems from the recomputation
     for comp in report.components:

@@ -3,6 +3,8 @@ Hasse diagrams for semilattice quotients."""
 
 from __future__ import annotations
 
+from .core import semilattice_witness
+from .errors import InvalidArgument
 from .green import green, idempotents
 from .stratify import stratify
 
@@ -54,7 +56,11 @@ def render_stratification(S):
 
 def render_hasse(Q, names=None):
     """ASCII Hasse diagram of a semilattice: one line per level (top first)
-    and the cover relations below."""
+    and the cover relations below.  InvalidArgument, with the
+    `semilattice_witness`, when Q is not a semilattice."""
+    w = semilattice_witness(Q)
+    if w is not None:
+        raise InvalidArgument(f"not a semilattice, witness {w}")
     n = Q.order
     names = names or [Q.label(i) for i in range(n)]
     # a <= b iff ab = a; b covers a when the interval up[a] & down[b] is {a, b}

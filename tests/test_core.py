@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import finsemi
 from finsemi import (
     Partition,
     Semigroup,
@@ -474,7 +475,9 @@ class TestIdeals:
         restrict, rees_quotient, closure, core.is_subsemigroup, is_left_ideal,
         core.is_right_ideal, is_ideal, subsemigroup_witness, ideal_witness,
         lambda S, A: product_set(S, A, {0, 1}),
-        lambda S, B: product_set(S, {0, 1}, B)])
+        lambda S, B: product_set(S, {0, 1}, B), finsemi.archimedean,
+        finsemi.is_completely_simple, finsemi.classify_extension,
+        finsemi.clifford_decompose])
     @pytest.mark.parametrize("members, message", [
         # read as element 0 through a wrapping index
         ({-3, 0}, "element -3 is not in [0, 3)"),
@@ -482,6 +485,7 @@ class TestIdeals:
         ({0, 3}, "element 3 is not in [0, 3)"),     # a bare IndexError
         ([1.0], "element = 1.0 is not an integer"),
         (["1"], "element = '1' is not an integer"),
+        (5, "member set = 5 is not iterable"),       # a bare TypeError
     ])
     def test_members_outside_the_elements_are_named(self, call, members,
                                                     message):
@@ -490,6 +494,16 @@ class TestIdeals:
             call(Z, members)
         assert str(e.value) == message
         assert Z._cache == {}
+
+    @pytest.mark.parametrize("m, message", [
+        ("2", "m = '2' is not an integer"),     # a bare TypeError
+        # returned S^2 = Base(S) once the power chain was shorter than m
+        (2.5, "m = 2.5 is not an integer"),
+    ])
+    def test_power_set_exponent_is_an_integer(self, m, message):
+        with pytest.raises(InvalidArgument) as e:
+            power_set(zoo.zero_semigroup(3), m)
+        assert str(e.value) == message
 
     def test_numpy_members_are_elements(self):
         Z = zoo.zero_semigroup(3)

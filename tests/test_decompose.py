@@ -22,9 +22,9 @@ from finsemi import (
     weak_inverses,
     zoo,
 )
-from finsemi.decompose import footprint
 from finsemi.green import ccr_witness
 from finsemi.properties import _raw_archimedean
+from finsemi.properties import _raw_footprint as footprint
 from finsemi.errors import (
     InternalTheoremViolation,
     NotASubsemigroup,
@@ -202,9 +202,30 @@ class TestKje:
     def test_group(self, z2):
         assert len(kje_partition(z2)) == 1
 
-    def test_matches_rho_on_ccr(self, t2, z2, m32):
+    def test_is_rho(self, t2, z2, m32):
+        import finsemi.decompose as dc
+        assert not hasattr(dc, "footprint")
         for S in (t2, z2, m32):
-            assert kje_partition(S) == rho_partition(S)
+            assert kje_partition(S) is rho_partition(S)
+
+    def test_matches_rho_on_ccr(self, t2, z2, m32):
+        # the oracle: equal weak-inverse footprints over D
+        for S in (t2, z2, m32):
+            assert kje_partition(S) == Partition.from_index(
+                [footprint(S, s) for s in S.elements])
+
+    def test_matches_footprints_on_large_fixtures(self):
+        from test_golden import LARGE_FIXTURES, relabelled
+        ccr = []
+        for name, S in relabelled(LARGE_FIXTURES):
+            ccr.append(ccr_witness(S) is None)
+            if ccr[-1]:
+                assert rho_partition(S) == Partition.from_index(
+                    [footprint(S, s) for s in S.elements]), name
+            else:
+                with pytest.raises(NotConditionallyCompletelyRegular):
+                    rho_partition(S)
+        assert ccr == [True, True, True, False]
 
 
 class TestArchimedean:

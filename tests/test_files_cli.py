@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,12 +17,13 @@ from finsemi import (
     parse_phm,
     parse_sgt,
     save_sgt,
+    semilattice_witness,
     validate_partial_hom,
     from_table,
     zoo,
 )
 from finsemi.cli import main
-from finsemi.errors import NonAssociative, SgtParseError
+from finsemi.errors import InvalidArgument, NonAssociative, SgtParseError
 from finsemi.render import render_egg_box, render_hasse
 
 
@@ -419,6 +421,17 @@ class TestRender:
                                       for b in family}) != family:
                 family = grown
             yield self.subset_semilattice(family, frozenset.__and__)
+
+    def test_hasse_rejects_what_is_not_a_semilattice(self):
+        for Q in zoo.enumerate_associative(3):
+            w = semilattice_witness(Q)
+            if w is None:
+                assert render_hasse(Q) == self.set_hasse(Q), Q._rows
+            else:
+                with pytest.raises(InvalidArgument, match=re.escape(str(w))):
+                    render_hasse(Q)
+        with pytest.raises(InvalidArgument, match=r"witness \(0, 0\)"):
+            render_hasse(zoo.cyclic_group(2))
 
     def test_hasse_matches_the_pair_set_reference(self):
         for Q in self.hasse_cases():

@@ -11,10 +11,12 @@ from finsemi import (
     is_conditionally_completely_regular,
     is_grillet_stratified,
     is_weakly_reductive,
+    restrict,
     stratify,
     zoo,
 )
 from finsemi.errors import (
+    InternalTheoremViolation,
     InvalidArgument,
     InvalidLinking,
     KTooLarge,
@@ -149,6 +151,14 @@ class TestClifford:
         assert C.order == 6
         assert is_clifford(C)
         assert len(rho_partition(C)) == 3
+
+    def test_not_clifford_after_assembly_is_a_theorem_violation(
+            self, monkeypatch):
+        monkeypatch.setattr(zoo, "is_clifford", lambda S: False)
+        with pytest.raises(InternalTheoremViolation) as e:
+            zoo.clifford(zoo.CliffordData(zoo.chain_semilattice(1),
+                                          (zoo.cyclic_group(3),), {}))
+        assert str(e.value) == "assembled semigroup is not Clifford"
 
     def test_invalid_linking_rejected(self):
         with pytest.raises(InvalidLinking):
@@ -287,23 +297,48 @@ class TestOtherFixtures:
         assert "exceeds the supported cap" in str(e.value)
 
 
+def _assert_domains_meet(w, groups):
+    """dom(st) = dom(s) ∩ dom(t) on the ideal of a `partial_map_extension`:
+    the product of the 0-groups, whose coordinate c is undefined at the
+    zero adjoined to groups[c], its last element."""
+    S, _ = restrict(w.sigma, w.ideal)
+    orders = [g.order + 1 for g in groups]
+
+    def dom(idx):
+        out = []
+        for k in reversed(orders):
+            out.append(idx % k != k - 1)
+            idx //= k
+        return tuple(reversed(out))
+
+    for a in S.elements:
+        for b in S.elements:
+            assert dom(S.mul(a, b)) == tuple(
+                x and y for x, y in zip(dom(a), dom(b))), (a, b)
+
+
 class TestPartialMapExtension:
     def test_degenerate_m1(self):
-        w = zoo.partial_map_extension(2, 1, [zoo.cyclic_group(2)] * 2)
+        groups = [zoo.cyclic_group(2)] * 2
+        w = zoo.partial_map_extension(2, 1, groups)
         # with m = 1 every defined value is already the cap, so T = {0}
         assert w.sigma.order == len(w.ideal)
+        _assert_domains_meet(w, groups)
 
     def test_n1_m2_components(self):
         from finsemi import clifford_decompose
-        w = zoo.partial_map_extension(1, 2, [zoo.cyclic_group(2)], picks=[0])
+        groups = [zoo.cyclic_group(2)]
+        w = zoo.partial_map_extension(1, 2, groups, picks=[0])
         dec = clifford_decompose(w.sigma, w.ideal)
         assert len(dec.components) == 2    # one per subset of {1}
+        _assert_domains_meet(w, groups)
 
     def test_n2_m2_components(self):
         from finsemi import clifford_decompose
-        w = zoo.partial_map_extension(2, 2, [zoo.cyclic_group(2)] * 2,
-                                      picks=[0, 0])
+        groups = [zoo.cyclic_group(2)] * 2
+        w = zoo.partial_map_extension(2, 2, groups, picks=[0, 0])
         assert len(clifford_decompose(w.sigma, w.ideal).components) == 4
+        _assert_domains_meet(w, groups)
 
     def test_nontrivial_picks_can_violate_the_law(self):
         with pytest.raises(LawViolation):
@@ -313,8 +348,14 @@ class TestPartialMapExtension:
     def test_identity_picks_always_valid(self):
         for n in (1, 2):
             for m in (1, 2, 3):
-                w = zoo.partial_map_extension(n, m, [zoo.cyclic_group(2)] * n)
+                groups = [zoo.cyclic_group(2)] * n
+                w = zoo.partial_map_extension(n, m, groups)
                 assert w.sigma.order == len(w.ideal) + (m + 1) ** n - _ideal_size(n, m)
+                _assert_domains_meet(w, groups)
+
+    def test_domains_meet_over_mixed_groups(self):
+        groups = [zoo.cyclic_group(3), zoo.cyclic_group(2)]
+        _assert_domains_meet(zoo.partial_map_extension(2, 2, groups), groups)
 
     def test_order_cap(self):
         with pytest.raises(OrderTooLarge):
