@@ -7,7 +7,6 @@ from .core import (
     Semigroup,
     adjoin_identity,
     adjoin_zero,
-    base_set,
     closure,
     congruence_witness,
     direct_product,
@@ -18,7 +17,6 @@ from .core import (
     identity_partition,
     interchangeable,
     is_congruence,
-    is_globally_idempotent,
     is_ideal,
     is_left_ideal,
     is_right_ideal,
@@ -29,7 +27,6 @@ from .core import (
     monoid_completion,
     pair_index,
     parse_sgt,
-    power_set,
     product_set,
     quotient_by_congruence,
     rees_quotient,
@@ -64,9 +61,12 @@ from .green import (
 from .stratify import (
     Classification,
     StratificationReport,
+    base_set,
     classify,
     depth,
+    is_globally_idempotent,
     is_grillet_stratified,
+    power_set,
     stratify,
 )
 

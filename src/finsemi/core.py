@@ -27,7 +27,6 @@ int object per element and one 8-byte pointer per cell.
 Structure derived from a semigroup is computed once and memoized in its
 `_cache` dict by `_cached`, for the semigroup's lifetime.  The keys:
 
-- "powers": the power chain [S^1, S^2, ...] (`_power_chain`);
 - "green": the `GreenStructure` (`green.green`);
 - "idempotents", "regular": E(S) and Reg(S) (`green`);
 - "ccr_witness": a regular H-class without idempotent, or None (`green`);
@@ -343,6 +342,15 @@ class Partition:
     __slots__ = ("classes", "index_of", "n")
 
     def __init__(self, classes, n=None):
+        try:
+            self._fill(classes, n)
+        except TypeError:
+            if n is not None:
+                _must(index, n, "n", "an integer")
+            raise InvalidArgument(f"classes = {classes!r} is not a "
+                                  "collection of sets of integers") from None
+
+    def _fill(self, classes, n):
         cls = sorted((frozenset(c) for c in classes), key=min)
         seen = set()
         for c in cls:
@@ -364,10 +372,16 @@ class Partition:
 
     @classmethod
     def from_index(cls, index):
+        """The partition whose class of x is labelled index[x]."""
         groups = {}
-        for x, k in enumerate(index):
-            groups.setdefault(k, []).append(x)
-        return cls(groups.values(), n=len(index))
+        try:
+            for x, k in enumerate(index):
+                groups.setdefault(k, []).append(x)
+            n = len(index)
+        except TypeError:
+            raise InvalidArgument(f"index = {index!r} is not a sequence of "
+                                  "hashable class labels") from None
+        return cls(groups.values(), n=n)
 
     def _point(self, x):
         """x as an int; InvalidArgument unless it is an integer in [0, n)."""
@@ -452,39 +466,11 @@ def _cached(S, key, compute):
     return value
 
 
-def _power_chain(S):
-    """[S^1, S^2, ...] up to the first repeat; cached on the semigroup."""
-    return _cached(S, "powers", lambda: _powers(S))
-
-
-def _powers(S):
-    full = frozenset(S.elements)
-    chain = [full]
-    while True:
-        nxt = _product_set(S, chain[-1], full)
-        if nxt == chain[-1]:
-            return chain
-        chain.append(nxt)
-
-
-def power_set(S, m):
-    """S^m, the set of products of m elements (S^1 = S)."""
-    if _must(index, m, "m", "an integer") < 1:
-        raise InvalidArgument("m must be >= 1")
-    chain = _power_chain(S)
-    return chain[m - 1] if m <= len(chain) else chain[-1]
-
-
-def base_set(S):
-    """Base(S): the intersection of all S^m; equals the stabilized power."""
-    return _power_chain(S)[-1]
-
-
 def closure(S, gens):
     """Smallest subsemigroup containing gens."""
-    if not gens:
-        raise EmptyGenerators("generating set is empty")
     cur = _members(S, gens)
+    if not cur:
+        raise EmptyGenerators("generating set is empty")
     while True:
         nxt = cur | _product_set(S, cur, cur)
         if nxt == cur:
@@ -649,12 +635,19 @@ def pair_index(T, i, j):
 # congruences and quotients
 
 
-def congruence_witness(S, partition):
-    """None if the partition is a congruence, else a witness (a, b, c)."""
+def _partition(S, partition):
+    """partition; InvalidArgument unless it is a Partition of [0, n)."""
+    if not isinstance(partition, Partition):
+        raise InvalidArgument(f"partition = {partition!r} is not a Partition")
     if partition.n != S.order:
         raise InvalidArgument(f"partition of [0, {partition.n}) given for "
                               f"a semigroup of order {S.order}")
-    idx = partition.index_of
+    return partition
+
+
+def congruence_witness(S, partition):
+    """None if the partition is a congruence, else a witness (a, b, c)."""
+    idx = _partition(S, partition).index_of
     t = S._rows
     classes = [sorted(c) for c in partition.classes if len(c) > 1]
     if not classes:
@@ -734,7 +727,7 @@ def quotient_by_congruence(S, partition):
     Quotient element k is partition.classes[k]; returns (Q, index_of),
     cached on S.
     """
-    return _cached(S, ("quotient", partition),
+    return _cached(S, ("quotient", _partition(S, partition)),
                    lambda: _quotient(S, partition))
 
 
@@ -781,12 +774,6 @@ def interchangeable_pair(S):
 
 def is_weakly_reductive(S):
     return interchangeable_pair(S) is None
-
-
-def is_globally_idempotent(S):
-    """S^2 = S."""
-    full = frozenset(S.elements)
-    return _product_set(S, full, full) == full
 
 
 def adjoin_zero(S):

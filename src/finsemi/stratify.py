@@ -3,14 +3,22 @@
 The descending chain S ⊇ S² ⊇ ... stabilizes after at most |S| steps; the
 stable set is the base, the least m with S^m = S^(m+1) is the height, and
 the layers are the successive differences S_m = S^m \\ S^(m+1).
+
+They are peeled off in one O(n^2) pass, as in Kahn's topological sort
+(CACM 5(11), 1962): since S^(m+1) = S^m S, S_m is the part of S^m that no
+cell a*b with a in S^m hits.  `properties._raw_powers` is the oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import index
 from types import MappingProxyType
 
-from .core import _cached, _member, _power_chain, base_set, rees_quotient
+from .core import _cached, _member, _must, rees_quotient
+from .errors import InvalidArgument
 from .green import regular_elements
 
 BASE = "base"
@@ -34,7 +42,7 @@ class StratificationReport:
 
 
 def stratify(S):
-    """Chase the power chain to its fixed point and report the strata.
+    """Peel the strata off the table and report them.
 
     The report is cached on S.
     """
@@ -42,22 +50,50 @@ def stratify(S):
 
 
 def _stratify(S):
-    chain = _power_chain(S)
-    height = len(chain)
-    base = chain[-1]
-    layers = tuple(chain[m - 1] - chain[m] for m in range(1, height))
-    depth = [BASE] * S.order
-    for m, layer in enumerate(layers, start=1):
-        for x in layer:
-            depth[x] = m
+    rows = S._rows
+    hits = Counter(chain.from_iterable(rows))  # cells a*b = x with a in S^m
+    depth_of = [BASE] * S.order
+    layers, layer = [], [x for x in S.elements if not hits[x]]
+    while layer:
+        layers.append(frozenset(layer))
+        layer = []
+        for a in layers[-1]:
+            depth_of[a] = len(layers)
+            for x in rows[a]:
+                hits[x] -= 1
+                if not hits[x]:
+                    layer.append(x)
+    base = frozenset(S.elements).difference(*layers)
     flags = {
-        "grillet_stratified": is_grillet_stratified(S),
-        "globally_idempotent": height == 1,
+        "grillet_stratified": S.zero is not None and base == {S.zero},
+        "globally_idempotent": not layers,
         "base_equals_reg": base == regular_elements(S),
     }
-    return StratificationReport(base=base, layers=layers, height=height,
-                                depth_of=tuple(depth),
+    return StratificationReport(base=base, layers=tuple(layers),
+                                height=len(layers) + 1,
+                                depth_of=tuple(depth_of),
                                 flags=MappingProxyType(flags))
+
+
+def power_set(S, m):
+    """S^m, the products of m elements (S^1 = S): the base and every layer
+    from S_m on."""
+    if _must(index, m, "m", "an integer") < 1:
+        raise InvalidArgument("m must be >= 1")
+    report = stratify(S)
+    if m >= report.height:
+        return report.base
+    return report.base.union(*report.layers[m - 1:])
+
+
+def base_set(S):
+    """Base(S): the intersection of all S^m, the elements no layer takes."""
+    return stratify(S).base
+
+
+def is_globally_idempotent(S):
+    """S^2 = S: the peel takes no layer."""
+    return stratify(S).flags["globally_idempotent"]
 
 
 def depth(S, s):
@@ -71,7 +107,7 @@ def is_grillet_stratified(S):
     Base(S^0) = Base(S) ∪ {0} and a finite Base(S) is never empty, so a
     zero-free S is never Grillet-stratified.
     """
-    return S.zero is not None and base_set(S) == {S.zero}
+    return stratify(S).flags["grillet_stratified"]
 
 
 @dataclass(frozen=True)

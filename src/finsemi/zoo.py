@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+from operator import index
 
 from .core import (
     ORDER_CAP,
@@ -41,6 +42,11 @@ FREE_NILPOTENT_ORDER_CAP = 200
 PARTIAL_MAP_ORDER_CAP = 120
 
 
+def _integer(value, name):
+    """value as an int; InvalidArgument unless it is an integer."""
+    return _must(index, value, name, "an integer")
+
+
 def _checked_order(n):
     """n, once known to fit the constructor, before any row is built."""
     if n > ORDER_CAP:
@@ -58,6 +64,7 @@ def monogenic(h, r):
     Elements a, a^2, ..., a^(h+r-1) at indices 0..h+r-2; the kernel
     {a^h, ..., a^(h+r-1)} is a cyclic group of order r.
     """
+    h, r = _integer(h, "h"), _integer(r, "r")
     if h < 1 or r < 1:
         raise InvalidArgument("index and period must be >= 1")
     n = _checked_order(h + r - 1)
@@ -81,6 +88,7 @@ def cyclic_group(r):
 
 def zero_semigroup(n):
     """All products equal the zero, which sits at index 0."""
+    n = _integer(n, "n")
     if n < 1:
         raise InvalidArgument("order must be >= 1")
     _checked_order(n)
@@ -90,6 +98,7 @@ def zero_semigroup(n):
 
 def chain_semilattice(n):
     """The n-chain semilattice under min; 0 is the bottom."""
+    n = _integer(n, "n")
     if n < 1:
         raise InvalidArgument("order must be >= 1")
     _checked_order(n)
@@ -99,6 +108,7 @@ def chain_semilattice(n):
 
 def rectangular_band(p, q):
     """(i,j)(k,l) = (i,l) on p*q pairs; index (i,j) -> i*q + j."""
+    p, q = _integer(p, "p"), _integer(q, "q")
     if p < 1 or q < 1:
         raise InvalidArgument("dimensions must be >= 1")
     n = _checked_order(p * q)
@@ -121,6 +131,7 @@ def brandt_b2():
 
 def full_transformations(k):
     """All maps on k points under "apply left, then right" composition."""
+    k = _integer(k, "k")
     if k < 1:
         raise InvalidArgument("k must be >= 1")
     if k > 3:
@@ -141,6 +152,7 @@ def powerset_nilsemigroup(k):
     base swallows them and the semigroup is not stratified, whereas every
     finite instance has base {∅} (checked in the tests, k <= 4).
     """
+    k = _integer(k, "k")
     if k < 1:
         raise InvalidArgument("k must be >= 1")
     if k > 5:
@@ -162,7 +174,8 @@ def free_nilpotent(alphabet_size, length_bound):
     element survives into all set powers) and no finite table can witness
     that; the truncation always has base {0}.
     """
-    a, L = alphabet_size, length_bound
+    a = _integer(alphabet_size, "alphabet_size")
+    L = _integer(length_bound, "length_bound")
     if a < 1 or L < 2:
         raise InvalidArgument("need alphabet_size >= 1 and length_bound >= 2")
     # n = 1 + a + ... + a^(L-1) >= max(a + 1, L); evaluate it only when small
@@ -321,6 +334,7 @@ def partial_map_extension(n, m, groups, picks=None):
     A factor that is not a group (a monoid, say), or picks that are not
     one element per group, raise InvalidArgument.
     """
+    n, m = _integer(n, "n"), _integer(m, "m")
     if picks is None:
         picks = [g.identity for g in groups]
     picks = _must(tuple, picks, "picks", "a sequence")
@@ -463,6 +477,7 @@ def enumerate_associative(n, dedup=None):
     class yields its first table; a later one is dropped when `isomorphic`
     matches it (or, under "iso+anti", its transpose) to a kept table.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise InvalidArgument("order must be >= 1")
     if n > ENUMERATION_ORDER_CAP:
@@ -493,6 +508,7 @@ def sample_associative(n, count, seed=0):
     183,732 of the 5^25 of order 5), so above order 3 this rejection filter
     usually keeps nothing; see random_associative for a non-empty yield.
     """
+    n, count = _integer(n, "n"), _integer(count, "count")
     rng = random.Random(seed)
     out = []
     cells = n * n
@@ -510,6 +526,7 @@ def random_associative(n, count, seed=0):
     Leaf-biased rather than uniform over semigroups; each sample is the
     first completion of an independently shuffled search.
     """
+    n, count = _integer(n, "n"), _integer(count, "count")
     rng = random.Random(seed)
     out = []
     for _ in range(count):

@@ -486,10 +486,17 @@ class TestIdeals:
         ([1.0], "element = 1.0 is not an integer"),
         (["1"], "element = '1' is not an integer"),
         (5, "member set = 5 is not iterable"),       # a bare TypeError
+        # closure raised EmptyGenerators on these two
+        (None, "member set = None is not iterable"),
+        (0, "member set = 0 is not iterable"),
     ])
     def test_members_outside_the_elements_are_named(self, call, members,
                                                     message):
         Z = zoo.zero_semigroup(3)
+        if members is None and call is finsemi.is_completely_simple:
+            # None is its default subset, the whole semigroup
+            assert call(Z, members) is False
+            return
         with pytest.raises(InvalidArgument) as e:
             call(Z, members)
         assert str(e.value) == message
@@ -648,6 +655,37 @@ class TestProductsQuotients:
                 call(Z, p)
             assert str(e.value) == (f"partition of [0, {p.n}) given for a "
                                     f"semigroup of order 3")
+        assert Z._cache == {}
+
+    @pytest.mark.parametrize("call, message", [
+        # each raised a bare TypeError
+        (lambda Z: Partition(5), "classes = 5 is not a collection of sets "
+                                 "of integers"),
+        (lambda Z: Partition([5]), "classes = [5] is not a collection of "
+                                   "sets of integers"),
+        (lambda Z: Partition([[0, "a"]]), "classes = [[0, 'a']] is not a "
+                                          "collection of sets of integers"),
+        (lambda Z: Partition([[0], [1]], n="x"), "n = 'x' is not an integer"),
+        (lambda Z: Partition.from_index(5), "index = 5 is not a sequence of "
+                                            "hashable class labels"),
+        # each raised a bare AttributeError
+        (lambda Z: core.congruence_witness(Z, 5),
+         "partition = 5 is not a Partition"),
+        (lambda Z: quotient_by_congruence(Z, 5),
+         "partition = 5 is not a Partition"),
+        (lambda Z: is_congruence(Z, None),
+         "partition = None is not a Partition"),
+        # an unhashable cache key raised a bare TypeError
+        (lambda Z: quotient_by_congruence(Z, [[0], [1, 2]]),
+         "partition = [[0], [1, 2]] is not a Partition"),
+    ], ids=["classes-int", "class-int", "class-str", "n-str", "from_index",
+            "congruence_witness", "quotient", "is_congruence",
+            "quotient-list"])
+    def test_a_malformed_partition_is_named(self, call, message):
+        Z = zoo.zero_semigroup(3)
+        with pytest.raises(InvalidArgument) as e:
+            call(Z)
+        assert str(e.value) == message
         assert Z._cache == {}
 
 

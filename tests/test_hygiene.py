@@ -3,8 +3,9 @@ name it imports, every library function reads each local it assigns, no
 library module imports numpy when it is loaded, and the CLI and the package
 load extend, properties, render and zoo only on first use, with every
 public name of the package still its defining object, the text of every
-InternalTheoremViolation message appears in some test, and no library code
-reads a public set function that checks its members.
+InternalTheoremViolation message appears in some test, no library code
+reads a public set function that checks its members, and the cache keys
+listed in the core docstring are exactly the keys the library caches under.
 
 `finsemi/__init__.py` is exempt from the import check, since its imports
 are the public API.
@@ -13,6 +14,7 @@ are the public API.
 import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -393,3 +395,52 @@ def test_the_check_sees_every_theorem_message():
               "def g():\n    raise ValueError('not a theorem')\n")
     assert sorted(theorem_messages(source)) == [" of ", "plain",
                                                 "the other arm", "witness "]
+
+
+def cache_keys(source):
+    """The key of each `_cached(S, key, ...)` call: the literal, the literal
+    tag of a tuple key, or the source text of any other key."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and len(node.args) >= 2):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None)
+        if name != "_cached":
+            continue
+        key = node.args[1]
+        if isinstance(key, ast.Tuple) and key.elts:
+            key = key.elts[0]
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            found.add(key.value)
+        else:
+            found.add(ast.unparse(key))
+    return found
+
+
+def listed_cache_keys(source):
+    """The quoted names in the bullet list after "The keys:" in the module
+    docstring; the list ends at the first blank line."""
+    doc = ast.get_docstring(ast.parse(source))
+    listed = doc.split("The keys:", 1)[1].strip().split("\n\n", 1)[0]
+    return set(re.findall(r'"(\w+)"', listed))
+
+
+def test_every_cache_key_is_listed_and_used():
+    used = set().union(*(cache_keys(p.read_text(encoding="utf-8"))
+                         for p in SOURCES))
+    core = (Path(finsemi.__file__).parent / "core.py").read_text(
+        encoding="utf-8")
+    assert used == listed_cache_keys(core)
+
+
+def test_the_check_sees_every_cache_key():
+    source = ('"""Doc.\n\nThe keys:\n\n- "a": one;\n- ("b", x), "c": two\n'
+              '  and "d";\n\nNot a key: "e".\n"""\n'
+              "def f(S):\n"
+              "    return _cached(S, 'a', g) or core._cached(S, ('b', 1), g)\n"
+              "h = lambda S, k: _cached(S, k, g)\n"
+              "def _cached(S, key, compute):\n    return cached(S, 'x', g)\n")
+    assert listed_cache_keys(source) == {"a", "b", "c", "d"}
+    assert cache_keys(source) == {"a", "b", "k"}

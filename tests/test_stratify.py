@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -10,8 +11,10 @@ from finsemi import (
     direct_product,
     green,
     idempotents,
+    is_globally_idempotent,
     is_grillet_stratified,
     is_ideal,
+    power_set,
     product_set,
     regular_elements,
     restrict,
@@ -19,7 +22,7 @@ from finsemi import (
     zoo,
 )
 from finsemi.cli import analysis_bundle
-from finsemi.properties import _raw_nilpotency_index
+from finsemi.properties import _raw_nilpotency_index, _raw_powers
 from finsemi.stratify import BASE
 from test_golden import FIXTURES, _relabel
 
@@ -58,6 +61,55 @@ class TestStratify:
         assert payload["layers"] == [[0], [1]]
         assert payload["height"] == 3
         json.dumps(payload)  # serializable
+
+
+# chains of height up to 60, above the exhaustive orders
+LONG_CHAINS = (
+    *((f"monogenic {h} {r}", lambda h=h, r=r: zoo.monogenic(h, r))
+      for h, r in ((2, 9), (7, 3), (13, 1), (31, 6), (60, 1), (60, 5))),
+    ("free_nilpotent 2 6", lambda: zoo.free_nilpotent(2, 6)),
+    ("monogenic 5 2 x zero 3",
+     lambda: direct_product(zoo.monogenic(5, 2), zoo.zero_semigroup(3))),
+)
+
+
+class TestPeel:
+    """The strata come from one peel of the table, never from a power."""
+
+    @pytest.mark.parametrize("build, height", [
+        (lambda: zoo.monogenic(100, 100), 100),
+        (lambda: direct_product(zoo.full_transformations(3),
+                                zoo.chain_semilattice(8)), 1),
+    ], ids=["monogenic 100 100", "full_transformations 3 x chain 8"])
+    def test_strata_need_no_product_set(self, monkeypatch, build, height):
+        S = build()
+
+        def product_set_called(*args):
+            raise AssertionError("_product_set called")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("finsemi") and hasattr(module, "_product_set"):
+                monkeypatch.setattr(module, "_product_set", product_set_called)
+        assert stratify(S).height == height
+        assert is_globally_idempotent(S) == (height == 1)
+        base = base_set(S)
+        assert power_set(S, 1) == set(S.elements)
+        assert power_set(S, height) == power_set(S, height + 1) == base
+        assert "stratify" in S._cache
+
+    @pytest.mark.parametrize("name, build", LONG_CHAINS,
+                             ids=[c[0] for c in LONG_CHAINS])
+    def test_peel_matches_the_raw_powers_on_long_chains(self, name, build):
+        S = _relabel(build(), f"peel:{name}")
+        rep = stratify(S)
+        h = rep.height
+        raw = _raw_powers(S, h + 1)
+        assert [power_set(S, m) for m in range(1, h + 2)] == raw
+        assert raw[h - 1] == raw[h] == rep.base
+        assert h == 1 or raw[h - 2] != raw[h - 1]
+        assert rep.layers == tuple(raw[m - 1] - raw[m] for m in range(1, h))
+        assert all(rep.depth_of[x] == m for m, layer in
+                   enumerate(rep.layers, start=1) for x in layer)
 
 
 class TestDepth:
@@ -113,7 +165,7 @@ class TestClassify:
     def test_builds_no_power_of_the_quotient(self):
         S = zoo.monogenic(100, 100)
         analysis_bundle(S)
-        assert "powers" not in classify(S).quotient._cache
+        assert "stratify" not in classify(S).quotient._cache
 
     def test_index_oracle_is_the_height_up_to_order4(self):
         tables = 0

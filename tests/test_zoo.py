@@ -296,6 +296,31 @@ class TestOtherFixtures:
             build()
         assert "exceeds the supported cap" in str(e.value)
 
+    @pytest.mark.parametrize("build, message", [
+        # each raised a bare TypeError
+        (lambda: zoo.monogenic(2.5, 2), "h = 2.5 is not an integer"),
+        (lambda: zoo.chain_semilattice(None), "n = None is not an integer"),
+        (lambda: zoo.rectangular_band(2, 1.5), "q = 1.5 is not an integer"),
+        (lambda: zoo.free_nilpotent(2, 2.5),
+         "length_bound = 2.5 is not an integer"),
+        (lambda: zoo.powerset_nilsemigroup(2.0), "k = 2.0 is not an integer"),
+        (lambda: zoo.full_transformations(2.0), "k = 2.0 is not an integer"),
+        (lambda: zoo.zero_semigroup(2.0), "n = 2.0 is not an integer"),
+        (lambda: zoo.cyclic_group(2.0), "r = 2.0 is not an integer"),
+        (lambda: list(zoo.enumerate_associative(2.0)),
+         "n = 2.0 is not an integer"),
+        (lambda: zoo.sample_associative(2, "x"),
+         "count = 'x' is not an integer"),
+        (lambda: zoo.partial_map_extension(1.0, 2, [zoo.cyclic_group(2)]),
+         "n = 1.0 is not an integer"),
+    ], ids=["monogenic", "chain", "rectangular_band", "free_nilpotent",
+            "powerset_nil", "full_transformations", "zero_semigroup",
+            "cyclic_group", "enumerate", "sample", "partial_map"])
+    def test_a_size_that_is_not_an_integer_is_named(self, build, message):
+        with pytest.raises(InvalidArgument) as e:
+            build()
+        assert str(e.value) == message
+
 
 def _assert_domains_meet(w, groups):
     """dom(st) = dom(s) ∩ dom(t) on the ideal of a `partial_map_extension`:
