@@ -37,8 +37,11 @@ class EmptyGenerators(SemigroupError):
 
 class NotAnIdeal(SemigroupError):
     def __init__(self, witness):
-        self.witness = witness  # (s, a) with s*a or a*s escaping
-        super().__init__(f"subset is not a two-sided ideal, witness {witness}")
+        self.witness = witness  # (s, a) with s*a or a*s escaping, or None
+        super().__init__(
+            f"subset is not a two-sided ideal, witness {witness}"
+            if witness is not None
+            else "subset is empty, so it is not an ideal")
 
 
 class NotACongruence(SemigroupError):
@@ -49,8 +52,11 @@ class NotACongruence(SemigroupError):
 
 class NotASubsemigroup(SemigroupError):
     def __init__(self, witness):
-        self.witness = witness  # (a, b) with a*b outside the subset
-        super().__init__(f"subset is not closed under products, witness {witness}")
+        self.witness = witness  # (a, b) with a*b outside the subset, or None
+        super().__init__(
+            f"subset is not closed under products, witness {witness}"
+            if witness is not None
+            else "subset is empty, so it is not a subsemigroup")
 
 
 class NotIdempotent(SemigroupError):

@@ -1,7 +1,8 @@
-"""Ideal extensions: building them from partial homomorphisms, classifying
-them as strict/pure, recovering the partial homomorphism from a strict
-extension of a weakly reductive semigroup, and decomposing strict extensions
-of Clifford semigroups into semilattices of group extensions.
+"""Ideal extensions: building them from partial homomorphisms, each checked
+once when it is made, classifying them as strict/pure, recovering the
+partial homomorphism from a strict extension of a weakly reductive
+semigroup, and decomposing strict extensions of Clifford semigroups into
+semilattices of group extensions.
 
 Index conventions for a built extension Sigma of S by T: the ideal copy of
 S occupies 0..|S|-1 in S's order, followed by the nonzero elements of T in
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import index
+from types import MappingProxyType
 
 from .core import (
     Partition,
@@ -24,7 +26,6 @@ from .core import (
     _must,
     _product_set,
     ideal_witness,
-    interchangeable_pair,
     quotient_by_congruence,
     rees_quotient,
     restrict,
@@ -47,59 +48,55 @@ from .green import green, is_clifford, is_group
 
 @dataclass(frozen=True)
 class PartialHom:
-    """A map from the nonzero part of T into S preserving nonzero products."""
-    source: Semigroup   # T, with zero
-    target: Semigroup   # S
-    mapping: dict       # T-index (nonzero) -> S-index
+    """A map from the nonzero part of T into S preserving nonzero products,
+    checked when made, in O(|T|^2): T needs a zero, InvalidArgument names a
+    non-mapping, the first key or value that is not an integer (Python or
+    numpy), or a wrong domain or range, and LawViolation the first failing
+    pair.  The mapping is stored read-only, so the law keeps holding."""
+    source: Semigroup           # T, with zero
+    target: Semigroup           # S
+    mapping: MappingProxyType   # T-index (nonzero) -> S-index
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", _as_dict(self.mapping))
-
-
-def _as_dict(mapping):
-    """A copy of mapping; InvalidArgument if it is not a mapping."""
-    try:
-        return dict(mapping.items())
-    except AttributeError:
-        raise InvalidArgument(
-            f"mapping = {mapping!r} is not a mapping") from None
+        T, S = self.source, self.target
+        if T.zero is None:
+            raise NoZeroInSource("source semigroup has no zero")
+        try:
+            items = self.mapping.items()
+        except AttributeError:
+            raise InvalidArgument(
+                f"mapping = {self.mapping!r} is not a mapping") from None
+        nonzero = [x for x in T.elements if x != T.zero]
+        # index, unlike int, rejects floats, strings and None
+        pairs = []
+        for k, v in items:
+            k = _must(index, k, "mapping key", "an integer")
+            pairs.append((k, _must(index, v, f"mapping[{k}]", "an integer")))
+        mapping = dict(pairs)
+        # the pairs' keys, unlike the dict's, keep two keys that index alike
+        if sorted(k for k, _ in pairs) != nonzero:
+            raise InvalidArgument(f"mapping keys must be exactly T \\ {{{T.zero}}}")
+        if any(not 0 <= v < S.order for v in mapping.values()):
+            raise InvalidArgument("mapping value outside the target")
+        srows, trows = S._rows, T._rows
+        pick = _getter(nonzero)
+        pick_images = _getter([mapping[b] for b in nonzero])
+        for a in nonzero:
+            # the products ab != 0 of row a, mapped, against map(a)map(b)
+            prods = pick(trows[a])
+            kept = tuple(map(T.zero.__ne__, prods))
+            srow = srows[mapping[a]]
+            if (tuple(map(mapping.__getitem__, compress(prods, kept)))
+                    != tuple(compress(pick_images(srow), kept))):
+                b = next(b for b, ab in zip(nonzero, prods)
+                         if ab != T.zero and mapping[ab] != srow[mapping[b]])
+                raise LawViolation(a, b)
+        object.__setattr__(self, "mapping", MappingProxyType(mapping))
 
 
 def validate_partial_hom(T, S, mapping):
-    """Check the domain and the law map(AB) = map(A)map(B) when AB != 0.
-
-    Keys and values must be integers (Python or numpy); InvalidArgument
-    names a `mapping` that is not a mapping, or its first key or value
-    that is not an integer.
-    """
-    if T.zero is None:
-        raise NoZeroInSource("source semigroup has no zero")
-    nonzero = [x for x in T.elements if x != T.zero]
-    # index, unlike int, rejects floats, strings and None
-    pairs = []
-    for k, v in _as_dict(mapping).items():
-        k = _must(index, k, "mapping key", "an integer")
-        pairs.append((k, _must(index, v, f"mapping[{k}]", "an integer")))
-    mapping = dict(pairs)
-    # the pairs' keys, unlike the dict's, keep two keys that index alike
-    if sorted(k for k, _ in pairs) != nonzero:
-        raise InvalidArgument(f"mapping keys must be exactly T \\ {{{T.zero}}}")
-    if any(not 0 <= v < S.order for v in mapping.values()):
-        raise InvalidArgument("mapping value outside the target")
-    srows, trows = S._rows, T._rows
-    pick = _getter(nonzero)
-    pick_images = _getter([mapping[b] for b in nonzero])
-    for a in nonzero:
-        # the products ab != 0 of row a, mapped, against map(a)map(b)
-        prods = pick(trows[a])
-        kept = tuple(map(T.zero.__ne__, prods))
-        srow = srows[mapping[a]]
-        if (tuple(map(mapping.__getitem__, compress(prods, kept)))
-                != tuple(compress(pick_images(srow), kept))):
-            b = next(b for b, ab in zip(nonzero, prods)
-                     if ab != T.zero and mapping[ab] != srow[mapping[b]])
-            raise LawViolation(a, b)
-    return PartialHom(source=T, target=S, mapping=mapping)
+    """PartialHom(T, S, mapping), which checks itself when it is made."""
+    return PartialHom(T, S, mapping)
 
 
 @dataclass(frozen=True)
@@ -126,9 +123,9 @@ def build_extension(phi):
     A*B = AB when AB != 0 in T, else map(A)map(B); A*s = map(A)s;
     s*A = s map(A); s*t = st.
 
-    phi is validated again (`validate_partial_hom`, O(|T|^2)), and then
-    Sigma is associative by Clifford's theorem (Extensions of semigroups,
-    Trans. AMS 68, 1950), so its table skips the O(n^3) check.  The map
+    phi obeys the law, as it was checked when it was made, so Sigma is
+    associative by Clifford's theorem (Extensions of semigroups, Trans.
+    AMS 68, 1950), and its table skips the O(n^3) check.  The map
     bar(phi) = id_S ∪ phi is a homomorphism Sigma -> S by the law, and so
     is psi: Sigma -> T, fixing T \\ {0} and sending S to 0.  A product
     xyz lies in the ideal S exactly when psi(x)psi(y)psi(z) = 0, whatever
@@ -137,7 +134,6 @@ def build_extension(phi):
     and every partial product lie in T \\ {0}, and both bracketings are
     the product in T.
     """
-    phi = validate_partial_hom(phi.source, phi.target, phi.mapping)
     T, S, f = phi.source, phi.target, phi.mapping
     ns = S.order
     outside = [x for x in T.elements if x != T.zero]
@@ -210,26 +206,31 @@ def _classify(sigma, ideal):
     return ExtensionClassification(kind=kind, per_element=per), members, actions
 
 
+def _twins(sigma, ideal):
+    """Outside element -> the ideal element acting alike on the ideal;
+    NotStrict names the first outside element with none, NotWeaklyReductive
+    the first two ideal elements, in sorted order, that act alike."""
+    cls, members, actions = _classify(sigma, ideal)
+    for x, ok in cls.per_element.items():
+        if not ok:
+            raise NotStrict(x)
+    first = {actions[s]: s for s in reversed(members)}
+    for s in members:
+        if first[actions[s]] != s:
+            raise NotWeaklyReductive((first[actions[s]], s))
+    return {x: first[actions[x]] for x in cls.per_element}
+
+
 def recover_partial_hom(sigma, ideal):
     """Invert build_extension on a strict extension of a weakly reductive
     ideal: source is the Rees quotient sigma/ideal, target the ideal as a
-    standalone semigroup, and each outside element maps to the unique ideal
-    element with the same two-sided action."""
-    cls, members, actions = _classify(sigma, ideal)
-    if cls.kind != "strict":
-        bad = next(x for x, ok in sorted(cls.per_element.items()) if not ok)
-        raise NotStrict(bad)
+    standalone semigroup, and each outside element maps to its twin."""
+    twins = _twins(sigma, ideal)
     target, elems = restrict(sigma, ideal)
-    pair = interchangeable_pair(target)
-    if pair is not None:
-        raise NotWeaklyReductive((elems[pair[0]], elems[pair[1]]))
     source, qmap = rees_quotient(sigma, ideal)
-    pos = {a: i for i, a in enumerate(members)}
-    # every outside element is strict, so its action is some member's
-    twin = {actions[s]: s for s in members}
-    mapping = {qmap[x]: pos[twin[actions[x]]]
-               for x in sigma.elements if x not in ideal}
-    return PartialHom(source=source, target=target, mapping=mapping)
+    pos = {a: i for i, a in enumerate(elems)}
+    return PartialHom(source, target,
+                      {qmap[x]: pos[s] for x, s in twins.items()})
 
 
 @dataclass(frozen=True)
@@ -258,16 +259,14 @@ def clifford_decompose(sigma, ideal):
     sub, elems = restrict(sigma, ideal)
     if not is_clifford(sub):
         raise NotClifford("the ideal is not a Clifford semigroup")
-    phi = recover_partial_hom(sigma, ideal)   # also enforces strictness
+    twins = _twins(sigma, ideal)   # strictness; Clifford is weakly reductive
 
     g = green(sub)
     groups = [frozenset(elems[i] for i in cls) for cls in g.J.classes]
     y_sem, _ = quotient_by_congruence(sub, g.J)
 
     comp_of = {x: k for k, grp in enumerate(groups) for x in grp}
-    outside = [y for y in sigma.elements if y not in ideal]
-    for qx, x in enumerate(outside):
-        comp_of[x] = comp_of[elems[phi.mapping[qx]]]
+    comp_of.update((x, comp_of[s]) for x, s in twins.items())
     tilde = Partition.from_index([comp_of[x] for x in sigma.elements])
 
     quotient, qmap2 = _semilattice_quotient(sigma, tilde, "~", "Sigma/~")
@@ -315,7 +314,7 @@ def canonical_phi(sigma, components):
         e_alpha = sub_elems[sub.identity]
         for a in sa - ga:
             mapping[qmap[a]] = pos[sigma.mul(a, e_alpha)]
-    return validate_partial_hom(source, target, mapping)
+    return PartialHom(source, target, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +346,7 @@ def parse_phm(text, resolve):
         if t_idx in mapping:
             raise SgtParseError(k, f"duplicate t_index {t_idx}")
         mapping[t_idx] = s_idx
-    return validate_partial_hom(T, S, mapping)
+    return PartialHom(T, S, mapping)
 
 
 def format_phm(phi, t_ref, s_ref):

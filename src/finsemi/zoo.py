@@ -484,6 +484,11 @@ def enumerate_associative(n, dedup=None):
         raise OrderTooLarge(n, ENUMERATION_ORDER_CAP)
     if dedup not in (None, "iso", "iso+anti"):
         raise InvalidArgument(f"unknown dedup mode {dedup!r}")
+    return _enumerate(n, dedup)
+
+
+def _enumerate(n, dedup):
+    """enumerate_associative once its arguments are checked."""
     kept = {}   # profile invariant -> the representatives kept with it
     for rows in _assoc_tables(n):
         S = Semigroup(rows)

@@ -477,7 +477,7 @@ class TestIdeals:
         lambda S, A: product_set(S, A, {0, 1}),
         lambda S, B: product_set(S, {0, 1}, B), finsemi.archimedean,
         finsemi.is_completely_simple, finsemi.classify_extension,
-        finsemi.clifford_decompose])
+        finsemi.clifford_decompose, finsemi.recover_partial_hom])
     @pytest.mark.parametrize("members, message", [
         # read as element 0 through a wrapping index
         ({-3, 0}, "element -3 is not in [0, 3)"),
@@ -502,6 +502,23 @@ class TestIdeals:
         assert str(e.value) == message
         assert Z._cache == {}
 
+    @pytest.mark.parametrize("call, error", [
+        (restrict, NotASubsemigroup),
+        (finsemi.clifford_decompose, NotASubsemigroup),
+        (finsemi.is_completely_simple, NotASubsemigroup),
+        (rees_quotient, NotAnIdeal),
+        (finsemi.classify_extension, NotAnIdeal),
+        (finsemi.recover_partial_hom, NotAnIdeal),
+    ])
+    def test_an_empty_member_set_is_named_empty(self, call, error):
+        # the empty set is closed under products; it fails only by being
+        # empty, so there is no witness to name
+        with pytest.raises(error) as e:
+            call(zoo.zero_semigroup(3), set())
+        assert e.value.witness is None
+        kind = "an ideal" if error is NotAnIdeal else "a subsemigroup"
+        assert str(e.value) == f"subset is empty, so it is not {kind}"
+
     @pytest.mark.parametrize("m, message", [
         ("2", "m = '2' is not an integer"),     # a bare TypeError
         # returned S^2 = Base(S) once the power chain was shorter than m
@@ -522,10 +539,10 @@ class TestIdeals:
         lambda S, s: interchangeable(S, s, 0),
         lambda S, s: interchangeable(S, 0, s),
         weak_inverses, inverses, element_powers, maximal_subgroup, k_class,
-        depth,
+        depth, finsemi.weak_inverse_location,
     ], ids=["interchangeable-a", "interchangeable-b", "weak_inverses",
             "inverses", "element_powers", "maximal_subgroup", "k_class",
-            "depth"])
+            "depth", "weak_inverse_location"])
     @pytest.mark.parametrize("element, message", [
         # -1 and -3 were read as elements 2 and 0 through a wrapping index
         (-1, "element -1 is not in [0, 3)"),

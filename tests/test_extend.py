@@ -90,6 +90,12 @@ class TestValidatePartialHom:
             PartialHom(T, z2, mapping)
         assert str(e.value) == f"mapping = {mapping!r} is not a mapping"
 
+    def test_mapping_is_read_only(self, z2):
+        phi = validate_partial_hom(from_table(2, T_A0), z2, {0: 1})
+        with pytest.raises(TypeError):
+            phi.mapping[0] = 0
+        assert phi.mapping == {0: 1}
+
     def test_numpy_integers_pass(self, z2):
         T = from_table(3, T_NIL3)
         phi = validate_partial_hom(T, z2, {np.int64(0): np.uint8(1),
@@ -120,15 +126,27 @@ class TestBuildExtension:
         assert Q == T
 
     def test_source_without_zero_rejected(self, z2):
-        # unvalidated, this map would give a bogus order-4 table
+        # built, this map would give a bogus order-4 table; it is refused
+        # when the PartialHom is made
         with pytest.raises(NoZeroInSource):
-            build_extension(PartialHom(z2, z2, {0: 0, 1: 1}))
+            PartialHom(z2, z2, {0: 0, 1: 1})
 
-    def test_law_checked_before_building(self, z2):
+    def test_law_checked_when_made(self, z2):
         T = from_table(3, T_NIL3)
         with pytest.raises(LawViolation) as e:
-            build_extension(PartialHom(T, z2, {0: 1, 1: 1}))
+            PartialHom(T, z2, {0: 1, 1: 1})
         assert e.value.pair == (0, 0)
+
+    def test_builds_without_a_law_check(self, z2, monkeypatch):
+        T = from_table(3, T_NIL3)
+        phi = PartialHom(T, z2, {0: 1, 1: 0})
+        rows = build_extension(phi).sigma._rows
+
+        def refuse(self):
+            raise AssertionError("law checked again")
+
+        monkeypatch.setattr(PartialHom, "__post_init__", refuse)
+        assert build_extension(phi).sigma._rows == rows
 
     def test_always_strict(self, z2):
         for T_rows in (T_A0, T_NIL3):
@@ -218,6 +236,7 @@ class TestRecover:
         assert classify_extension(sigma, ideal).kind == "strict"
         with pytest.raises(NotWeaklyReductive) as e:
             recover_partial_hom(sigma, ideal)
+        assert e.value.pair == (0, 1)   # the first two in sorted order
         a, b = e.value.pair
         assert a in ideal and b in ideal and a != b
         assert all(sigma.mul(a, x) == sigma.mul(b, x)
@@ -344,6 +363,27 @@ class TestCliffordDecompose:
         assert classes == {frozenset({0}), frozenset({1, 2, 3})}
         assert not any(isinstance(k, tuple) and k[0] == "restrict"
                        and k[1] in classes for k in sigma._cache)
+
+    def test_reads_the_twins_off_the_actions(self, monkeypatch):
+        """No partial homomorphism, Rees quotient or interchangeable-pair
+        scan: each outside element joins its twin's component."""
+        def refuse(*args):
+            raise AssertionError("called")
+
+        for module, name in ((extend, "recover_partial_hom"),
+                             (extend, "rees_quotient"),
+                             (core, "rees_quotient"),
+                             (core, "interchangeable_pair")):
+            monkeypatch.setattr(module, name, refuse)
+        assert not hasattr(extend, "interchangeable_pair")
+        C = clifford_z2_over_trivial()
+        T = from_table(2, T_A0)
+        sigma = build_extension(validate_partial_hom(T, C, {0: 1})).sigma
+        dec = clifford_decompose(sigma, set(C.elements))
+        assert {sa for _, sa, _ in dec.components} == {frozenset({0}),
+                                                       frozenset({1, 2, 3})}
+        assert not any(isinstance(k, tuple) and k[0] == "rees"
+                       for k in sigma._cache)
 
     def test_not_clifford(self):
         lz = zoo.rectangular_band(2, 1)

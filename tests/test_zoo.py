@@ -102,12 +102,17 @@ class TestEnumerate:
 
     def test_order_cap(self):
         with pytest.raises(OrderTooLarge):
-            next(zoo.enumerate_associative(5))
+            zoo.enumerate_associative(5)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_order_below_one(self, n):
         with pytest.raises(InvalidArgument, match="order must be >= 1"):
-            next(zoo.enumerate_associative(n))
+            zoo.enumerate_associative(n)
+
+    def test_unknown_dedup_mode_at_the_call(self):
+        with pytest.raises(InvalidArgument) as e:
+            zoo.enumerate_associative(4, dedup="x")
+        assert str(e.value) == "unknown dedup mode 'x'"
 
 
 class TestMonogenic:
@@ -307,7 +312,7 @@ class TestOtherFixtures:
         (lambda: zoo.full_transformations(2.0), "k = 2.0 is not an integer"),
         (lambda: zoo.zero_semigroup(2.0), "n = 2.0 is not an integer"),
         (lambda: zoo.cyclic_group(2.0), "r = 2.0 is not an integer"),
-        (lambda: list(zoo.enumerate_associative(2.0)),
+        (lambda: zoo.enumerate_associative(2.0),
          "n = 2.0 is not an integer"),
         (lambda: zoo.sample_associative(2, "x"),
          "count = 'x' is not an integer"),
