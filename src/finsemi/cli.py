@@ -3,7 +3,9 @@ enumerate / verify over .sgt and .phm files.
 
 Exit codes: 0 success, 1 property or validation failure, 2 usage error,
 3 I/O error.  All randomness flows through --seed (fixed default), so every
-command is deterministic given its inputs.
+command is deterministic given its inputs.  `verify` checks its tables on
+one fork-started worker per CPU in the process's affinity mask; its output
+does not depend on that count.
 """
 
 from __future__ import annotations
@@ -209,48 +211,146 @@ def cmd_enumerate(args):
     return 0
 
 
+class _Share:
+    """One process's part of verify: its failures (place, messages) in
+    serial order, the place of the step running now, and the exception that
+    stopped it.  A place (phase, index) orders the steps as one process
+    would run them: labelled table k, product pair (i, j), uniform sample k,
+    backtracking sample k."""
+
+    def __init__(self):
+        self.failures, self.at, self.error = [], None, None
+
+    def check(self, phase, tables, mine=lambda k: True):
+        """Check every table, or table k when mine(k); the count of tables."""
+        from . import properties
+        k = 0
+        self.at = (phase, k)
+        for S in tables:
+            if mine(k) and (bad := properties.check_semigroup(S)):
+                self.failures.append(((phase, k), bad))
+            k += 1
+            self.at = (phase, k)
+        return k
+
+
+def _verify_share(order, reps, w, width, fd):
+    """Worker w of width pickles (labelled tables, its _Share) to fd.  It
+    enumerates the labelled tables itself, so no checked table outlives its
+    check, and checks table k when k % width == w and pair row i when
+    i % width == w."""
+    import pickle
+    from . import properties, zoo
+    share, count = _Share(), 0
+    try:
+        count = share.check(0, zoo.enumerate_associative(order),
+                            lambda k: k % width == w)
+        for i in range(w, len(reps), width):
+            for j, B in enumerate(reps):
+                share.at = (1, (i, j))
+                if bad := properties.check_product_pair(reps[i], B):
+                    share.failures.append((share.at, bad))
+    except Exception as e:
+        share.error = e
+    with open(fd, "wb") as out:
+        pickle.dump((count, share), out)
+
+
 def cmd_verify(args):
+    """One fork-started worker per CPU checks its share of the labelled
+    tables and pairs while this process draws and checks the samples; the
+    failures merge into the serial order, so the report does not depend on
+    the number of workers."""
     if not 0 <= args.samples <= SAMPLES_CAP:
         raise InvalidArgument(
             f"samples must be between 0 and {SAMPLES_CAP}, got {args.samples}")
-    from . import properties, zoo
-    failures = []
-    checked = 0
-
-    def run(S, origin):
-        nonlocal checked
-        checked += 1
-        bad = properties.check_semigroup(S)
-        if bad:
-            failures.append((origin, S, bad))
-
-    for k, S in enumerate(zoo.enumerate_associative(args.order)):
-        run(S, f"enumerated order-{args.order} table #{k}")
+    import multiprocessing
+    import pickle
+    from . import zoo
+    # this also checks the order, before any worker starts
     reps = list(zoo.enumerate_associative(args.order, dedup="iso+anti"))
-    pair_checks = 0
-    for i, A in enumerate(reps):
-        for j, B in enumerate(reps):
-            pair_checks += 1
-            for msg in properties.check_product_pair(A, B):
-                failures.append((f"product of representatives #{i} x #{j}",
-                                 A, [msg, "right factor:\n" + format_sgt(B)]))
-    survivors = zoo.sample_associative(5, args.samples, seed=args.seed)
-    for k, S in enumerate(survivors):
-        run(S, f"uniform order-5 sample #{k}")
-    deep = zoo.random_associative(5, min(args.samples, 10), seed=args.seed)
-    for k, S in enumerate(deep):
-        run(S, f"randomized-backtracking order-5 sample #{k}")
+    ctx = multiprocessing.get_context("fork")
+    width = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    own, workers = _Share(), []
+    shares = [own]
+    try:
+        for w in range(width):
+            # a bare pipe: multiprocessing's Pipe costs 0.5 MB of imports
+            fd, send = os.pipe()
+            p = ctx.Process(target=_verify_share,
+                            args=(args.order, reps, w, width, send))
+            try:
+                p.start()
+            finally:
+                os.close(send)
+            workers.append((p, open(fd, "rb")))
+        try:
+            own.at = (2, 0)
+            survivors = zoo.sample_associative(5, args.samples, seed=args.seed)
+            own.check(2, survivors)
+            own.at = (3, 0)
+            deep = zoo.random_associative(5, min(args.samples, 10),
+                                          seed=args.seed)
+            own.check(3, deep)
+        except Exception as e:
+            own.error = e
+        for p, recv in workers:
+            try:
+                count, share = pickle.load(recv)
+            except (EOFError, pickle.UnpicklingError):
+                p.join()
+                raise RuntimeError(f"verify worker {p.name} exited with "
+                                   f"code {p.exitcode}") from None
+            shares.append(share)
+    except BaseException:
+        for p, _ in workers:
+            p.terminate()
+        raise
+    finally:
+        for p, recv in workers:
+            recv.close()
+            p.join()
+    stopped = [(s.at, s.error) for s in shares if s.error]
+    if stopped:
+        raise min(stopped, key=lambda e: e[0])[1]
+    return _verify_report(args, count, reps, survivors, deep,
+                          sorted((f for s in shares for f in s.failures),
+                                 key=lambda f: f[0]))
 
-    print(f"checked {checked} semigroup(s) "
-          f"({pair_checks} product pairs, {len(survivors)} of {args.samples} "
+
+def _verify_report(args, count, reps, survivors, deep, failures):
+    """Print the summary and every failure; the exit code."""
+    from . import zoo
+    # the workers send places only: the failing labelled tables are
+    # enumerated again here
+    wanted = {k for (phase, k), _ in failures if phase == 0}
+    labelled = {k: S for k, S in zip(range(max(wanted, default=-1) + 1),
+                                     zoo.enumerate_associative(args.order))
+                if k in wanted}
+    origins = {0: (f"enumerated order-{args.order} table", labelled),
+               2: ("uniform order-5 sample", survivors),
+               3: ("randomized-backtracking order-5 sample", deep)}
+    report = []
+    for (phase, k), bad in failures:
+        if phase == 1:
+            i, j = k
+            report += [(f"product of representatives #{i} x #{j}", reps[i],
+                        [msg, "right factor:\n" + format_sgt(reps[j])])
+                       for msg in bad]
+        else:
+            name, tables = origins[phase]
+            report.append((f"{name} #{k}", tables[k], bad))
+    print(f"checked {count + len(survivors) + len(deep)} semigroup(s) "
+          f"({len(reps) ** 2} product pairs, {len(survivors)} of {args.samples} "
           f"uniform order-5 samples associative, {len(deep)} backtracking samples)")
-    if failures:
-        for origin, S, bad in failures:
+    if report:
+        for origin, S, bad in report:
             print(f"\nFAIL [{origin}]")
             sys.stdout.write(format_sgt(S))
             for msg in bad:
                 print(f"  - {msg}")
-        print(f"\n{len(failures)} failing semigroup(s)")
+        print(f"\n{len(report)} failing semigroup(s)")
         return 1
     print("all property suites passed")
     return 0

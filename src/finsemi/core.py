@@ -68,6 +68,9 @@ ORDER_CAP = 65535
 # Above order 256, `_failure` runs on the row tuples while its |mids| n^2
 # cells are at most this many, and on numpy slabs above.
 LIGHT_TUPLE_CELLS = 2 ** 22
+# The numpy kernel of `_failure` holds an index of m*y for at most this many
+# cells of mids x y at a time.
+SCAN_BLOCK_CELLS = 2 ** 17
 _MISSING = object()
 
 
@@ -284,9 +287,10 @@ def _failure(rows, mids):
       row of m.  A gathered cell costs 7-9 ns, a numpy one about 1 ns after
       some 40-60 ms and 13 MB to import numpy, so the two break even near
       6M cells;
-    - above that budget, uint16 numpy slabs of |mids| n cells per left
-      factor against an intp index of m*y built once, about 13 bytes per
-      cell of scratch.  Only this kernel imports numpy.
+    - above that budget, uint16 numpy slabs per left factor against an
+      intp index of m*y, both over one block of mids at a time (at most
+      SCAN_BLOCK_CELLS cells), about 13 bytes per cell of scratch.  Only
+      this kernel imports numpy.
 
     `rows` holds tuples of ints.
     """
@@ -317,14 +321,36 @@ def _failure(rows, mids):
         return None
     import numpy as np
     t = np.array(rows, dtype=np.uint16)
-    at = np.array(mids, dtype=np.intp)
-    products = t[at].astype(np.intp)
-    for x, row in enumerate(t):
+    span = max(1, SCAN_BLOCK_CELLS // n)
+    # left factors in runs of doubling length [x0, x1), each run scanned
+    # block by block of mids, so a failure at x costs O(x |mids| n)
+    x0, x1 = 0, 1
+    while x0 < n:
+        found = None
+        for lo in range(0, len(mids), span):
+            at = np.array(mids[lo:lo + span], dtype=np.intp)
+            # a failure in an earlier block at x beats any here at x or later
+            xs = range(x0, found[0] if found else x1)
+            if hit := _block_failure(t, at, xs):
+                x, k, y = hit
+                found = x, mids[lo + k], y
+        if found:
+            return found
+        x0, x1 = x1, min(n, 2 * x1)
+    return None
+
+
+def _block_failure(t, at, xs):
+    """The first (x, k, y), x in xs, with (x*m_k)*y != x*(m_k*y) for the
+    block of mids at, in the uint16 table t; or None."""
+    products = t[at].astype("intp")
+    for x in xs:
         # [k, y]: (x*m_k)*y on the left, x*(m_k*y) on the right
+        row = t[x]
         left, right = t[row[at]], row[products]
         if not (left == right).all():
-            k, y = map(int, np.argwhere(left != right)[0])
-            return x, mids[k], y
+            ks, ys = (left != right).nonzero()
+            return x, int(ks[0]), int(ys[0])
     return None
 
 

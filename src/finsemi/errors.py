@@ -2,11 +2,20 @@
 
 Every exception carries its witness data as attributes so callers (and the
 CLI) can report the exact failing triple/pair/class instead of a bare flag.
+Every exception survives a pickle round trip with its type, message and
+witnesses, so it can cross a process boundary.
 """
+
+import copyreg
 
 
 class SemigroupError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # Subclasses take witnesses, not the message, so unpickling must not
+        # call __init__ with args: restore args and witnesses as they are.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InvalidArgument(SemigroupError, ValueError):
