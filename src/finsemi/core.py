@@ -16,7 +16,10 @@ subsemigroup), `rees_quotient` and `quotient_by_congruence` (homomorphic
 images, by a checked ideal or congruence), `direct_product`, `adjoin_zero`,
 `adjoin_identity`, and `extend.build_extension` (an extension by a partial
 homomorphism it validates first, associative by Clifford's theorem).  They
-fill their tables from whole rows of their inputs.
+fill their tables from whole rows of their inputs; the subsemigroup and the
+two quotients share one row map, `_image_rows`.  Every map that must obey
+a law (an isomorphism, a linking or partial homomorphism, Sigma/~ -> Y) is
+checked by one function, `_law_failure`, which names the first failing pair.
 
 The check is Light's test; the cube scan only names the witness.  Both
 run in `_failure`, in O(n^2) memory, the only place the constructor
@@ -45,7 +48,7 @@ filling the same key store equal values.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 from operator import eq, index, itemgetter
 
 from .errors import (
@@ -354,6 +357,27 @@ def _block_failure(t, at, xs):
     return None
 
 
+def _law_failure(S, T, f, domain):
+    """The first (a, b) of domain x domain, in domain order, with a*b in
+    domain and f[a*b] != f[a]*f[b], a*b taken in S and f[a]*f[b] in T; or
+    None.  On all of S it is the homomorphism test, on the nonzero elements
+    of S the law of a partial homomorphism.  Each row a is one C-level
+    comparison: its products in domain, mapped by f, against the row of
+    f[a] read at the images f[b]."""
+    inside, image = frozenset(domain).__contains__, f.__getitem__
+    pick, pick_images = _getter(domain), _getter(list(map(image, domain)))
+    srows, trows = S._rows, T._rows
+    for a in domain:
+        prods = pick(srows[a])
+        kept = tuple(map(inside, prods))
+        trow = trows[image(a)]
+        if (tuple(map(image, compress(prods, kept)))
+                != tuple(compress(pick_images(trow), kept))):
+            return a, next(b for b, ab in zip(domain, prods)
+                           if inside(ab) and image(ab) != trow[image(b)])
+    return None
+
+
 def from_table(n, entries, labels=None):
     """Validate and build a Semigroup from an n x n table of indices."""
     rows = _rows_of(entries, list)
@@ -598,10 +622,16 @@ def _restrict(S, A):
     pos = [0] * S.order
     for i, a in enumerate(elems):
         pos[a] = i
-    pick, srows = _getter(elems), S._rows
-    rows = [tuple(map(pos.__getitem__, pick(srows[a]))) for a in elems]
+    rows = _image_rows(S, elems, pos)
     labels = [S.label(a) for a in elems] if S.labels else None
     return Semigroup._derived(rows, labels=labels), tuple(elems)
+
+
+def _image_rows(S, reps, pos):
+    """Row k is the row of reps[k] read at reps and mapped through pos, the
+    new index of each element: a subsemigroup or an image of S."""
+    pick, srows, get = _getter(reps), S._rows, pos.__getitem__
+    return [tuple(map(get, pick(srows[a]))) for a in reps]
 
 
 def rees_quotient(S, I):
@@ -622,10 +652,8 @@ def _rees_quotient(S, I):
     k = len(outside)
     pos = {x: i for i, x in enumerate(outside)}
     qmap = tuple(pos.get(x, k) for x in S.elements)
-    pick, srows = _getter(outside), S._rows
-    rows = [tuple(map(qmap.__getitem__, pick(srows[a]))) + (k,)
-            for a in outside]
-    rows.append((k,) * (k + 1))
+    # I is an ideal, so the row and column of min(I) map to the zero k
+    rows = _image_rows(S, outside + [min(I)], qmap)
     labels = None
     if S.labels:
         labels = [S.label(x) for x in outside] + ["0"]
@@ -762,9 +790,7 @@ def _quotient(S, partition):
     if w is not None:
         raise NotACongruence(w)
     idx = partition.index_of
-    reps = [min(c) for c in partition.classes]
-    pick, srows = _getter(reps), S._rows
-    rows = [tuple(map(idx.__getitem__, pick(srows[a]))) for a in reps]
+    rows = _image_rows(S, [min(c) for c in partition.classes], idx)
     labels = None
     if S.labels:
         labels = ["{" + ",".join(S.label(x) for x in sorted(c)) + "}"
@@ -802,21 +828,22 @@ def is_weakly_reductive(S):
     return interchangeable_pair(S) is None
 
 
+def _adjoined(S, column, label):
+    """The rows and labels of S and a fresh element n labelled label, with
+    x*n = n*x = column[x]."""
+    labels = list(S.labels) + [label] if S.labels else None
+    return [row + (c,) for row, c in zip(S._rows, column)] + [column], labels
+
+
 def adjoin_zero(S):
     """S with a fresh absorbing element appended at index n."""
-    n = S.order
-    rows = [row + (n,) for row in S._rows]
-    rows.append((n,) * (n + 1))
-    labels = list(S.labels) + ["0"] if S.labels else None
+    rows, labels = _adjoined(S, (S.order,) * (S.order + 1), "0")
     return Semigroup._derived(rows, labels=labels)
 
 
 def adjoin_identity(S):
     """S with a fresh neutral element appended at index n."""
-    n = S.order
-    rows = [row + (i,) for i, row in enumerate(S._rows)]
-    rows.append(tuple(range(n + 1)))
-    labels = list(S.labels) + ["1"] if S.labels else None
+    rows, labels = _adjoined(S, tuple(range(S.order + 1)), "1")
     return Semigroup._derived(rows, labels=labels)
 
 
@@ -875,8 +902,7 @@ def find_isomorphism(S, T):
     def rec(a):
         if a == n:
             # the incremental test is a filter, not a proof
-            return all(phi[S.mul(x, y)] == T.mul(phi[x], phi[y])
-                       for x in range(n) for y in range(n))
+            return _law_failure(S, T, phi, S.elements) is None
         for b in candidates[a]:
             if not used[b] and ok(a, b):
                 phi[a] = b
@@ -900,7 +926,7 @@ def isomorphic(S, T):
 
 
 def parse_sgt(text):
-    lines = text.splitlines()
+    lines = _must(str.splitlines, text, "text", "a str")
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:

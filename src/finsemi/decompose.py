@@ -24,10 +24,11 @@ from .core import (
     semilattice_witness,
     subsemigroup_witness,
 )
-from .errors import InternalTheoremViolation, NotACongruence, NotASubsemigroup
+from .errors import (InternalTheoremViolation, NotACongruence,
+                     NotASubsemigroup, NotConditionallyCompletelyRegular)
 from .green import (
     _idempotent_power,
-    ccr_check,
+    ccr_witness,
     green,
     regular_elements,
     weak_inverses,
@@ -40,7 +41,8 @@ def rho_partition(S):
 
     The partition is cached on S; the CCR check runs on every call.
     """
-    ccr_check(S)
+    if (w := ccr_witness(S)) is not None:
+        raise NotConditionallyCompletelyRegular(w)
     return _cached(S, "rho", lambda: _rho(S))
 
 

@@ -13,7 +13,6 @@ its last index the round trip recover(build(phi)) == phi is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from operator import index
 from types import MappingProxyType
 
@@ -22,6 +21,7 @@ from .core import (
     Semigroup,
     _getter,
     _is_ideal,
+    _law_failure,
     _members,
     _must,
     _product_set,
@@ -78,19 +78,8 @@ class PartialHom:
             raise InvalidArgument(f"mapping keys must be exactly T \\ {{{T.zero}}}")
         if any(not 0 <= v < S.order for v in mapping.values()):
             raise InvalidArgument("mapping value outside the target")
-        srows, trows = S._rows, T._rows
-        pick = _getter(nonzero)
-        pick_images = _getter([mapping[b] for b in nonzero])
-        for a in nonzero:
-            # the products ab != 0 of row a, mapped, against map(a)map(b)
-            prods = pick(trows[a])
-            kept = tuple(map(T.zero.__ne__, prods))
-            srow = srows[mapping[a]]
-            if (tuple(map(mapping.__getitem__, compress(prods, kept)))
-                    != tuple(compress(pick_images(srow), kept))):
-                b = next(b for b, ab in zip(nonzero, prods)
-                         if ab != T.zero and mapping[ab] != srow[mapping[b]])
-                raise LawViolation(a, b)
+        if pair := _law_failure(T, S, mapping, nonzero):
+            raise LawViolation(*pair)
         object.__setattr__(self, "mapping", MappingProxyType(mapping))
 
 
@@ -134,6 +123,8 @@ def build_extension(phi):
     and every partial product lie in T \\ {0}, and both bracketings are
     the product in T.
     """
+    if not isinstance(phi, PartialHom):
+        raise InvalidArgument(f"phi = {phi!r} is not a PartialHom")
     T, S, f = phi.source, phi.target, phi.mapping
     ns = S.order
     outside = [x for x in T.elements if x != T.zero]
@@ -225,12 +216,17 @@ def recover_partial_hom(sigma, ideal):
     """Invert build_extension on a strict extension of a weakly reductive
     ideal: source is the Rees quotient sigma/ideal, target the ideal as a
     standalone semigroup, and each outside element maps to its twin."""
-    twins = _twins(sigma, ideal)
+    return _phi_from(sigma, ideal, _twins(sigma, ideal))
+
+
+def _phi_from(sigma, ideal, image):
+    """The PartialHom of sigma/ideal into the ideal, as a standalone
+    semigroup, sending each outside element x to the ideal element image[x]."""
     target, elems = restrict(sigma, ideal)
     source, qmap = rees_quotient(sigma, ideal)
     pos = {a: i for i, a in enumerate(elems)}
     return PartialHom(source, target,
-                      {qmap[x]: pos[s] for x, s in twins.items()})
+                      {qmap[x]: pos[s] for x, s in image.items()})
 
 
 @dataclass(frozen=True)
@@ -273,8 +269,7 @@ def clifford_decompose(sigma, ideal):
     # class k of ~ holds one group, groups[alpha[k]], so alpha is a
     # bijection onto Y, and an isomorphism once it is a homomorphism
     alpha = [comp_of[min(cls)] for cls in tilde.classes]
-    if any(y_sem.mul(alpha[a], alpha[b]) != alpha[quotient.mul(a, b)]
-           for a in quotient.elements for b in quotient.elements):
+    if _law_failure(quotient, y_sem, alpha, quotient.elements):
         raise InternalTheoremViolation("Sigma/~ is not isomorphic to Y")
 
     comps = []
@@ -298,23 +293,23 @@ def canonical_phi(sigma, components):
     not a group (`green.is_group`) raises NotClifford.  build_extension of
     the result reproduces sigma's multiplication exactly (up to the standard
     index order: ideal first)."""
-    pairs = [(frozenset(sa), frozenset(ga)) for sa, ga in components]
+    try:
+        pairs = [(frozenset(sa), frozenset(ga)) for sa, ga in components]
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"components = {components!r} is not a "
+                              "collection of (sigma_alpha, g_alpha) pairs") from None
     Partition([sa for sa, _ in pairs], n=sigma.order)  # disjoint cover check
     union = _members(sigma, frozenset().union(*(ga for _, ga in pairs)))
     if not _is_ideal(sigma, union):
         raise GroupUnionNotIdeal(ideal_witness(sigma, union))
-    target, elems = restrict(sigma, union)
-    pos = {a: i for i, a in enumerate(elems)}
-    source, qmap = rees_quotient(sigma, union)
-    mapping = {}
+    image = {}
     for sa, ga in pairs:
         sub, sub_elems = restrict(sigma, ga)
         if not is_group(sub):
             raise NotClifford(f"component part {sorted(ga)} is not a group")
         e_alpha = sub_elems[sub.identity]
-        for a in sa - ga:
-            mapping[qmap[a]] = pos[sigma.mul(a, e_alpha)]
-    return PartialHom(source, target, mapping)
+        image.update((a, sigma.mul(a, e_alpha)) for a in sa - ga)
+    return _phi_from(sigma, union, image)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +323,9 @@ def parse_phm(text, resolve):
     `resolve(ref)` turns each of the first two non-comment lines (a path or
     a zoo: tag) into a Semigroup.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
+    if not callable(resolve):
+        raise InvalidArgument(f"resolve = {resolve!r} is not callable")
+    lines = [ln.strip() for ln in _must(str.splitlines, text, "text", "a str")]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if len(lines) < 2:
         raise SgtParseError(1, "expected references to T and S")

@@ -26,11 +26,7 @@ from functools import reduce
 from operator import or_
 
 from .core import Partition, _cached, _member, restrict
-from .errors import (
-    InternalTheoremViolation,
-    NotConditionallyCompletelyRegular,
-    NotIdempotent,
-)
+from .errors import InternalTheoremViolation, NotIdempotent
 
 
 @dataclass(frozen=True)
@@ -206,11 +202,3 @@ def k_class(S, e):
     if S.mul(_member(S, e), e) != e:
         raise NotIdempotent(e)
     return frozenset(s for s in S.elements if _idempotent_power(S, s) == e)
-
-
-def ccr_check(S):
-    """Raise-style CCR precondition used by the decomposition engine."""
-    w = ccr_witness(S)
-    if w is not None:
-        raise NotConditionallyCompletelyRegular(w)
-

@@ -17,6 +17,7 @@ from .core import (
     ORDER_CAP,
     Semigroup,
     _failure,
+    _law_failure,
     _member,
     _must,
     _profiles,
@@ -45,6 +46,13 @@ PARTIAL_MAP_ORDER_CAP = 120
 def _integer(value, name):
     """value as an int; InvalidArgument unless it is an integer."""
     return _must(index, value, name, "an integer")
+
+
+def _order(n):
+    """n as an int; InvalidArgument unless it is an integer >= 1."""
+    if (n := _integer(n, "n")) < 1:
+        raise InvalidArgument("order must be >= 1")
+    return n
 
 
 def _checked_order(n):
@@ -88,20 +96,14 @@ def cyclic_group(r):
 
 def zero_semigroup(n):
     """All products equal the zero, which sits at index 0."""
-    n = _integer(n, "n")
-    if n < 1:
-        raise InvalidArgument("order must be >= 1")
-    _checked_order(n)
+    n = _checked_order(_order(n))
     labels = ["0"] + [f"x{i}" for i in range(1, n)]
     return from_table(n, [[0] * n] * n, labels=labels)
 
 
 def chain_semilattice(n):
     """The n-chain semilattice under min; 0 is the bottom."""
-    n = _integer(n, "n")
-    if n < 1:
-        raise InvalidArgument("order must be >= 1")
-    _checked_order(n)
+    n = _checked_order(_order(n))
     return from_table(n, [[min(i, j) for j in range(n)] for i in range(n)],
                       labels=[f"e{i}" for i in range(n)])
 
@@ -237,8 +239,10 @@ class CliffordData:
     linking: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "groups", tuple(self.groups))
-        object.__setattr__(self, "linking", dict(self.linking))
+        object.__setattr__(self, "groups",
+                           _must(tuple, self.groups, "groups", "a sequence"))
+        object.__setattr__(self, "linking",
+                           _must(dict, self.linking, "linking", "a mapping"))
 
 
 def strong_semilattice(Y, parts, linking):
@@ -248,7 +252,7 @@ def strong_semilattice(Y, parts, linking):
     indices to part-b indices; identity maps on (a, a) are implicit.  The
     maps must be homomorphisms and compose transitively.
     """
-    ny = Y.order
+    ny, parts = Y.order, _must(tuple, parts, "parts", "a sequence")
     if len(parts) != ny:
         raise InvalidLinking(None, f"expected {ny} parts, got {len(parts)}")
     if semilattice_witness(Y) is not None:
@@ -269,27 +273,16 @@ def strong_semilattice(Y, parts, linking):
             raise InvalidLinking((a, b), "wrong domain size")
         if any(not 0 <= v < parts[b].order for v in m):
             raise InvalidLinking((a, b), "value outside the codomain")
-        for x in range(parts[a].order):
-            for y in range(parts[a].order):
-                if m[parts[a].mul(x, y)] != parts[b].mul(m[x], m[y]):
-                    raise InvalidLinking((a, b), f"not a homomorphism at ({x},{y})")
-    for a in Y.elements:
-        for b in Y.elements:
-            for c in Y.elements:
-                if (Y.mul(c, b) == c and Y.mul(b, a) == b
-                        and len({a, b, c}) == 3):
-                    ab, bc, ac = link(a, b), link(b, c), link(a, c)
-                    if any(bc[ab[x]] != ac[x] for x in range(parts[a].order)):
-                        raise InvalidLinking((a, b, c), "maps do not compose")
+        if xy := _law_failure(parts[a], parts[b], m, parts[a].elements):
+            raise InvalidLinking((a, b), f"not a homomorphism at ({xy[0]},{xy[1]})")
+    for a, b, c in product(Y.elements, repeat=3):
+        if Y.mul(c, b) == c and Y.mul(b, a) == b and len({a, b, c}) == 3:
+            ab, bc, ac = link(a, b), link(b, c), link(a, c)
+            if any(bc[ab[x]] != ac[x] for x in range(parts[a].order)):
+                raise InvalidLinking((a, b, c), "maps do not compose")
 
-    offsets = []
-    total = 0
-    for part in parts:
-        offsets.append(total)
-        total += part.order
-    owner = []
-    for a, part in enumerate(parts):
-        owner.extend([a] * part.order)
+    owner = [a for a, part in enumerate(parts) for _ in part.elements]
+    offsets, total = [owner.index(a) for a in Y.elements], len(owner)
 
     maps = {(a, c): link(a, c) for a in Y.elements for c in Y.elements
             if Y.mul(c, a) == c}
@@ -335,6 +328,7 @@ def partial_map_extension(n, m, groups, picks=None):
     one element per group, raise InvalidArgument.
     """
     n, m = _integer(n, "n"), _integer(m, "m")
+    groups = _must(tuple, groups, "groups", "a sequence")
     if picks is None:
         picks = [g.identity for g in groups]
     picks = _must(tuple, picks, "picks", "a sequence")
@@ -403,19 +397,19 @@ def pow_in_group(G, g, k):
 # enumeration of all associative tables on n labeled points
 
 
-def _assoc_tables(n, value_order=None, limit=None):
+def _assoc_tables(n, orders=None):
     """Backtracking fill with incremental associativity propagation.
 
     Cells are filled submatrix-by-submatrix; after each assignment every
     triple whose entries are all determined is checked, so any table that
-    reaches a leaf is associative.
+    reaches a leaf is associative.  The cell at depth d tries its values
+    in the order orders[d], or in increasing order.
     """
     cells = sorted(((i, j) for i in range(n) for j in range(n)),
                    key=lambda c: (max(c), c))
     t = [[-1] * n for _ in range(n)]
     rev = [[] for _ in range(n)]  # rev[v]: assigned cells with value v
     rng = range(n)
-    found = 0
 
     def consistent(i, j, v):
         tj, tv = t[j], t[v]
@@ -448,23 +442,17 @@ def _assoc_tables(n, value_order=None, limit=None):
         return True
 
     def rec(d):
-        nonlocal found
-        if limit is not None and found >= limit:
-            return
         if d == len(cells):
-            found += 1
             yield [row[:] for row in t]
             return
         i, j = cells[d]
-        for v in (value_order(d) if value_order else rng):
+        for v in (orders[d] if orders else rng):
             t[i][j] = v
             rev[v].append((i, j))
             if consistent(i, j, v):
                 yield from rec(d + 1)
             rev[v].pop()
             t[i][j] = -1
-            if limit is not None and found >= limit:
-                return
 
     yield from rec(0)
 
@@ -477,9 +465,7 @@ def enumerate_associative(n, dedup=None):
     class yields its first table; a later one is dropped when `isomorphic`
     matches it (or, under "iso+anti", its transpose) to a kept table.
     """
-    n = _integer(n, "n")
-    if n < 1:
-        raise InvalidArgument("order must be >= 1")
+    n = _order(n)
     if n > ENUMERATION_ORDER_CAP:
         raise OrderTooLarge(n, ENUMERATION_ORDER_CAP)
     if dedup not in (None, "iso", "iso+anti"):
@@ -489,19 +475,24 @@ def enumerate_associative(n, dedup=None):
 
 def _enumerate(n, dedup):
     """enumerate_associative once its arguments are checked."""
-    kept = {}   # profile invariant -> the representatives kept with it
+    # profile invariant -> the representatives kept with it and, under
+    # "iso+anti", their transposes: T is anti-isomorphic to R iff T is
+    # isomorphic to R's transpose
+    kept = {}
     for rows in _assoc_tables(n):
         S = Semigroup(rows)
         if dedup:
-            shapes = [S]
+            key = tuple(sorted(profs := _profiles(S)))
             if dedup == "iso+anti":
-                # T is anti-isomorphic to S iff T is isomorphic to S's transpose
-                shapes.append(Semigroup(list(zip(*rows))))
-            key = min(tuple(sorted(_profiles(X))) for X in shapes)
+                # transposing swaps each element's row and column counts
+                key = min(key, tuple(sorted((e, c, r, k)
+                                            for e, r, c, k in profs)))
             bucket = kept.setdefault(key, [])
-            if any(isomorphic(X, R) for R in bucket for X in shapes):
+            if any(isomorphic(S, R) for R in bucket):
                 continue
             bucket.append(S)
+            if dedup == "iso+anti":
+                bucket.append(Semigroup(list(zip(*rows))))
         yield S
 
 
@@ -513,7 +504,7 @@ def sample_associative(n, count, seed=0):
     183,732 of the 5^25 of order 5), so above order 3 this rejection filter
     usually keeps nothing; see random_associative for a non-empty yield.
     """
-    n, count = _integer(n, "n"), _integer(count, "count")
+    n, count = _order(n), _integer(count, "count")
     rng = random.Random(seed)
     out = []
     cells = n * n
@@ -531,19 +522,12 @@ def random_associative(n, count, seed=0):
     Leaf-biased rather than uniform over semigroups; each sample is the
     first completion of an independently shuffled search.
     """
-    n, count = _integer(n, "n"), _integer(count, "count")
+    n, count = _order(n), _integer(count, "count")
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        orders = {}
-
-        def value_order(depth):
-            if depth not in orders:
-                vs = list(range(n))
-                rng.shuffle(vs)
-                orders[depth] = vs
-            return orders[depth]
-
-        for rows in _assoc_tables(n, value_order=value_order, limit=1):
-            out.append(Semigroup(rows))
+        orders = [list(range(n)) for _ in range(n * n)]
+        for vs in orders:
+            rng.shuffle(vs)
+        out.append(Semigroup(next(_assoc_tables(n, orders))))
     return out

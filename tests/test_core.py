@@ -418,7 +418,7 @@ class TestSetAlgebra:
         assert raw == {0}
         assert power_set(S, 3) == {0}
 
-    def test_power_chain_nested(self, m32):
+    def test_power_sets_are_nested(self, m32):
         for m in range(1, 6):
             assert power_set(m32, m + 1) <= power_set(m32, m)
 
@@ -521,7 +521,7 @@ class TestIdeals:
 
     @pytest.mark.parametrize("m, message", [
         ("2", "m = '2' is not an integer"),     # a bare TypeError
-        # returned S^2 = Base(S) once the power chain was shorter than m
+        # answered with Base(S) = S^2 instead of raising
         (2.5, "m = 2.5 is not an integer"),
     ])
     def test_power_set_exponent_is_an_integer(self, m, message):

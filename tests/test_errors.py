@@ -1,11 +1,13 @@
 """Every SemigroupError crosses a process boundary intact: a pickle round
-trip keeps its type, its message and its witness attributes."""
+trip keeps its type, its message and its witness attributes.  An argument
+of the wrong kind raises InvalidArgument naming it, never a bare Python
+exception."""
 
 import pickle
 
 import pytest
 
-from finsemi import errors
+from finsemi import Partition, errors, extend, parse_sgt, zoo
 
 CLASSES = {name: cls for name, cls in vars(errors).items()
            if isinstance(cls, type) and issubclass(cls, errors.SemigroupError)}
@@ -51,3 +53,39 @@ def test_pickle_round_trip(name, protocol):
     assert str(back) == str(e)
     assert back.args == e.args
     assert vars(back) == vars(e)
+
+
+C2 = zoo.chain_semilattice(2)
+OPAQUE = object()
+
+
+@pytest.mark.parametrize("call, message", [
+    # a bare ValueError: each class of a Partition unpacked as a pair
+    (lambda: extend.canonical_phi(C2, Partition([[0], [1]])),
+     "components = Partition([[0], [1]]) is not a collection of "
+     "(sigma_alpha, g_alpha) pairs"),
+    # bare TypeErrors
+    (lambda: extend.parse_phm("t.sgt\ns.sgt\n", OPAQUE),
+     f"resolve = {OPAQUE!r} is not callable"),
+    (lambda: zoo.strong_semilattice(C2, print, {}),
+     "parts = <built-in function print> is not a sequence"),
+    (lambda: zoo.partial_map_extension(1, 0, print),
+     "groups = <built-in function print> is not a sequence"),
+    (lambda: zoo.CliffordData(C2, (zoo.trivial(),) * 2, None),
+     "linking = None is not a mapping"),
+    # bare AttributeErrors
+    (lambda: parse_sgt(C2),
+     "text = Semigroup(order=2, zero=0, identity=1) is not a str"),
+    (lambda: extend.build_extension(C2),
+     "phi = Semigroup(order=2, zero=0, identity=1) is not a PartialHom"),
+    # a bare ValueError from randrange, and NonSquare for an empty table
+    (lambda: zoo.sample_associative(-1, 1), "order must be >= 1"),
+    (lambda: zoo.sample_associative(0, 1), "order must be >= 1"),
+    (lambda: zoo.random_associative(0, 1), "order must be >= 1"),
+], ids=["canonical_phi", "parse_phm", "strong_semilattice",
+        "partial_map_extension", "CliffordData", "parse_sgt",
+        "build_extension", "sample-negative", "sample-zero", "random-zero"])
+def test_a_wrong_argument_is_named(call, message):
+    with pytest.raises(errors.InvalidArgument) as e:
+        call()
+    assert str(e.value) == message

@@ -1,10 +1,13 @@
+import hashlib
 from functools import cache
 from itertools import permutations, product
+from math import gcd
 
 import pytest
 
 from finsemi import (
     base_set,
+    format_sgt,
     idempotents,
     is_clifford,
     is_completely_simple,
@@ -69,6 +72,12 @@ def canonical_representatives(n, anti):
     return out
 
 
+def digest_of(semigroups):
+    """The sha256 of the concatenated .sgt texts."""
+    text = "".join(map(format_sgt, semigroups))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @cache
 def deduped(n, dedup):
     return [S._rows for S in zoo.enumerate_associative(n, dedup=dedup)]
@@ -93,6 +102,16 @@ class TestEnumerate:
         # OEIS A001423 and A027851
         assert len(deduped(4, "iso+anti")) == 126
         assert len(deduped(4, "iso")) == 188
+
+    # verify names its product pairs by representative index, so the order
+    # of the representatives is output too
+    @pytest.mark.parametrize("dedup, digest", [
+        ("iso", "14a5e65579e0f52d35f1d16cf44659260b4db8f9187c9b2f0c051fb238cb8989"),
+        ("iso+anti",
+         "35f7a9c950aba4295cb7d0aa5e014cfeae6479c093b7c44b4c2667225961104e"),
+    ])
+    def test_order_4_representatives_are_frozen(self, dedup, digest):
+        assert digest_of(zoo.enumerate_associative(4, dedup=dedup)) == digest
 
     @pytest.mark.parametrize("dedup", ["iso", "iso+anti"])
     def test_dedup_matches_the_canonical_form_oracle(self, dedup):
@@ -171,6 +190,28 @@ class TestClifford:
                 zoo.chain_semilattice(2),
                 (zoo.cyclic_group(2), zoo.cyclic_group(2)),
                 {(1, 0): (0, 0)}))  # g -> g is fine, e -> g is not a hom
+
+    @pytest.mark.parametrize("p, q", [(4, 2), (3, 3), (2, 4), (4, 4)])
+    def test_a_linking_map_fails_at_its_first_pair(self, p, q):
+        # every map C_p -> C_q as the link of the top of a 2-chain to its
+        # bottom: Z_p -> Z_q has gcd(p, q) homomorphisms
+        G, H = zoo.cyclic_group(p), zoo.cyclic_group(q)
+        homs = 0
+        for m in product(range(q), repeat=p):
+            first = next(((x, y) for x in G.elements for y in G.elements
+                          if m[G.mul(x, y)] != H.mul(m[x], m[y])), None)
+            if first is None:
+                homs += 1
+                zoo.strong_semilattice(zoo.chain_semilattice(2), (H, G),
+                                       {(1, 0): m})
+                continue
+            with pytest.raises(InvalidLinking) as e:
+                zoo.strong_semilattice(zoo.chain_semilattice(2), (H, G),
+                                       {(1, 0): m})
+            assert e.value.witness == (1, 0)
+            assert e.value.reason == "not a homomorphism at ({},{})".format(
+                *first)
+        assert homs == gcd(p, q)
 
     def test_each_linking_map_is_read_once(self):
         # it was read twice per cell of the product table
@@ -418,6 +459,10 @@ class TestSamplers:
         # at order 2 uniform sampling actually yields hits: 8/16 tables
         hits = zoo.sample_associative(2, 200, seed=1)
         assert hits and all(S.order == 2 for S in hits)
+
+    def test_random_associative_is_frozen(self):
+        assert digest_of(zoo.random_associative(5, 10, seed=0)) == (
+            "e3163199bafab972281cf17c84afaf68b9a266248c330dcf62b1bb4687fa8ca0")
 
     def test_random_associative_deterministic(self):
         a = zoo.random_associative(5, 4, seed=3)
