@@ -15,9 +15,9 @@ semigroups and skip it through `Semigroup._derived`: `restrict` (a
 subsemigroup), `rees_quotient` and `quotient_by_congruence` (homomorphic
 images, by a checked ideal or congruence), `direct_product`, `adjoin_zero`,
 `adjoin_identity`, and `extend.build_extension` (an extension by a partial
-homomorphism it validates first, associative by Clifford's theorem).  They
-fill their tables from whole rows of their inputs; the subsemigroup and the
-two quotients share one row map, `_image_rows`.  Every map that must obey
+homomorphism, checked when it was made, associative by Clifford's theorem).
+They fill their tables from whole rows of their inputs; the subsemigroup and
+the two quotients share one row map, `_image_rows`.  Every map that must obey
 a law (an isomorphism, a linking or partial homomorphism, Sigma/~ -> Y) is
 checked by one function, `_law_failure`, which names the first failing pair.
 
@@ -39,7 +39,9 @@ Structure derived from a semigroup is computed once and memoized in its
 - ("restrict", A), ("rees", I): `restrict` and `rees_quotient` results,
   keyed by the frozenset argument;
 - ("quotient", p): the `quotient_by_congruence` result, keyed by the
-  Partition.
+  Partition;
+- ("extension", I): the twins and the first alike pair of the extension
+  S ⊇ I (`extend._analysis`), keyed by the frozenset ideal.
 
 An input that raises caches nothing, so every call re-raises the same
 error with the same witness.  Cache writes are idempotent: two threads
@@ -111,11 +113,11 @@ class Semigroup:
         checked congruence), `direct_product` (of two checked semigroups),
         `adjoin_zero`/`adjoin_identity` (an absorbing or neutral element
         added to one), and `extend.build_extension` (the extension of one
-        checked semigroup by another along a partial homomorphism it has
-        validated).  Each result is associative because its parents are,
-        so the O(n^3) check is skipped; the shape, range and label checks,
-        the interning of the rows above order 256 and the zero and identity
-        detection are kept.
+        checked semigroup by another along a partial homomorphism, which
+        checked itself when it was made).  Each result is associative
+        because its parents are, so the O(n^3) check is skipped; the
+        shape, range and label checks, the interning of the rows above
+        order 256 and the zero and identity detection are kept.
         `properties._raw_derivation_witness` re-checks the first six
         against their parent for `verify`; the extension tables are
         re-checked by the cube scan in the tests.  `rows` holds tuples of
@@ -699,6 +701,13 @@ def _partition(S, partition):
     return partition
 
 
+def _semigroup(S, name):
+    """S; InvalidArgument unless it is a Semigroup."""
+    if not isinstance(S, Semigroup):
+        raise InvalidArgument(f"{name} = {S!r} is not a Semigroup")
+    return S
+
+
 def congruence_witness(S, partition):
     """None if the partition is a congruence, else a witness (a, b, c)."""
     idx = _partition(S, partition).index_of
@@ -811,17 +820,16 @@ def interchangeable(S, a, b):
 
 
 def interchangeable_pair(S):
-    """Some interchangeable pair, or None."""
-    t = S._rows
-    n = S.order
-    cols = list(zip(*t))
+    """The first interchangeable pair, by `_first_alike`, or None."""
+    return _first_alike(S.elements, list(zip(S._rows, zip(*S._rows))))
+
+
+def _first_alike(elements, actions):
+    """(a, b) for the first b of elements whose actions[b] repeats, a the
+    earliest element with that action; None when no action repeats."""
     seen = {}
-    for a in range(n):
-        key = (t[a], cols[a])
-        if key in seen:
-            return (seen[key], a)
-        seen[key] = a
-    return None
+    pairs = ((seen.setdefault(actions[b], b), b) for b in elements)
+    return next(((a, b) for a, b in pairs if a != b), None)
 
 
 def is_weakly_reductive(S):

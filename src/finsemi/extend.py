@@ -19,12 +19,15 @@ from types import MappingProxyType
 from .core import (
     Partition,
     Semigroup,
+    _cached,
+    _first_alike,
     _getter,
     _is_ideal,
     _law_failure,
     _members,
     _must,
     _product_set,
+    _semigroup,
     ideal_witness,
     quotient_by_congruence,
     rees_quotient,
@@ -174,49 +177,46 @@ def classify_extension(sigma, ideal):
     two-sided action on the ideal.  With no outside elements the extension
     is trivially strict.
     """
-    return _classify(sigma, ideal)[0]
+    twin, _ = _analysis(_semigroup(sigma, "sigma"), ideal)
+    per = {x: s is not None for x, s in twin.items()}
+    kind = ("strict" if all(per.values()) else
+            "neither" if any(per.values()) else "pure")
+    return ExtensionClassification(kind=kind, per_element=per)
 
 
-def _classify(sigma, ideal):
-    """classify_extension plus the sorted ideal and every element's action
-    on it, each action computed once."""
+def _analysis(sigma, ideal):
+    """(twin, alike), cached on sigma: each outside element -> the least ideal
+    element acting like it, or None, read-only; `_first_alike` of the ideal."""
     ideal = _members(sigma, ideal)
-    if not _is_ideal(sigma, ideal):
-        raise NotAnIdeal(ideal_witness(sigma, ideal))
-    members = sorted(ideal)
-    actions = _actions(sigma, members)
-    inner = {actions[s] for s in members}
-    per = {x: actions[x] in inner
-           for x in sigma.elements if x not in ideal}
-    if all(per.values()):
-        kind = "strict"
-    elif not any(per.values()):
-        kind = "pure"
-    else:
-        kind = "neither"
-    return ExtensionClassification(kind=kind, per_element=per), members, actions
+
+    def analyze():
+        if not _is_ideal(sigma, ideal):
+            raise NotAnIdeal(ideal_witness(sigma, ideal))
+        actions = _actions(sigma, members := sorted(ideal))
+        least = {actions[s]: s for s in reversed(members)}
+        twin = {x: least.get(actions[x])
+                for x in sigma.elements if x not in ideal}
+        return MappingProxyType(twin), _first_alike(members, actions)
+
+    return _cached(sigma, ("extension", ideal), analyze)
 
 
 def _twins(sigma, ideal):
-    """Outside element -> the ideal element acting alike on the ideal;
-    NotStrict names the first outside element with none, NotWeaklyReductive
-    the first two ideal elements, in sorted order, that act alike."""
-    cls, members, actions = _classify(sigma, ideal)
-    for x, ok in cls.per_element.items():
-        if not ok:
-            raise NotStrict(x)
-    first = {actions[s]: s for s in reversed(members)}
-    for s in members:
-        if first[actions[s]] != s:
-            raise NotWeaklyReductive((first[actions[s]], s))
-    return {x: first[actions[x]] for x in cls.per_element}
+    """Outside element -> its twin; NotStrict names the first without one,
+    NotWeaklyReductive the first two ideal elements that act alike."""
+    twin, alike = _analysis(sigma, ideal)
+    if None in twin.values():
+        raise NotStrict(next(x for x, s in twin.items() if s is None))
+    if alike:
+        raise NotWeaklyReductive(alike)
+    return twin
 
 
 def recover_partial_hom(sigma, ideal):
     """Invert build_extension on a strict extension of a weakly reductive
     ideal: source is the Rees quotient sigma/ideal, target the ideal as a
     standalone semigroup, and each outside element maps to its twin."""
-    return _phi_from(sigma, ideal, _twins(sigma, ideal))
+    return _phi_from(sigma, ideal, _twins(_semigroup(sigma, "sigma"), ideal))
 
 
 def _phi_from(sigma, ideal, image):
@@ -251,7 +251,7 @@ def clifford_decompose(sigma, ideal):
     isomorphism onto Y (checked in O(|Y|^2), so |Y| is not capped), and
     each G_alpha is an ideal of its component.
     """
-    ideal = _members(sigma, ideal)
+    ideal = _members(_semigroup(sigma, "sigma"), ideal)
     sub, elems = restrict(sigma, ideal)
     if not is_clifford(sub):
         raise NotClifford("the ideal is not a Clifford semigroup")
@@ -298,6 +298,7 @@ def canonical_phi(sigma, components):
     except (TypeError, ValueError):
         raise InvalidArgument(f"components = {components!r} is not a "
                               "collection of (sigma_alpha, g_alpha) pairs") from None
+    _semigroup(sigma, "sigma")
     Partition([sa for sa, _ in pairs], n=sigma.order)  # disjoint cover check
     union = _members(sigma, frozenset().union(*(ga for _, ga in pairs)))
     if not _is_ideal(sigma, union):

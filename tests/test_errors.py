@@ -89,3 +89,17 @@ def test_a_wrong_argument_is_named(call, message):
     with pytest.raises(errors.InvalidArgument) as e:
         call()
     assert str(e.value) == message
+
+
+@pytest.mark.parametrize("sigma", [None, 3, "x"])
+@pytest.mark.parametrize("call", [
+    lambda sigma: extend.classify_extension(sigma, {0}),
+    lambda sigma: extend.recover_partial_hom(sigma, {0}),
+    lambda sigma: extend.clifford_decompose(sigma, {0}),
+    lambda sigma: extend.canonical_phi(sigma, [({0}, {0})]),
+], ids=["classify_extension", "recover_partial_hom", "clifford_decompose",
+        "canonical_phi"])
+def test_sigma_must_be_a_semigroup(call, sigma):
+    with pytest.raises(errors.InvalidArgument) as e:
+        call(sigma)
+    assert str(e.value) == f"sigma = {sigma!r} is not a Semigroup"

@@ -222,8 +222,42 @@ class TestRecover:
         for mapping in partial_hom_maps(T, C):
             w = build_extension(validate_partial_hom(T, C, mapping))
             calls.clear()
+            # the three analyses of one extension share one reading
+            assert classify_extension(w.sigma, w.ideal).kind == "strict"
             assert recover_partial_hom(w.sigma, w.ideal).mapping == mapping
+            assert len(clifford_decompose(w.sigma, w.ideal).components) == 2
             assert sorted(calls) == list(w.sigma.elements)
+
+    def test_a_failure_is_the_same_on_every_call(self, z2):
+        not_strict = adjoin_identity(zoo.rectangular_band(2, 1))
+        not_reductive = zoo.zero_semigroup(4)
+        for _ in range(2):
+            with pytest.raises(NotStrict) as e:
+                recover_partial_hom(not_strict, {0, 1})
+            assert e.value.element == 2
+            with pytest.raises(NotWeaklyReductive) as e:
+                recover_partial_hom(not_reductive, {0, 1, 2})
+            assert e.value.pair == (0, 1)
+        with pytest.raises(NotAnIdeal):
+            classify_extension(z2, {0})
+        assert not any(k[0] == "extension" for k in z2._cache
+                       if isinstance(k, tuple))
+
+    def test_the_alike_witness_is_interchangeable_pair(self):
+        """With the whole semigroup as its ideal, recover_partial_hom fails
+        exactly on the tables with an interchangeable pair, naming it."""
+        failed = 0
+        for n in range(1, 5):
+            for S in zoo.enumerate_associative(n):
+                pair = core.interchangeable_pair(S)
+                if pair is None:
+                    recover_partial_hom(S, S.elements)
+                    continue
+                with pytest.raises(NotWeaklyReductive) as e:
+                    recover_partial_hom(S, S.elements)
+                assert e.value.pair == pair
+                failed += 1
+        assert failed == 1359    # of the 1 + 8 + 113 + 3492 labelled tables
 
     def test_not_an_ideal(self, z2):
         with pytest.raises(NotAnIdeal) as e:
