@@ -17,9 +17,11 @@ images, by a checked ideal or congruence), `direct_product`, `adjoin_zero`,
 `adjoin_identity`, and `extend.build_extension` (an extension by a partial
 homomorphism, checked when it was made, associative by Clifford's theorem).
 They fill their tables from whole rows of their inputs; the subsemigroup and
-the two quotients share one row map, `_image_rows`.  Every map that must obey
-a law (an isomorphism, a linking or partial homomorphism, Sigma/~ -> Y) is
-checked by one function, `_law_failure`, which names the first failing pair.
+the two quotients share one row map, `_image_rows`.  A pickled or copied
+Semigroup is rebuilt through `_derived` too, from its checked rows, without
+its cache.  Every map that must obey a law (a linking or partial
+homomorphism, Sigma/~ -> Y) is checked by one function, `_law_failure`,
+which names the first failing pair.
 
 The check is Light's test; the cube scan only names the witness.  Both
 run in `_failure`, in O(n^2) memory, the only place the constructor
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 from itertools import chain, compress
 from operator import eq, index, itemgetter
+from os import PathLike
 
 from .errors import (
     EmptyGenerators,
@@ -63,11 +66,12 @@ from .errors import (
     NotAnIdeal,
     NotASubsemigroup,
     OrderTooLarge,
+    SearchBudgetExceeded,
     SgtParseError,
 )
 
 CONGRUENCE_ORDER_CAP = 6
-ISOMORPHISM_ORDER_CAP = 12
+ISOMORPHISM_PAIR_BUDGET = 2 ** 24  # per search: about 3 s of pair checks
 # The largest order a uint16 index array can address.
 ORDER_CAP = 65535
 # Above order 256, `_failure` runs on the row tuples while its |mids| n^2
@@ -173,6 +177,11 @@ class Semigroup:
 
     def __hash__(self):
         return hash(self._rows)
+
+    def __reduce__(self):
+        # the value only, rebuilt without a check from rows that passed one;
+        # the cache, which holds read-only views, is dropped
+        return Semigroup._derived, (self._rows, self.labels)
 
     def __repr__(self):
         tag = f", zero={self.zero}" if self.zero is not None else ""
@@ -861,7 +870,7 @@ def monoid_completion(S):
 
 
 # ---------------------------------------------------------------------------
-# isomorphism (small orders; backtracking with profile pruning)
+# isomorphism (a search over the images of a magma generating set)
 
 
 def _profiles(S):
@@ -878,50 +887,45 @@ def _profiles(S):
 
 
 def find_isomorphism(S, T):
-    """A table isomorphism S -> T as a tuple, or None."""
-    if S.order != T.order:
+    """A table isomorphism S -> T as a tuple, or None.
+
+    Only the images of a magma generating set of S are chosen, among the
+    elements of T with the same `_profiles` entry; the law forces the rest.
+    An element that joins phi is paired once with itself and each element
+    before it, both ways: z = x*y takes the image phi(x)*phi(y) if that is
+    new to phi and has z's profile, or must have it.  SearchBudgetExceeded
+    is raised before the pair checks pass ISOMORPHISM_PAIR_BUDGET.
+    """
+    if sorted(ps := _profiles(S)) != sorted(pt := _profiles(T)):
         return None
-    n = S.order
-    if n > ISOMORPHISM_ORDER_CAP:
-        raise OrderTooLarge(n, ISOMORPHISM_ORDER_CAP)
-    ps, pt = _profiles(S), _profiles(T)
-    if sorted(ps) != sorted(pt):
-        return None
-    candidates = [[b for b in range(n) if pt[b] == ps[a]] for a in range(n)]
-    phi = [-1] * n
-    used = [False] * n
+    s, t, phi, inv = S._rows, T._rows, {}, {}
 
-    def ok(a, b):
-        # products among already-assigned elements must map consistently
-        for x in range(n):
-            if phi[x] < 0:
-                continue
-            for (p, q) in ((S.mul(a, x), T.mul(b, phi[x])),
-                           (S.mul(x, a), T.mul(phi[x], b))):
-                if phi[p] >= 0 and phi[p] != q:
-                    return False
-                if p == a and q != b:
-                    return False
-        p, q = S.mul(a, a), T.mul(b, b)
-        if phi[p] >= 0 and phi[p] != q:
-            return False
-        return True
+    def force(z, w):
+        if z not in phi and w not in inv and ps[z] == pt[w]:
+            phi[z], inv[w] = w, z
+        return phi.get(z) == w
 
-    def rec(a):
-        if a == n:
-            # the incremental test is a filter, not a proof
-            return _law_failure(S, T, phi, S.elements) is None
-        for b in candidates[a]:
-            if not used[b] and ok(a, b):
-                phi[a] = b
-                used[b] = True
-                if rec(a + 1):
-                    return True
-                phi[a] = -1
-                used[b] = False
-        return False
-
-    return tuple(phi) if rec(0) else None
+    gens, n, checks = _magma_generators(s), S.order, 0
+    stack = [(0, iter(range(n)))]  # per generator: len(phi) before it
+    while stack and stack[-1][0] < n:  # until phi is complete
+        mark, images = stack[-1]
+        while len(phi) > mark:
+            del inv[phi.popitem()[1]]
+        if (b := next(images, None)) is None:
+            stack.pop()
+            continue
+        # pair each element that joins phi with itself and those before it
+        k, ok = mark, force(gens[len(stack) - 1], b)
+        while ok and k < len(phi):
+            *done, x = list(phi)[:k + 1]
+            if (checks := checks + 2 * k + 1) > ISOMORPHISM_PAIR_BUDGET:
+                raise SearchBudgetExceeded(ISOMORPHISM_PAIR_BUDGET)
+            pairs = [(x, x)] + [(x, y) for y in done] + [(y, x) for y in done]
+            ok = all(force(s[u][v], t[phi[u]][phi[v]]) for u, v in pairs)
+            k += 1
+        if ok:
+            stack.append((len(phi), iter(range(n))))
+    return tuple(map(phi.get, range(n))) if stack else None
 
 
 def isomorphic(S, T):
@@ -991,9 +995,17 @@ def format_sgt(S):
     return "\n".join(lines) + "\n"
 
 
+def _path(path):
+    """path; InvalidArgument unless it is a str or an os.PathLike, so that
+    no int is taken for a file descriptor."""
+    if not isinstance(path, (str, PathLike)):
+        raise InvalidArgument(f"path = {path!r} is not a str or os.PathLike")
+    return path
+
+
 def read_text(path):
     """The UTF-8 text of a file; undecodable bytes raise SgtParseError."""
-    with open(path, "rb") as fh:
+    with open(_path(path), "rb") as fh:
         data = fh.read()
     try:
         return data.decode("utf-8")
@@ -1007,5 +1019,5 @@ def load_sgt(path):
 
 
 def save_sgt(S, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_path(path), "w", encoding="utf-8") as fh:
         fh.write(format_sgt(S))

@@ -94,6 +94,12 @@ class KTooLarge(OrderTooLarge):
     pass
 
 
+class SearchBudgetExceeded(SemigroupError):
+    def __init__(self, budget):
+        self.budget = budget
+        super().__init__(f"search gave up at its budget of {budget} pair checks")
+
+
 class NoZeroInSource(SemigroupError):
     pass
 

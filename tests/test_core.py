@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import tracemalloc
 
@@ -43,7 +45,8 @@ from finsemi import (
     weak_inverses,
     zoo,
 )
-from finsemi import core
+from finsemi import core, extend
+from finsemi.cli import analysis_bundle
 from finsemi.core import _cached, find_isomorphism
 from finsemi.green import element_powers
 from finsemi.errors import (
@@ -56,7 +59,9 @@ from finsemi.errors import (
     NotAnIdeal,
     NotASubsemigroup,
     OrderTooLarge,
+    SearchBudgetExceeded,
 )
+from test_golden import LARGE_FIXTURES, relabelled
 
 
 def brute_associative(rows):
@@ -108,6 +113,21 @@ def relabel(rows, perm):
         for b in range(n):
             out[perm[a]][perm[b]] = perm[rows[a][b]]
     return out
+
+
+def cycles_semigroup(*lengths):
+    """The graph semigroup of disjoint cycles of the given lengths: 0 is
+    the zero, 1 is b, and 2 + v the vertex v, with a_u a_v = b when u and v
+    are adjacent and 0 otherwise.  Every vertex has the same profile."""
+    n = 2 + sum(lengths)
+    rows = [[0] * n for _ in range(n)]
+    start = 2
+    for length in lengths:
+        for i in range(length):
+            u, v = start + i, start + (i + 1) % length
+            rows[u][v] = rows[v][u] = 1
+        start += length
+    return Semigroup(rows)
 
 
 def assert_relabeling_found(S, perm):
@@ -768,6 +788,28 @@ class TestRestrictIsomorphic:
             rng.shuffle(perm)
             assert_relabeling_found(S, perm)
 
+    def test_relabelled_large_fixtures_are_found(self):
+        # orders 540 to 799: the search maps generators, not all elements
+        cases = zip(LARGE_FIXTURES, relabelled(LARGE_FIXTURES))
+        for (_, build), (name, R) in cases:
+            S = build()
+            phi = find_isomorphism(S, R)
+            assert sorted(phi) == list(S.elements), name
+            assert all(phi[S.mul(a, b)] == R.mul(phi[a], phi[b])
+                       for a in S.elements for b in S.elements), name
+
+    def test_a_hard_pair_is_answered_within_the_budget(self, monkeypatch):
+        # C12 and 2 C6: every element's profile matches, the graphs do not
+        S, T = cycles_semigroup(12), cycles_semigroup(6, 6)
+        assert sorted(core._profiles(S)) == sorted(core._profiles(T))
+        assert find_isomorphism(S, T) is None
+        assert find_isomorphism(cycles_semigroup(6, 6), T) is not None
+        # the search for None takes 10,428 pair checks
+        monkeypatch.setattr(core, "ISOMORPHISM_PAIR_BUDGET", 1000)
+        with pytest.raises(SearchBudgetExceeded) as e:
+            find_isomorphism(S, T)
+        assert e.value.budget == 1000
+
     def test_order4_isomorphism_classes(self):
         # OEIS A027851: 188 semigroups of order 4 up to isomorphism
         buckets = {}
@@ -849,6 +891,26 @@ class TestDerivedCache:
         restrict(m32, {2, 3})
         restrict(m32, [3, 2])
         assert built == [2]
+
+    @pytest.mark.parametrize("analyse", [
+        analysis_bundle,
+        lambda S: extend.classify_extension(S, {0, 1, 2, 3}),
+        lambda S: extend.recover_partial_hom(S, {0, 1, 2, 3}),
+        lambda S: extend.clifford_decompose(S, {0, 1, 2, 3}),
+    ], ids=["analysis_bundle", "classify_extension", "recover_partial_hom",
+            "clifford_decompose"])
+    def test_an_analysed_semigroup_pickles_as_its_value(self, analyse):
+        # a strict extension of the chain 0 < 1 < 2 < 3 by x1 -> 2
+        S = extend.build_extension(extend.validate_partial_hom(
+            zoo.zero_semigroup(2), zoo.chain_semilattice(4), {1: 2})).sigma
+        analyse(S)
+        assert S._cache
+        copies = [pickle.loads(pickle.dumps(S, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in copies + [copy.deepcopy(S), copy.copy(S)]:
+            assert back == S and back is not S
+            assert back.labels == S.labels == ("e0", "e1", "e2", "e3", "x1")
+            assert back._cache == {}
 
     def test_cached_none_is_a_hit_and_errors_are_not_cached(self, z2):
         calls = []

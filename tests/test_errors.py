@@ -3,11 +3,14 @@ trip keeps its type, its message and its witness attributes.  An argument
 of the wrong kind raises InvalidArgument naming it, never a bare Python
 exception."""
 
+import os
 import pickle
 
 import pytest
 
-from finsemi import Partition, errors, extend, parse_sgt, zoo
+from finsemi import (Partition, errors, extend, load_sgt, parse_sgt,
+                     save_sgt, zoo)
+from finsemi.core import read_text
 
 CLASSES = {name: cls for name, cls in vars(errors).items()
            if isinstance(cls, type) and issubclass(cls, errors.SemigroupError)}
@@ -27,6 +30,7 @@ ARGUMENTS = {
     "NotConditionallyCompletelyRegular": ({10, 2, 3},),
     "OrderTooLarge": (2 ** 70, 65535),
     "KTooLarge": ("2^k", 8),
+    "SearchBudgetExceeded": (2 ** 24,),
     "NoZeroInSource": ("source has no zero",),
     "LawViolation": (1, 2),
     "NotStrict": (4,),
@@ -103,3 +107,29 @@ def test_sigma_must_be_a_semigroup(call, sigma):
     with pytest.raises(errors.InvalidArgument) as e:
         call(sigma)
     assert str(e.value) == f"sigma = {sigma!r} is not a Semigroup"
+
+
+@pytest.mark.parametrize("path", [None, 3.5, ["a"]])
+@pytest.mark.parametrize("call", [
+    read_text, load_sgt, lambda path: save_sgt(C2, path),
+], ids=["read_text", "load_sgt", "save_sgt"])
+def test_a_path_is_a_str_or_path_like(call, path):
+    with pytest.raises(errors.InvalidArgument) as e:
+        call(path)
+    assert str(e.value) == f"path = {path!r} is not a str or os.PathLike"
+
+
+def test_a_file_descriptor_is_not_a_path(tmp_path):
+    # open() takes an int for a descriptor, which it would read and close
+    target = tmp_path / "c2.sgt"
+    save_sgt(C2, target)
+    fd = os.open(target, os.O_RDWR)
+    try:
+        for call in (read_text, load_sgt, lambda path: save_sgt(C2, path)):
+            with pytest.raises(errors.InvalidArgument):
+                call(fd)
+            os.fstat(fd)  # still open
+        assert os.read(fd, 2) == b"2\n"
+    finally:
+        os.close(fd)
+    assert load_sgt(str(target)) == load_sgt(target) == C2

@@ -101,10 +101,11 @@ def test_the_check_sees_an_unread_local():
 # The builders of tables associative by theorem: the only functions that
 # may skip the associativity check through `Semigroup._derived`.
 # build_extension validates its partial homomorphism first, and the
-# extension is then associative by Clifford's theorem.
+# extension is then associative by Clifford's theorem.  `__reduce__`
+# rebuilds a pickled or copied semigroup from rows that were checked.
 DERIVED_BUILDERS = {"_restrict", "_rees_quotient", "_quotient",
                     "direct_product", "adjoin_zero", "adjoin_identity",
-                    "build_extension"}
+                    "build_extension", "__reduce__"}
 
 
 def derived_users(source):
