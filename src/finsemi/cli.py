@@ -212,9 +212,9 @@ def cmd_enumerate(args):
 
 
 class _Share:
-    """One process's part of verify: its failures (place, messages) in
-    serial order, the place of the step running now, and the exception that
-    stopped it.  A place (phase, index) orders the steps as one process
+    """One process's part of verify: its failures (place, failing table,
+    messages) in serial order, the place of the step running now, and the
+    exception that stopped it.  A place (phase, index) orders the steps as one process
     would run them: labelled table k, product pair (i, j), uniform sample k,
     backtracking sample k."""
 
@@ -228,7 +228,7 @@ class _Share:
         self.at = (phase, k)
         for S in tables:
             if mine(k) and (bad := properties.check_semigroup(S)):
-                self.failures.append(((phase, k), bad))
+                self.failures.append(((phase, k), S, bad))
             k += 1
             self.at = (phase, k)
         return k
@@ -236,8 +236,8 @@ class _Share:
 
 def _verify_share(order, reps, w, width, fd):
     """Worker w of width pickles (labelled tables, its _Share) to fd.  It
-    enumerates the labelled tables itself, so no checked table outlives its
-    check, and checks table k when k % width == w and pair row i when
+    enumerates the labelled tables itself, so only a failing table outlives
+    its check, and checks table k when k % width == w and pair row i when
     i % width == w."""
     import pickle
     from . import properties, zoo
@@ -249,7 +249,7 @@ def _verify_share(order, reps, w, width, fd):
             for j, B in enumerate(reps):
                 share.at = (1, (i, j))
                 if bad := properties.check_product_pair(reps[i], B):
-                    share.failures.append((share.at, bad))
+                    share.failures.append((share.at, reps[i], bad))
     except Exception as e:
         share.error = e
     with open(fd, "wb") as out:
@@ -321,26 +321,18 @@ def cmd_verify(args):
 
 def _verify_report(args, count, reps, survivors, deep, failures):
     """Print the summary and every failure; the exit code."""
-    from . import zoo
-    # the workers send places only: the failing labelled tables are
-    # enumerated again here
-    wanted = {k for (phase, k), _ in failures if phase == 0}
-    labelled = {k: S for k, S in zip(range(max(wanted, default=-1) + 1),
-                                     zoo.enumerate_associative(args.order))
-                if k in wanted}
-    origins = {0: (f"enumerated order-{args.order} table", labelled),
-               2: ("uniform order-5 sample", survivors),
-               3: ("randomized-backtracking order-5 sample", deep)}
+    origins = {0: f"enumerated order-{args.order} table",
+               2: "uniform order-5 sample",
+               3: "randomized-backtracking order-5 sample"}
     report = []
-    for (phase, k), bad in failures:
+    for (phase, k), S, bad in failures:
         if phase == 1:
             i, j = k
-            report += [(f"product of representatives #{i} x #{j}", reps[i],
+            report += [(f"product of representatives #{i} x #{j}", S,
                         [msg, "right factor:\n" + format_sgt(reps[j])])
                        for msg in bad]
         else:
-            name, tables = origins[phase]
-            report.append((f"{name} #{k}", tables[k], bad))
+            report.append((f"{origins[phase]} #{k}", S, bad))
     print(f"checked {count + len(survivors) + len(deep)} semigroup(s) "
           f"({len(reps) ** 2} product pairs, {len(survivors)} of {args.samples} "
           f"uniform order-5 samples associative, {len(deep)} backtracking samples)")

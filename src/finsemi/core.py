@@ -1019,5 +1019,7 @@ def load_sgt(path):
 
 
 def save_sgt(S, path):
+    # formatted before the file is opened, so a bad S leaves it as it was
+    text = format_sgt(_semigroup(S, "S"))
     with open(_path(path), "w", encoding="utf-8") as fh:
-        fh.write(format_sgt(S))
+        fh.write(text)

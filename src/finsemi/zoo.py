@@ -2,28 +2,31 @@
 plus the small-order associative-table enumerator behind the exhaustive
 property sweeps.
 
-Every constructor routes through the checked Semigroup constructor, so a
-buggy table here cannot leak past the associativity validator.
+Every constructor but `partial_map_extension` (a `build_extension` result)
+routes through the checked Semigroup constructor, so a buggy table here
+cannot leak past the associativity validator.  Tables are built in the form
+the constructor keeps: tuple rows sliced or gathered from one shared
+tuple(range(n)), or from the rows of their parts.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, chain, product
 from operator import index
 
 from .core import (
     ORDER_CAP,
     Semigroup,
     _failure,
+    _getter,
     _law_failure,
     _member,
     _must,
     _profiles,
     adjoin_zero,
     direct_product,
-    from_table,
     isomorphic,
     rees_quotient,
     semilattice_witness,
@@ -63,7 +66,7 @@ def _checked_order(n):
 
 
 def trivial():
-    return from_table(1, [[0]], labels=["e"])
+    return Semigroup([(0,)], labels=["e"])
 
 
 def monogenic(h, r):
@@ -76,17 +79,12 @@ def monogenic(h, r):
     if h < 1 or r < 1:
         raise InvalidArgument("index and period must be >= 1")
     n = _checked_order(h + r - 1)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            p = i + j + 2
-            while p > n:
-                p -= r
-            row.append(p - 1)
-        rows.append(row)
+    ident = tuple(range(n))
+    # a^(i+1) a^(j+1) runs up ident to a^n, then round the kernel cycle
+    cycle = ident[h - 1:] * (n // r + 1)
+    rows = [ident[i + 1:] + cycle[:i + 1] for i in range(n)]
     labels = ["a" if i == 0 else f"a^{i + 1}" for i in range(n)]
-    return from_table(n, rows, labels=labels)
+    return Semigroup(rows, labels=labels)
 
 
 def cyclic_group(r):
@@ -98,14 +96,15 @@ def zero_semigroup(n):
     """All products equal the zero, which sits at index 0."""
     n = _checked_order(_order(n))
     labels = ["0"] + [f"x{i}" for i in range(1, n)]
-    return from_table(n, [[0] * n] * n, labels=labels)
+    return Semigroup([(0,) * n] * n, labels=labels)
 
 
 def chain_semilattice(n):
     """The n-chain semilattice under min; 0 is the bottom."""
     n = _checked_order(_order(n))
-    return from_table(n, [[min(i, j) for j in range(n)] for i in range(n)],
-                      labels=[f"e{i}" for i in range(n)])
+    ident = tuple(range(n))
+    return Semigroup([ident[:i] + ident[i:i + 1] * (n - i) for i in range(n)],
+                     labels=[f"e{i}" for i in range(n)])
 
 
 def rectangular_band(p, q):
@@ -114,9 +113,11 @@ def rectangular_band(p, q):
     if p < 1 or q < 1:
         raise InvalidArgument("dimensions must be >= 1")
     n = _checked_order(p * q)
-    rows = [[(a // q) * q + (b % q) for b in range(n)] for a in range(n)]
+    ident = tuple(range(n))
+    # the q rows of a block are one shared tuple
+    rows = [row for a in range(0, n, q) for row in [ident[a:a + q] * p] * q]
     labels = [f"({i},{j})" for i in range(p) for j in range(q)]
-    return from_table(n, rows, labels=labels)
+    return Semigroup(rows, labels=labels)
 
 
 def brandt_b2():
@@ -128,7 +129,7 @@ def brandt_b2():
             if j == k:
                 rows[a][b] = pairs.index((i, l))
     labels = ["(1,1)", "(1,2)", "(2,1)", "(2,2)", "0"]
-    return from_table(5, rows, labels=labels)
+    return Semigroup(rows, labels=labels)
 
 
 def full_transformations(k):
@@ -142,7 +143,7 @@ def full_transformations(k):
     pos = {f: i for i, f in enumerate(maps)}
     rows = [[pos[tuple(g[f[x]] for x in range(k))] for g in maps] for f in maps]
     labels = ["[" + ",".join(map(str, f)) + "]" for f in maps]
-    return from_table(len(maps), rows, labels=labels)
+    return Semigroup(rows, labels=labels)
 
 
 def powerset_nilsemigroup(k):
@@ -164,7 +165,7 @@ def powerset_nilsemigroup(k):
             for a in range(n)]
     labels = ["{" + ",".join(str(i + 1) for i in range(k) if a >> i & 1) + "}"
               for a in range(n)]
-    return from_table(n, rows, labels=labels)
+    return Semigroup(rows, labels=labels)
 
 
 def free_nilpotent(alphabet_size, length_bound):
@@ -198,7 +199,7 @@ def free_nilpotent(alphabet_size, length_bound):
     rows.append([zero] * n)
     letters = "abcdefghijklmnopqrstuvwxyz"
     labels = ["".join(letters[c] for c in w) for w in words] + ["0"]
-    return from_table(n, rows, labels=labels)
+    return Semigroup(rows, labels=labels)
 
 
 def absorption_sum(R, T):
@@ -207,23 +208,15 @@ def absorption_sum(R, T):
     R occupies indices 0..|R|-1 and T the rest; T ends up inside the base of
     the result while the Rees quotient by T is R with a zero glued on.
     """
-    nr, nt = R.order, T.order
-    n = nr + nt
-    rows = [[0] * n for _ in range(n)]
-    for i in range(nr):
-        for j in range(nr):
-            rows[i][j] = R.mul(i, j)
-    for i in range(nt):
-        for j in range(nt):
-            rows[nr + i][nr + j] = nr + T.mul(i, j)
-    for i in range(nr):
-        for j in range(nt):
-            rows[i][nr + j] = nr + j
-            rows[nr + j][i] = nr + j
+    nr = R.order
+    shifted = tuple(range(nr, nr + T.order))
+    rows = [row + shifted for row in R._rows]
+    rows += [(t,) * nr + _getter(row)(shifted)
+             for t, row in zip(shifted, T._rows)]
     labels = None
     if R.labels and T.labels:
         labels = [f"r:{x}" for x in R.labels] + [f"t:{x}" for x in T.labels]
-    return from_table(n, rows, labels=labels)
+    return Semigroup(rows, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -281,25 +274,27 @@ def strong_semilattice(Y, parts, linking):
             if any(bc[ab[x]] != ac[x] for x in range(parts[a].order)):
                 raise InvalidLinking((a, b, c), "maps do not compose")
 
-    owner = [a for a, part in enumerate(parts) for _ in part.elements]
-    offsets, total = [owner.index(a) for a in Y.elements], len(owner)
+    *offsets, total = accumulate((p.order for p in parts), initial=0)
+    ident = tuple(range(total))
 
     maps = {(a, c): link(a, c) for a in Y.elements for c in Y.elements
             if Y.mul(c, a) == c}
-    rows = [[0] * total for _ in range(total)]
-    for x in range(total):
-        a = owner[x]
-        for y in range(total):
-            b = owner[y]
-            c = Y.mul(a, b)
-            xa = maps[a, c][x - offsets[a]]
-            yb = maps[b, c][y - offsets[b]]
-            rows[x][y] = offsets[c] + parts[c].mul(xa, yb)
+    # x in part a times part b lands in part c = ab: the row of part c at
+    # maps[a, c][x], shifted into place and read at maps[b, c]
+    shifted = [[_getter(row)(into) for row in part._rows]
+               for part, into in zip(parts, (ident[o:] for o in offsets))]
+    rows = []
+    for a, part in enumerate(parts):
+        segments = [(_getter(maps[b, c]), shifted[c], maps[a, c])
+                    for b, c in enumerate(Y._rows[a])]
+        rows += [tuple(chain.from_iterable(read(rows_c[into_c[x]])
+                                           for read, rows_c, into_c in segments))
+                 for x in part.elements]
     labels = None
     if all(p.labels for p in parts):
         labels = [f"{a}:{p.label(i)}" for a, p in enumerate(parts)
                   for i in range(p.order)]
-    return from_table(total, rows, labels=labels)
+    return Semigroup(rows, labels=labels)
 
 
 def clifford(data):
@@ -369,7 +364,7 @@ def partial_map_extension(n, m, groups, picks=None):
     tp_rows = [[tp_pos[times(f, g)] for g in maps] for f in maps]
     tp_labels = ["(" + ",".join("-" if v == 0 else str(v) for v in f) + ")"
                  for f in maps]
-    Tprime = from_table(len(maps), tp_rows, labels=tp_labels)
+    Tprime = Semigroup(tp_rows, labels=tp_labels)
     ideal = frozenset(i for i, f in enumerate(maps)
                       if all(v in (0, m) for v in f))
     T, qmap = rees_quotient(Tprime, ideal)

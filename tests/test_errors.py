@@ -133,3 +133,13 @@ def test_a_file_descriptor_is_not_a_path(tmp_path):
     finally:
         os.close(fd)
     assert load_sgt(str(target)) == load_sgt(target) == C2
+
+
+def test_a_bad_semigroup_leaves_the_file_as_it_was(tmp_path):
+    # the file was opened, so emptied, before the table was formatted
+    target = tmp_path / "t.sgt"
+    target.write_bytes(b"1\n0\n")
+    with pytest.raises(errors.InvalidArgument) as e:
+        save_sgt(None, target)
+    assert str(e.value) == "S = None is not a Semigroup"
+    assert target.read_bytes() == b"1\n0\n"

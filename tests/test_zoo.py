@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from functools import cache
 from itertools import permutations, product
 from math import gcd
@@ -481,3 +482,23 @@ def test_every_fixture_validates():
     ]
     for S in fixtures:
         assert S.order >= 1   # construction already re-validated associativity
+
+
+@pytest.mark.parametrize("build", [
+    lambda: zoo.monogenic(300, 300),
+    lambda: zoo.rectangular_band(20, 30),
+    lambda: zoo.chain_semilattice(600),
+    lambda R=zoo.monogenic(150, 150), T=zoo.rectangular_band(10, 10):
+        zoo.absorption_sum(R, T),
+], ids=["monogenic", "rectangular_band", "chain", "absorption_sum"])
+def test_construction_is_a_few_bytes_per_cell(build):
+    # the built rows and the constructor's one copy, 8 bytes per cell each,
+    # over one int object per element, with room for the associativity check
+    tracemalloc.start()
+    try:
+        n = build().order
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n > 256
+    assert peak < 32 * n * n
