@@ -43,16 +43,21 @@ Structure derived from a semigroup is computed once and memoized in its
 - ("quotient", p): the `quotient_by_congruence` result, keyed by the
   Partition;
 - ("extension", I): the twins and the first alike pair of the extension
-  S ⊇ I (`extend._analysis`), keyed by the frozenset ideal.
+  S ⊇ I (`extend._analysis`), keyed by the frozenset ideal;
+- ("ideal", A): whether the frozenset A is an ideal (`_is_ideal`);
+- ("phi", I, image): the PartialHom of S/I into I (`extend._phi_from`),
+  keyed by the ideal and the frozenset of image's items.
 
 An input that raises caches nothing, so every call re-raises the same
-error with the same witness.  Cache writes are idempotent: two threads
-filling the same key store equal values.
+error with the same witness; a cached False from `_is_ideal` does too,
+since each caller names its witness anew by `ideal_witness`.  Cache
+writes are idempotent: two threads filling the same key store equal
+values.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import chain
 from operator import eq, index, itemgetter
 from os import PathLike
 
@@ -212,7 +217,8 @@ def _checked_rows(entries, as_row):
     for i, row in enumerate(rows):
         if len(row) != n:
             raise NonSquare(n, i, len(row))
-    if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
+    values = set().union(*rows)
+    if min(values) < 0 or max(values) >= n:
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
                 if not 0 <= v < n:
@@ -373,19 +379,18 @@ def _law_failure(S, T, f, domain):
     domain and f[a*b] != f[a]*f[b], a*b taken in S and f[a]*f[b] in T; or
     None.  On all of S it is the homomorphism test, on the nonzero elements
     of S the law of a partial homomorphism.  Each row a is one C-level
-    comparison: its products in domain, mapped by f, against the row of
-    f[a] read at the images f[b]."""
-    inside, image = frozenset(domain).__contains__, f.__getitem__
+    comparison: want, the row of f[a] read at the images f[b], against the
+    products a*b mapped by forced, the dict.get of f on domain with default
+    the cell of want, so a product outside domain compares equal."""
+    image = f.__getitem__
     pick, pick_images = _getter(domain), _getter(list(map(image, domain)))
+    forced = dict(zip(domain, map(image, domain))).get
     srows, trows = S._rows, T._rows
     for a in domain:
-        prods = pick(srows[a])
-        kept = tuple(map(inside, prods))
-        trow = trows[image(a)]
-        if (tuple(map(image, compress(prods, kept)))
-                != tuple(compress(pick_images(trow), kept))):
-            return a, next(b for b, ab in zip(domain, prods)
-                           if inside(ab) and image(ab) != trow[image(b)])
+        want = pick_images(trows[image(a)])
+        if tuple(map(forced, prods := pick(srows[a]), want)) != want:
+            return a, next(b for b, ab, w in zip(domain, prods, want)
+                           if forced(ab, w) != w)
     return None
 
 
@@ -561,8 +566,8 @@ def is_subsemigroup(S, A):
 # the unchecked forms of the two predicates above, for a member set A
 def _is_ideal(S, A):
     full = frozenset(S.elements)
-    return (bool(A) and _product_set(S, full, A) <= A
-            and _product_set(S, A, full) <= A)
+    return _cached(S, ("ideal", frozenset(A)), lambda: bool(A) and (
+        _product_set(S, full, A) <= A and _product_set(S, A, full) <= A))
 
 
 def _is_subsemigroup(S, A):
@@ -640,9 +645,10 @@ def _restrict(S, A):
 
 def _image_rows(S, reps, pos):
     """Row k is the row of reps[k] read at reps and mapped through pos, the
-    new index of each element: a subsemigroup or an image of S."""
-    pick, srows, get = _getter(reps), S._rows, pos.__getitem__
-    return [tuple(map(get, pick(srows[a]))) for a in reps]
+    new index of each element, gathered in one call: a subsemigroup or an
+    image of S."""
+    pick, srows = _getter(reps), S._rows
+    return [_getter(pick(srows[a]))(pos) for a in reps]
 
 
 def rees_quotient(S, I):
@@ -989,7 +995,7 @@ def parse_sgt(text):
 
 def format_sgt(S):
     lines = [str(S.order)]
-    lines += [" ".join(str(v) for v in row) for row in S._rows]
+    lines += [" ".join(map(str, row)) for row in S._rows]
     if S.labels:
         lines.append(" ".join(S.labels))
     return "\n".join(lines) + "\n"

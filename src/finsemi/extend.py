@@ -131,17 +131,14 @@ def build_extension(phi):
     T, S, f = phi.source, phi.target, phi.mapping
     ns = S.order
     outside = [x for x in T.elements if x != T.zero]
-    # pos[x]: the index of x in sigma; the zero of T gets -1, below every
-    # element of S, so max(pos[ab], s) is pos[ab] when ab != 0 and s else
-    pos = [-1] * T.order
-    for i, x in enumerate(outside):
-        pos[x] = ns + i
+    # nonzero(ab, s): the index of ab in sigma; the zero of T is no key, so
+    # a zero product ab falls through to the default s = map(a)map(b)
+    nonzero = {x: ns + i for i, x in enumerate(outside)}.get
     srows, trows = S._rows, T._rows
     pick, pick_images = _getter(outside), _getter([f[b] for b in outside])
     images = [pick_images(srow) for srow in srows]   # s*map(b), b outside
     rows = [srow + image for srow, image in zip(srows, images)]
-    rows += [srows[f[a]] + tuple(map(max, map(pos.__getitem__, pick(trows[a])),
-                                     images[f[a]]))
+    rows += [srows[f[a]] + tuple(map(nonzero, pick(trows[a]), images[f[a]]))
              for a in outside]
     labels = None
     if S.labels and T.labels:
@@ -216,17 +213,22 @@ def recover_partial_hom(sigma, ideal):
     """Invert build_extension on a strict extension of a weakly reductive
     ideal: source is the Rees quotient sigma/ideal, target the ideal as a
     standalone semigroup, and each outside element maps to its twin."""
-    return _phi_from(sigma, ideal, _twins(_semigroup(sigma, "sigma"), ideal))
+    ideal = _members(_semigroup(sigma, "sigma"), ideal)
+    return _phi_from(sigma, ideal, _twins(sigma, ideal))
 
 
 def _phi_from(sigma, ideal, image):
     """The PartialHom of sigma/ideal into the ideal, as a standalone
-    semigroup, sending each outside element x to the ideal element image[x]."""
-    target, elems = restrict(sigma, ideal)
-    source, qmap = rees_quotient(sigma, ideal)
-    pos = {a: i for i, a in enumerate(elems)}
-    return PartialHom(source, target,
-                      {qmap[x]: pos[s] for x, s in image.items()})
+    semigroup, sending each outside element x to the ideal element image[x];
+    cached on sigma, so equal input is law-checked once."""
+    def make():
+        target, elems = restrict(sigma, ideal)
+        source, qmap = rees_quotient(sigma, ideal)
+        pos = {a: i for i, a in enumerate(elems)}
+        return PartialHom(source, target,
+                          {qmap[x]: pos[s] for x, s in image.items()})
+
+    return _cached(sigma, ("phi", ideal, frozenset(image.items())), make)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from finsemi import (
     quotient_by_congruence,
     rees_quotient,
     restrict,
+    universal_partition,
     zoo,
 )
 from finsemi import core, properties
@@ -39,6 +40,7 @@ from finsemi.errors import (
     LawViolation,
     NonAssociative,
     NonSquare,
+    SgtParseError,
 )
 from finsemi.extend import (
     PartialHom,
@@ -150,6 +152,33 @@ def literal_law_violation(T, S, mapping):
             if ab != T.zero and mapping[ab] != S.mul(mapping[a], mapping[b]):
                 return (a, b)
     return None
+
+
+def literal_hom_violation(S, T, f):
+    """The first (a, b) with f[a*b] != f[a]*f[b], for a list map f: S -> T."""
+    return next(((a, b) for a in S.elements for b in S.elements
+                 if f[S.mul(a, b)] != T.mul(f[a], f[b])), None)
+
+
+def relabelled(S, perm):
+    """S with element x renamed perm[x], built by the checked constructor."""
+    inv = sorted(S.elements, key=perm.__getitem__)
+    return Semigroup([[perm[S.mul(inv[i], inv[j])] for j in S.elements]
+                      for i in S.elements])
+
+
+def word_map(T, S, letters):
+    """The map sending each nonzero word of a free_nilpotent T to the
+    product in S of its letters' images; it obeys the partial-hom law."""
+    mapping = {}
+    for x in T.elements:
+        if x != T.zero:
+            images = [letters[ord(c) - ord("a")] for c in T.label(x)]
+            value = images[0]
+            for v in images[1:]:
+                value = S.mul(value, v)
+            mapping[x] = value
+    return mapping
 
 
 def first_failing_triple(rows):
@@ -271,6 +300,121 @@ class TestRowScans:
                         refuse(T, S, mapping)
                     assert e.value.pair == law
         assert seen == {(True, True), (False, True), (False, False)}
+
+
+class TestRowKernels:
+    """The row kernels against the literal loops, on the edge cases of
+    their C-level fall-throughs and gathers."""
+
+    def test_extension_with_zero_not_last(self):
+        """T's zero at index 0: a zero product takes map(a)map(b) through
+        the dict default, whatever index the zero has."""
+        base = zoo.free_nilpotent(2, 3)
+        n = base.order
+        T = relabelled(base, [(x + 1) % n for x in base.elements])
+        assert T.zero == 0
+        nonzero = [x for x in T.elements if x != T.zero]
+        built = 0
+        for S in (zoo.cyclic_group(2), zoo.monogenic(2, 1)):
+            for images in itertools.product(S.elements, repeat=len(nonzero)):
+                mapping = dict(zip(nonzero, images))
+                if literal_law_violation(T, S, mapping) is None:
+                    w = build_extension(PartialHom(T, S, mapping))
+                    rows = literal_extension_rows(T, S, mapping)
+                    assert w.sigma._rows == tuple(map(tuple, rows))
+                    built += 1
+        assert built > 2
+
+    def test_extension_of_a_trivial_ideal(self):
+        T = zoo.free_nilpotent(2, 3)
+        S = zoo.trivial()
+        mapping = {x: 0 for x in T.elements if x != T.zero}
+        w = build_extension(PartialHom(T, S, mapping))
+        assert w.sigma._rows == tuple(
+            map(tuple, literal_extension_rows(T, S, mapping)))
+
+    def test_extension_above_order_256_is_interned(self):
+        T, S = zoo.free_nilpotent(1, 30), zoo.cyclic_group(240)
+        mapping = word_map(T, S, [0])
+        w = build_extension(PartialHom(T, S, mapping))
+        n = w.sigma.order
+        assert n == 269
+        assert w.sigma._rows == tuple(
+            map(tuple, literal_extension_rows(T, S, mapping)))
+        # one int object per element that is a product
+        cells = [v for row in w.sigma._rows for v in row]
+        assert len(set(map(id, cells))) == len(set(cells))
+
+    def test_law_failure_on_seeded_partial_maps(self):
+        """Random maps, most breaking the law, from sources whose products
+        leave the domain at a zero that is last or first."""
+        base = zoo.free_nilpotent(2, 3)
+        sources = (base, relabelled(base, [(x + 1) % base.order
+                                           for x in base.elements]),
+                   zoo.zero_semigroup(4), zoo.free_nilpotent(3, 3))
+        targets = list(zoo.enumerate_associative(3)) + [zoo.monogenic(2, 3)]
+        rng = random.Random(34)
+        outcomes = set()
+        for _ in range(400):
+            T, S = rng.choice(sources), rng.choice(targets)
+            nonzero = [x for x in T.elements if x != T.zero]
+            mapping = {x: rng.randrange(S.order) for x in nonzero}
+            law = literal_law_violation(T, S, mapping)
+            assert core._law_failure(T, S, mapping, nonzero) == law
+            outcomes.add(law is None)
+        assert outcomes == {True, False}
+
+    def test_law_failure_on_full_domain_list_maps(self):
+        """The homomorphism test of a list map on all of S, as
+        `clifford_decompose` runs it for Sigma/~ -> Y."""
+        tables = list(zoo.enumerate_associative(3))
+        rng = random.Random(43)
+        outcomes = set()
+        for _ in range(400):
+            S, T = rng.choice(tables), rng.choice(tables)
+            f = [rng.randrange(T.order) for _ in S.elements]
+            hom = literal_hom_violation(S, T, f)
+            assert core._law_failure(S, T, f, S.elements) == hom
+            outcomes.add(hom is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("make", [zoo.trivial, lambda: zoo.monogenic(3, 2),
+                                      lambda: zoo.rectangular_band(2, 3),
+                                      lambda: zoo.monogenic(150, 150)])
+    def test_image_rows_with_one_representative(self, make):
+        S = make()
+        whole = frozenset(S.elements)
+        Q, idx = quotient_by_congruence(S, universal_partition(S))
+        assert idx == (0,) * S.order
+        assert fields(Q) == fields(literal_quotient(S, universal_partition(S)))
+        assert (fields(rees_quotient(S, whole)[0])
+                == fields(literal_rees_quotient(S, whole)))
+        e = next(x for x in S.elements if S.mul(x, x) == x)
+        assert fields(restrict(S, {e})[0]) == fields(literal_restrict(S, {e}))
+
+    @pytest.mark.parametrize("rows, cell", [
+        ([[0, 1, 2], [0, -1, 3], [0, 0, 0]], (1, 1, -1)),
+        ([[0, 1, 2], [0, 3, -1], [0, 0, 0]], (1, 1, 3)),
+        ([[0, 0, 0], [5, 0, 0], [0, 0, -7]], (1, 0, 5)),
+    ])
+    def test_index_out_of_range_names_the_first_cell(self, rows, cell):
+        """A negative and a too-large entry: every entry point names the
+        first of them in row-major order."""
+        i, j, v = cell
+        expected = str(IndexOutOfRange(i, j, v, len(rows)))
+        text = f"{len(rows)}\n" + "".join(
+            " ".join(map(str, r)) + "\n" for r in rows)
+        for build in (lambda: Semigroup(rows),
+                      lambda: from_table(len(rows), rows),
+                      lambda: Semigroup._derived(list(map(tuple, rows)))):
+            with pytest.raises(IndexOutOfRange) as e:
+                build()
+            assert (e.value.i, e.value.j, e.value.value) == cell
+            assert str(e.value) == expected
+        with pytest.raises(SgtParseError) as e:
+            parse_sgt(text)
+        assert e.value.line == 2 + i
+        assert str(e.value) == f"line {2 + i}: {expected}"
 
 
 class TestExternalInputFullyChecked:

@@ -470,6 +470,58 @@ class TestCanonicalPhi:
         assert str(e.value) == "component part [0, 1] is not a group"
 
 
+class TestRoundTripAsksOnce:
+    def test_one_ideal_scan_and_one_law_check_per_map(self, monkeypatch):
+        """One round trip scans the product sets of (Sigma, I) once, and
+        law-checks the recovered map, which canonical_phi reuses, and
+        Sigma/~ -> Y once each."""
+        scans, checks = [], []
+        product_set, law_failure = core._product_set, extend._law_failure
+
+        def counting_scan(S, A, B):
+            scans.append((S, A, B))
+            return product_set(S, A, B)
+
+        def counting_check(S, T, f, domain):
+            checks.append((S, T))
+            return law_failure(S, T, f, domain)
+
+        monkeypatch.setattr(core, "_product_set", counting_scan)
+        monkeypatch.setattr(extend, "_law_failure", counting_check)
+        C = clifford_z2_over_trivial()
+        T = from_table(3, T_NIL3)
+        mapping = next(iter(partial_hom_maps(T, C)))
+        w = build_extension(validate_partial_hom(T, C, mapping))
+        sigma, full = w.sigma, frozenset(w.sigma.elements)
+        scans.clear()
+        checks.clear()
+        assert classify_extension(sigma, w.ideal).kind == "strict"
+        phi = recover_partial_hom(sigma, w.ideal)
+        dec = clifford_decompose(sigma, w.ideal)
+        canon = canonical_phi(sigma, dec.component_sets())
+        rebuilt = build_extension(canon)
+        assert rebuilt.sigma is not sigma
+        assert rebuilt.sigma._rows == sigma._rows
+        assert [(A, B) for S, A, B in scans if S is sigma and full in (A, B)
+                ] == [(full, w.ideal), (w.ideal, full)]
+        assert checks == [(phi.source, phi.target),
+                          (dec.quotient, dec.structure_semilattice)]
+        assert canon is phi and phi.mapping == mapping
+
+    def test_a_cached_verdict_keeps_its_witness(self, z2):
+        for _ in range(2):
+            with pytest.raises(NotAnIdeal) as e:
+                recover_partial_hom(z2, {0})
+            assert e.value.witness == (1, 0)
+            with pytest.raises(NotAnIdeal) as e:
+                rees_quotient(z2, {0})
+            assert e.value.witness == (1, 0)
+            with pytest.raises(GroupUnionNotIdeal) as e:
+                canonical_phi(z2, [({0, 1}, {0})])
+            assert e.value.witness == (1, 0)
+        assert z2._cache[("ideal", frozenset({0}))] is False
+
+
 def test_monoid_ideal_forces_strict():
     """All one-point extensions of a fixed monoid are strict (enumerated)."""
     for M in (zoo.cyclic_group(2), zoo.chain_semilattice(2),
