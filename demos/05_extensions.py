@@ -9,13 +9,13 @@ A -> A·e_alpha rebuilds the original table bit-exactly.
 """
 
 from finsemi import (
+    PartialHom,
     build_extension,
     canonical_phi,
     classify_extension,
     clifford_decompose,
     from_table,
     recover_partial_hom,
-    validate_partial_hom,
     zoo,
 )
 
@@ -25,7 +25,7 @@ S = zoo.clifford(zoo.CliffordData(
     zoo.chain_semilattice(2), (zoo.trivial(), zoo.cyclic_group(2)),
     {(1, 0): (0, 0)}))
 T = from_table(2, [[1, 1], [1, 1]], labels=["A", "0"])
-phi = validate_partial_hom(T, S, {0: 1})
+phi = PartialHom(T, S, {0: 1})
 w = build_extension(phi)
 print("Sigma of order", w.sigma.order, "with ideal", sorted(w.ideal))
 for row in w.sigma._rows:

@@ -40,7 +40,6 @@ from .decompose import (
     ComponentReport,
     DecompositionReport,
     archimedean,
-    kje_partition,
     rho_partition,
     verify_rho,
     weak_inverse_location,
@@ -91,7 +90,6 @@ _EXTEND_NAMES = frozenset({
     "format_phm",
     "parse_phm",
     "recover_partial_hom",
-    "validate_partial_hom",
 })
 
 

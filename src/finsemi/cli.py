@@ -16,7 +16,8 @@ import os
 import sys
 
 from . import decompose as dc
-from .core import format_sgt, is_weakly_reductive, load_sgt, read_text
+from .core import (format_sgt, is_weakly_reductive, load_sgt, read_text,
+                   save_sgt)
 from .green import (
     ccr_witness,
     green,
@@ -176,26 +177,22 @@ def cmd_extend(args):
     text = read_text(args.path)
     base_dir = os.path.dirname(os.path.abspath(args.path))
     phi = parse_phm(text, lambda ref: _resolve_ref(ref, base_dir))
-    witness = build_extension(phi)
-    out = format_sgt(witness.sigma)
+    sigma = build_extension(phi).sigma
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
-        print(f"wrote order-{witness.sigma.order} extension to {args.output}")
+        save_sgt(sigma, args.output)
+        print(f"wrote order-{sigma.order} extension to {args.output}")
     else:
-        sys.stdout.write(out)
+        sys.stdout.write(format_sgt(sigma))
     return 0
 
 
 def cmd_zoo(args):
     S = _zoo_build(args.name, args.params)
-    out = format_sgt(S)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        save_sgt(S, args.output)
         print(f"wrote {args.name} (order {S.order}) to {args.output}")
     else:
-        sys.stdout.write(out)
+        sys.stdout.write(format_sgt(S))
     return 0
 
 

@@ -140,12 +140,6 @@ def _semilattice_quotient(S, p, name, qname):
     return quotient, qmap
 
 
-def kje_partition(S):
-    """Partition into K_{J_e}, the union of the K_f over the idempotents f
-    in the J-class of e (CCR input): rho is computed as this partition."""
-    return rho_partition(S)
-
-
 def archimedean(S, A):
     """Every a has a power inside A^1 b A^1, for all a, b in A.
 

@@ -46,7 +46,7 @@ from .errors import (
     NotWeaklyReductive,
     SgtParseError,
 )
-from .green import green, is_clifford, is_group
+from .green import _idempotent_power, is_clifford, is_group
 
 
 @dataclass(frozen=True)
@@ -86,27 +86,15 @@ class PartialHom:
         object.__setattr__(self, "mapping", MappingProxyType(mapping))
 
 
-def validate_partial_hom(T, S, mapping):
-    """PartialHom(T, S, mapping), which checks itself when it is made."""
-    return PartialHom(T, S, mapping)
-
-
 @dataclass(frozen=True)
 class ExtensionWitness:
-    """A built extension plus the bookkeeping bijections.
-
-    s_map: ideal element of sigma -> element of S
-    t_map: outside element of sigma -> nonzero element of T
-    """
+    """A built extension sigma and its ideal, the copy of S at 0..|S|-1;
+    T \\ {0} follows in T's order, as the module's index conventions say."""
     sigma: Semigroup
     ideal: frozenset
-    s_map: dict
-    t_map: dict
 
     def __post_init__(self):
         object.__setattr__(self, "ideal", frozenset(self.ideal))
-        object.__setattr__(self, "s_map", dict(self.s_map))
-        object.__setattr__(self, "t_map", dict(self.t_map))
 
 
 def build_extension(phi):
@@ -143,12 +131,8 @@ def build_extension(phi):
     labels = None
     if S.labels and T.labels:
         labels = list(S.labels) + [T.label(x) for x in outside]
-    return ExtensionWitness(
-        sigma=Semigroup._derived(rows, labels),
-        ideal=frozenset(range(ns)),
-        s_map={i: i for i in range(ns)},
-        t_map={ns + i: x for i, x in enumerate(outside)},
-    )
+    return ExtensionWitness(sigma=Semigroup._derived(rows, labels),
+                            ideal=frozenset(range(ns)))
 
 
 @dataclass(frozen=True)
@@ -162,9 +146,10 @@ class ExtensionClassification:
 
 def _actions(S, members):
     """x -> (x*y for y in members, y*x for y in members), for every x."""
-    pick = _getter(members)
-    return {x: (pick(row), pick(col))
-            for x, (row, col) in enumerate(zip(S._rows, zip(*S._rows)))}
+    rows, pick = S._rows, _getter(members)
+    # the transpose of the members' rows: column x read at the members
+    cols = zip(*map(rows.__getitem__, members))
+    return {x: (pick(row), col) for x, (row, col) in enumerate(zip(rows, cols))}
 
 
 def classify_extension(sigma, ideal):
@@ -259,9 +244,11 @@ def clifford_decompose(sigma, ideal):
         raise NotClifford("the ideal is not a Clifford semigroup")
     twins = _twins(sigma, ideal)   # strictness; Clifford is weakly reductive
 
-    g = green(sub)
-    groups = [frozenset(elems[i] for i in cls) for cls in g.J.classes]
-    y_sem, _ = quotient_by_congruence(sub, g.J)
+    # on a Clifford semigroup the groups are the J-classes, and each
+    # element's group is named by its idempotent power
+    J = Partition.from_index([_idempotent_power(sub, x) for x in sub.elements])
+    groups = [frozenset(elems[i] for i in cls) for cls in J.classes]
+    y_sem, _ = quotient_by_congruence(sub, J)
 
     comp_of = {x: k for k, grp in enumerate(groups) for x in grp}
     comp_of.update((x, comp_of[s]) for x, s in twins.items())

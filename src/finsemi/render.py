@@ -3,7 +3,7 @@ Hasse diagrams for semilattice quotients."""
 
 from __future__ import annotations
 
-from .core import semilattice_witness
+from .core import _must, semilattice_witness
 from .errors import InvalidArgument
 from .green import green, idempotents
 from .stratify import stratify
@@ -57,12 +57,16 @@ def render_stratification(S):
 def render_hasse(Q, names=None):
     """ASCII Hasse diagram of a semilattice: one line per level (top first)
     and the cover relations below.  InvalidArgument, with the
-    `semilattice_witness`, when Q is not a semilattice."""
+    `semilattice_witness`, when Q is not a semilattice, or when names
+    does not give one name per element."""
     w = semilattice_witness(Q)
     if w is not None:
         raise InvalidArgument(f"not a semilattice, witness {w}")
     n = Q.order
-    names = names or [Q.label(i) for i in range(n)]
+    if names is None:
+        names = [Q.label(i) for i in range(n)]
+    elif _must(len, names, "names", "a sequence") != n:
+        raise InvalidArgument(f"{len(names)} names for {n} elements")
     # a <= b iff ab = a; b covers a when the interval up[a] & down[b] is {a, b}
     up = [sum(1 << b for b, ab in enumerate(row) if ab == a)
           for a, row in enumerate(Q._rows)]

@@ -238,18 +238,42 @@ class CliffordData:
                            _must(dict, self.linking, "linking", "a mapping"))
 
 
+def _check_linking(Y, linking):
+    """InvalidArgument unless linking is a mapping; InvalidLinking names
+    the first key that is not a pair of elements of Y (each checked by
+    `_member`, so that none wraps round) or whose map is not a sequence
+    of integers."""
+    try:
+        items = linking.items()
+    except AttributeError:
+        raise InvalidArgument(f"linking = {linking!r} is not a mapping") from None
+    for key, m in items:
+        try:
+            a, b = key
+            _member(Y, a), _member(Y, b)
+        except (TypeError, ValueError):   # InvalidArgument is a ValueError
+            raise InvalidLinking(key, "key is not a pair of elements of Y") from None
+        try:
+            len(m)   # a one-pass iterator has none
+            list(map(index, m))
+        except TypeError:
+            raise InvalidLinking(key, "map is not a sequence of integers") from None
+
+
 def strong_semilattice(Y, parts, linking):
     """The strong semilattice of semigroups [Y; parts; linking].
 
     `linking[(a, b)]` (for a >= b in Y, a != b) is a tuple mapping part-a
     indices to part-b indices; identity maps on (a, a) are implicit.  The
-    maps must be homomorphisms and compose transitively.
+    maps must be homomorphisms and compose transitively; a malformed
+    linking is refused as `_check_linking` says.
     """
     ny, parts = Y.order, _must(tuple, parts, "parts", "a sequence")
     if len(parts) != ny:
         raise InvalidLinking(None, f"expected {ny} parts, got {len(parts)}")
     if semilattice_witness(Y) is not None:
         raise InvalidLinking(None, "Y is not a semilattice")
+    _check_linking(Y, linking)
 
     def link(a, b):
         if a == b:
@@ -381,8 +405,11 @@ def partial_map_extension(n, m, groups, picks=None):
 
 
 def pow_in_group(G, g, k):
-    """g^k inside the group G (k >= 1)."""
-    out = g
+    """g^k inside the group G; InvalidArgument unless g is an element of G
+    and k an integer >= 1."""
+    out = g = _member(G, g)
+    if (k := _must(index, k, "k", "an integer")) < 1:
+        raise InvalidArgument(f"k = {k} is not >= 1")
     for _ in range(k - 1):
         out = G.mul(out, g)
     return out

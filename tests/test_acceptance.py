@@ -23,6 +23,7 @@ import random
 import time
 
 from finsemi import (
+    PartialHom,
     archimedean,
     build_extension,
     canonical_phi,
@@ -41,7 +42,6 @@ from finsemi import (
     rho_partition,
     stratify,
     Semigroup,
-    validate_partial_hom,
     verify_rho,
     zoo,
 )
@@ -138,7 +138,7 @@ def test_criterion_4_extension_round_trips():
     bad = []
     pool = triples(per_pair=4)
     for S, T, mapping in pool:
-        phi = validate_partial_hom(T, S, mapping)
+        phi = PartialHom(T, S, mapping)
         w = build_extension(phi)
         bad += _unchecked_build_problems(f"for {mapping}", w)
         if classify_extension(w.sigma, w.ideal).kind != "strict":

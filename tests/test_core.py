@@ -901,7 +901,7 @@ class TestDerivedCache:
             "clifford_decompose"])
     def test_an_analysed_semigroup_pickles_as_its_value(self, analyse):
         # a strict extension of the chain 0 < 1 < 2 < 3 by x1 -> 2
-        S = extend.build_extension(extend.validate_partial_hom(
+        S = extend.build_extension(extend.PartialHom(
             zoo.zero_semigroup(2), zoo.chain_semilattice(4), {1: 2})).sigma
         analyse(S)
         assert S._cache

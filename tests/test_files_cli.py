@@ -10,6 +10,7 @@ import pytest
 
 import finsemi
 from finsemi import (
+    PartialHom,
     Semigroup,
     format_phm,
     format_sgt,
@@ -18,7 +19,6 @@ from finsemi import (
     parse_sgt,
     save_sgt,
     semilattice_witness,
-    validate_partial_hom,
     from_table,
     zoo,
 )
@@ -103,7 +103,7 @@ class TestSgtFormat:
 class TestPhmFormat:
     def test_round_trip(self, tmp_path, z2):
         T = from_table(2, [[1, 1], [1, 1]])
-        phi = validate_partial_hom(T, z2, {0: 1})
+        phi = PartialHom(T, z2, {0: 1})
         t_path, s_path = tmp_path / "t.sgt", tmp_path / "s.sgt"
         save_sgt(T, t_path)
         save_sgt(z2, s_path)
@@ -371,6 +371,13 @@ class TestRender:
         text = render_hasse(zoo.chain_semilattice(3))
         assert "covers:" in text
         assert text.index("e2") < text.index("e0")   # top rendered first
+
+    def test_hasse_needs_one_name_per_element(self):
+        Q = zoo.chain_semilattice(3)
+        assert render_hasse(Q, ["x", "y", "z"]).splitlines()[0] == "  z"
+        for names in (["x"], ["w", "x", "y", "z"], [], 3):
+            with pytest.raises(InvalidArgument):
+                render_hasse(Q, names)
 
     @staticmethod
     def set_hasse(Q):

@@ -12,6 +12,7 @@ are the public API.
 """
 
 import ast
+import dataclasses
 import inspect
 import os
 import re
@@ -293,7 +294,8 @@ def test_the_check_sees_a_module_level_relative_import():
 
 
 # Every public name of the package at the commit that made extend,
-# properties, render and zoo lazy.
+# properties, render and zoo lazy, less the aliases kje_partition (of
+# rho_partition) and validate_partial_hom (of PartialHom) since removed.
 PUBLIC_API = (
     "Classification CliffordDecomposition ComponentReport DecompositionReport "
     "ExtensionClassification ExtensionWitness GreenStructure PartialHom "
@@ -306,12 +308,12 @@ PUBLIC_API = (
     "is_completely_simple is_conditionally_completely_regular is_congruence "
     "is_globally_idempotent is_grillet_stratified is_ideal is_left_ideal "
     "is_right_ideal is_subsemigroup is_weakly_reductive isomorphic k_class "
-    "kje_partition load_sgt maximal_subgroup monoid_completion pair_index "
+    "load_sgt maximal_subgroup monoid_completion pair_index "
     "parse_phm parse_sgt power_set product_set properties "
     "quotient_by_congruence recover_partial_hom rees_quotient "
     "regular_elements render restrict rho_partition save_sgt "
     "semilattice_witness stratify subsemigroup_witness universal_partition "
-    "validate_partial_hom verify_rho weak_inverse_location weak_inverses zoo"
+    "verify_rho weak_inverse_location weak_inverses zoo"
 ).split()
 
 
@@ -332,6 +334,20 @@ def test_public_names_are_listed():
     assert public - {"cli"} == set(PUBLIC_API)
     with pytest.raises(AttributeError):
         finsemi.no_such_name
+
+
+def test_removed_aliases_are_gone():
+    from finsemi import decompose, extend
+    for module, name in ((finsemi, "kje_partition"),
+                         (finsemi, "validate_partial_hom"),
+                         (decompose, "kje_partition"),
+                         (decompose, "footprint"),
+                         (extend, "validate_partial_hom"),
+                         (extend, "green")):
+        with pytest.raises(AttributeError):
+            getattr(module, name)
+    fields = dataclasses.fields(extend.ExtensionWitness)
+    assert tuple(f.name for f in fields) == ("sigma", "ideal")
 
 
 def test_lazy_names_import_in_a_fresh_interpreter():

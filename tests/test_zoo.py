@@ -214,6 +214,24 @@ class TestClifford:
                 *first)
         assert homs == gcd(p, q)
 
+    @pytest.mark.parametrize("linking, error, witness", [
+        ({(1,): (0,)}, InvalidLinking, (1,)),
+        ({("a", 0): (0,)}, InvalidLinking, ("a", 0)),
+        ({(1, 0): (0.0,)}, InvalidLinking, (1, 0)),
+        ({(1, 0): 5}, InvalidLinking, (1, 0)),
+        ([((1, 0), (0,))], InvalidArgument, None),
+        ({(5, 0): (0,)}, InvalidLinking, (5, 0)),
+        ({(-1, 0): (0,)}, InvalidLinking, (-1, 0)),
+    ], ids=["short-key", "str-key", "float-image", "int-map", "list",
+            "key-outside-Y", "negative-key"])
+    def test_malformed_linking_is_refused(self, linking, error, witness):
+        # a valid Y and valid parts: only the linking is wrong
+        with pytest.raises(error) as e:
+            zoo.strong_semilattice(zoo.chain_semilattice(2),
+                                   (zoo.trivial(),) * 2, linking)
+        if error is InvalidLinking:
+            assert e.value.witness == witness
+
     def test_each_linking_map_is_read_once(self):
         # it was read twice per cell of the product table
         reads = []
@@ -448,6 +466,15 @@ class TestPartialMapExtension:
 def _ideal_size(n, m):
     return sum(1 for f in product(range(m + 1), repeat=n)
                if all(v in (0, m) for v in f))
+
+
+def test_pow_in_group():
+    G = zoo.cyclic_group(3)       # a, a^2, a^3 = e
+    assert [zoo.pow_in_group(G, 0, k) for k in (1, 2, 3, 4)] == [0, 1, 2, 0]
+    assert zoo.pow_in_group(G, 1, 2) == 0     # (a^2)^2 = a^4 = a
+    for g, k in ((0, 0), (0, -2), (-1, 2), (7, 1), (0, 2.0), ("a", 1)):
+        with pytest.raises(InvalidArgument):
+            zoo.pow_in_group(G, g, k)
 
 
 class TestSamplers:
