@@ -4,8 +4,10 @@ A semigroup of order n is a validated n x n table of element indices;
 table[i][j] is the product i*j with i the left factor.  It is stored once,
 as the row tuples `_rows`; the int64 array `table` is built from them,
 and numpy imported, on access.  Subsets of elements are plain frozensets
-of indices, partitions are `Partition` objects.  All values are immutable
-after construction and every operation is a pure function of its inputs.
+of indices, partitions are `Partition` objects, each built in one pass
+from a class index and compared by its restricted growth string.  All
+values are immutable after construction and every operation is a pure
+function of its inputs.
 
 A table is checked for associativity once, where it enters the library:
 `Semigroup(...)`, `from_table` and `parse_sgt` (and so every zoo
@@ -104,7 +106,7 @@ class Semigroup:
     `_derived`, which skips the associativity check: see its docstring.
     """
 
-    __slots__ = ("order", "_rows", "labels", "zero", "identity", "_cache")
+    __slots__ = ("order", "elements", "_rows", "labels", "zero", "identity", "_cache")
 
     def __init__(self, entries, labels=None):
         rows = _checked_rows(entries, _int_row)
@@ -146,6 +148,7 @@ class Semigroup:
 
         ident = tuple(range(n))
         self.order = n
+        self.elements = range(n)
         self._rows = rows
         self.labels = labels
         # only an idempotent's row is counted, and a column is read only
@@ -169,10 +172,6 @@ class Semigroup:
         table = np.array(self._rows, dtype=np.int64)
         table.setflags(write=False)
         return table
-
-    @property
-    def elements(self):
-        return range(self.order)
 
     def label(self, i):
         return self.labels[i] if self.labels else str(i)
@@ -403,51 +402,52 @@ def from_table(n, entries, labels=None):
 
 
 class Partition:
-    """Disjoint nonempty classes covering [0, n), normalized by min element."""
+    """Disjoint nonempty classes covering [0, n), listed by least element.
+    `index_of[x]` numbers the class of x, so it is the restricted growth
+    string (Knuth, TAOCP 4A, 7.2.1.5) that builds and compares the partition."""
 
     __slots__ = ("classes", "index_of", "n")
 
     def __init__(self, classes, n=None):
         try:
-            self._fill(classes, n)
+            cls = [frozenset(map(index, c)) for c in classes]
+            if not all(cls):
+                raise InvalidArgument("empty class")
+            cls.sort(key=min)
+            label = {}  # point -> the rank of its class
+            for k, c in enumerate(cls):
+                if seen := c & label.keys():
+                    raise InvalidArgument(f"classes overlap at {sorted(seen)}")
+                label.update(dict.fromkeys(c, k))
+            size = n if n is not None else (max(label) + 1 if label else 0)
+            if label.keys() != set(range(size)):
+                raise InvalidArgument(f"classes do not cover [0, {size})")
         except TypeError:
             if n is not None:
                 _must(index, n, "n", "an integer")
             raise InvalidArgument(f"classes = {classes!r} is not a "
                                   "collection of sets of integers") from None
+        self._fill(map(label.get, range(size)))
 
-    def _fill(self, classes, n):
-        cls = sorted((frozenset(c) for c in classes), key=min)
-        seen = set()
-        for c in cls:
-            if not c:
-                raise InvalidArgument("empty class")
-            if c & seen:
-                raise InvalidArgument(f"classes overlap at {sorted(c & seen)}")
-            seen |= c
-        size = n if n is not None else (max(seen) + 1 if seen else 0)
-        if seen != set(range(size)):
-            raise InvalidArgument(f"classes do not cover [0, {size})")
-        index = [0] * size
-        for k, c in enumerate(cls):
-            for x in c:
-                index[x] = k
-        self.classes = tuple(cls)
-        self.index_of = tuple(index)
-        self.n = size
+    def _fill(self, labels):
+        rank = {}  # ranked by first appearance, the order of least elements
+        self.index_of = tuple(rank.setdefault(k, len(rank)) for k in labels)
+        members = [[] for _ in rank]
+        for x, k in enumerate(self.index_of):
+            members[k].append(x)
+        self.classes = tuple(map(frozenset, members))
+        self.n = len(self.index_of)
 
     @classmethod
     def from_index(cls, index):
         """The partition whose class of x is labelled index[x]."""
-        groups = {}
+        self = object.__new__(cls)
         try:
-            for x, k in enumerate(index):
-                groups.setdefault(k, []).append(x)
-            n = len(index)
+            self._fill(index)
         except TypeError:
             raise InvalidArgument(f"index = {index!r} is not a sequence of "
                                   "hashable class labels") from None
-        return cls(groups.values(), n=n)
+        return self
 
     def _point(self, x):
         """x as an int; InvalidArgument unless it is an integer in [0, n)."""
@@ -471,21 +471,21 @@ class Partition:
         return iter(self.classes)
 
     def __eq__(self, other):
-        return isinstance(other, Partition) and self.classes == other.classes
+        return isinstance(other, Partition) and self.index_of == other.index_of
 
     def __hash__(self):
-        return hash(self.classes)
+        return hash(self.index_of)
 
     def __repr__(self):
         return f"Partition({self.as_lists()})"
 
 
 def identity_partition(S):
-    return Partition([[x] for x in S.elements], n=S.order)
+    return Partition.from_index(_semigroup(S, "S").elements)
 
 
 def universal_partition(S):
-    return Partition([list(S.elements)], n=S.order)
+    return Partition.from_index([0] * _semigroup(S, "S").order)
 
 
 # ---------------------------------------------------------------------------
@@ -707,12 +707,14 @@ def pair_index(T, i, j):
 
 
 def _partition(S, partition):
-    """partition; InvalidArgument unless it is a Partition of [0, n)."""
+    """partition; InvalidArgument unless S is a Semigroup and partition a
+    Partition of [0, n)."""
+    n = _semigroup(S, "S").order
     if not isinstance(partition, Partition):
         raise InvalidArgument(f"partition = {partition!r} is not a Partition")
-    if partition.n != S.order:
+    if partition.n != n:
         raise InvalidArgument(f"partition of [0, {partition.n}) given for "
-                              f"a semigroup of order {S.order}")
+                              f"a semigroup of order {n}")
     return partition
 
 
@@ -759,8 +761,8 @@ def enumerate_congruences(S, max_order=CONGRUENCE_ORDER_CAP):
     soon as the classes assigned so far already violate compatibility.
     The list is cached on S; each call returns a fresh copy.
     """
-    n = S.order
-    if n > max_order:
+    n = _semigroup(S, "S").order
+    if n > _must(index, max_order, "max_order", "an integer"):
         raise OrderTooLarge(n, max_order)
     return list(_cached(S, "congruences", lambda: _congruences(S)))
 

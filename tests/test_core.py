@@ -715,15 +715,83 @@ class TestProductsQuotients:
         # an unhashable cache key raised a bare TypeError
         (lambda Z: quotient_by_congruence(Z, [[0], [1, 2]]),
          "partition = [[0], [1, 2]] is not a Partition"),
+        # a bare ValueError from min() of the empty class
+        (lambda Z: Partition([[0], []]), "empty class"),
+        # each raised a bare AttributeError
+        (lambda Z: core.identity_partition(None),
+         "S = None is not a Semigroup"),
+        (lambda Z: core.universal_partition(5), "S = 5 is not a Semigroup"),
+        (lambda Z: core.congruence_witness(None, core.identity_partition(Z)),
+         "S = None is not a Semigroup"),
+        (lambda Z: is_congruence(None, core.identity_partition(Z)),
+         "S = None is not a Semigroup"),
+        (lambda Z: quotient_by_congruence([[0]], core.identity_partition(Z)),
+         "S = [[0]] is not a Semigroup"),
+        (lambda Z: enumerate_congruences(None), "S = None is not a Semigroup"),
+        # the first two raised a bare TypeError; 2.5 was taken as a cap
+        (lambda Z: enumerate_congruences(Z, max_order="x"),
+         "max_order = 'x' is not an integer"),
+        (lambda Z: enumerate_congruences(Z, max_order=None),
+         "max_order = None is not an integer"),
+        (lambda Z: enumerate_congruences(Z, max_order=2.5),
+         "max_order = 2.5 is not an integer"),
     ], ids=["classes-int", "class-int", "class-str", "n-str", "from_index",
             "congruence_witness", "quotient", "is_congruence",
-            "quotient-list"])
+            "quotient-list", "class-empty", "identity_partition-S",
+            "universal_partition-S", "congruence_witness-S",
+            "is_congruence-S", "quotient-S", "enumerate_congruences-S",
+            "max_order-str", "max_order-None", "max_order-float"])
     def test_a_malformed_partition_is_named(self, call, message):
         Z = zoo.zero_semigroup(3)
         with pytest.raises(InvalidArgument) as e:
             call(Z)
         assert str(e.value) == message
         assert Z._cache == {}
+
+
+def _growth_strings(n):
+    """Every restricted growth string of length n, in lexicographic order."""
+    strings = [()]
+    for _ in range(n):
+        strings = [r + (k,) for r in strings
+                   for k in range(max(r, default=-1) + 2)]
+    return strings
+
+
+class TestPartitionValue:
+    @pytest.mark.parametrize("n", range(7))
+    def test_a_relabelled_growth_string_gives_its_partition(self, n):
+        strings = _growth_strings(n)
+        assert len(strings) == [1, 1, 2, 5, 15, 52, 203][n]   # Bell numbers
+        perm = random.Random(n).sample(range(n), n)  # label order != rank
+        relabel = [lambda k: f"class {perm[k]}", lambda k: -1 - perm[k],
+                   lambda k: (perm[k], "x"), lambda k: 2 ** 64 + perm[k]]
+        for r in strings:
+            p = Partition([[x for x in range(n) if r[x] == k]
+                           for k in range(len(set(r)))], n)
+            assert p.index_of == r
+            for f in relabel:
+                q = Partition.from_index([f(k) for k in r])
+                assert q == p and q.index_of == r and q.n == n
+                assert hash(q) == hash(p)
+                assert q.classes == p.classes
+                mins = [min(c) for c in q.classes]
+                assert mins == sorted(mins)
+
+    def test_an_index_builds_without_the_checked_constructor(self, m32,
+                                                             monkeypatch):
+        def refuse(self, classes, n=None):
+            raise AssertionError("Partition.__init__ called")
+
+        monkeypatch.setattr(Partition, "__init__", refuse)
+        p = Partition.from_index([0, 1, 0])
+        assert p.classes == ({0, 2}, {1}) and p.index_of == (0, 1, 0)
+        g = finsemi.green(m32)
+        assert g.J.n == 4 and g.R.index_of == g.L.index_of == (0, 1, 2, 2)
+        assert finsemi.rho_partition(m32).n == 4
+        assert len(enumerate_congruences(m32)) == 6
+        assert len(core.identity_partition(m32)) == 4
+        assert len(core.universal_partition(m32)) == 1
 
 
 class TestElementPredicates:
