@@ -22,8 +22,8 @@ They fill their tables from whole rows of their inputs; the subsemigroup and
 the two quotients share one row map, `_image_rows`.  A pickled or copied
 Semigroup is rebuilt through `_derived` too, from its checked rows, without
 its cache.  Every map that must obey a law (a linking or partial
-homomorphism, Sigma/~ -> Y) is checked by one function, `_law_failure`,
-which names the first failing pair.
+homomorphism) is checked by one function, `_law_failure`, which names the
+first failing pair.
 
 The check is Light's test; the cube scan only names the witness.  Both
 run in `_failure`, in O(n^2) memory, the only place the constructor

@@ -20,6 +20,7 @@ from .core import (
     _cached,
     _is_subsemigroup,
     _members,
+    _semigroup,
     quotient_by_congruence,
     semilattice_witness,
     subsemigroup_witness,
@@ -41,7 +42,7 @@ def rho_partition(S):
 
     The partition is cached on S; the CCR check runs on every call.
     """
-    if (w := ccr_witness(S)) is not None:
+    if (w := ccr_witness(_semigroup(S, "S"))) is not None:
         raise NotConditionallyCompletelyRegular(w)
     return _cached(S, "rho", lambda: _rho(S))
 

@@ -26,17 +26,14 @@ from .core import (
     _law_failure,
     _members,
     _must,
-    _product_set,
     _semigroup,
     ideal_witness,
-    quotient_by_congruence,
     rees_quotient,
     restrict,
 )
 from .decompose import _semilattice_quotient
 from .errors import (
     GroupUnionNotIdeal,
-    InternalTheoremViolation,
     InvalidArgument,
     LawViolation,
     NoZeroInSource,
@@ -61,7 +58,8 @@ class PartialHom:
     mapping: MappingProxyType   # T-index (nonzero) -> S-index
 
     def __post_init__(self):
-        T, S = self.source, self.target
+        T = _semigroup(self.source, "source")
+        S = _semigroup(self.target, "target")
         if T.zero is None:
             raise NoZeroInSource("source semigroup has no zero")
         try:
@@ -218,25 +216,28 @@ def _phi_from(sigma, ideal, image):
 
 @dataclass(frozen=True)
 class CliffordDecomposition:
-    """Sigma as a semilattice of ideal extensions of groups."""
+    """Sigma as a semilattice of ideal extensions of groups; `quotient`,
+    Sigma/~, is the ideal's structure semilattice Y indexed by component."""
     components: tuple       # (alpha, sigma_alpha, g_alpha) per quotient index
     quotient: Semigroup
     quotient_map: tuple
-    structure_semilattice: Semigroup   # Y of the Clifford ideal
 
     def component_sets(self):
         return [(sa, ga) for _, sa, ga in self.components]
 
 
 def clifford_decompose(sigma, ideal):
-    """Split a strict extension of a Clifford ideal along the ideal's
-    structure semilattice: Sigma_alpha = G_alpha ∪ {A : map(A) in G_alpha}.
+    """Split a strict extension of a Clifford ideal I along its structure
+    semilattice Y = I/J: Sigma_alpha = G_alpha ∪ {A : map(A) in G_alpha}.
 
-    Asserts (raising InternalTheoremViolation on failure, since these are
-    the theorem's claims): the classes form a congruence, the quotient is a
-    semilattice, sending each class to the G_alpha it holds is an
-    isomorphism onto Y (checked in O(|Y|^2), so |Y| is not capped), and
-    each G_alpha is an ideal of its component.
+    InternalTheoremViolation unless the classes ~ form a congruence with a
+    semilattice quotient; the rest of the theorem follows.  Each ~-class
+    holds exactly one group, so the quotient map restricted to I is onto
+    Sigma/~ with kernel J, and class k -> its group is an isomorphism
+    Sigma/~ ≅ I/J = Y (Howie, Fundamentals of Semigroup Theory, 1995).
+    An outside x with twin s in G_alpha has xg = sg and gx = gs for all g
+    in I, as `_twins` read off the table, so the group G_alpha is an ideal
+    of its component Sigma_alpha.
     """
     ideal = _members(_semigroup(sigma, "sigma"), ideal)
     sub, elems = restrict(sigma, ideal)
@@ -248,29 +249,15 @@ def clifford_decompose(sigma, ideal):
     # element's group is named by its idempotent power
     J = Partition.from_index([_idempotent_power(sub, x) for x in sub.elements])
     groups = [frozenset(elems[i] for i in cls) for cls in J.classes]
-    y_sem, _ = quotient_by_congruence(sub, J)
 
     comp_of = {x: k for k, grp in enumerate(groups) for x in grp}
     comp_of.update((x, comp_of[s]) for x, s in twins.items())
     tilde = Partition.from_index([comp_of[x] for x in sigma.elements])
 
-    quotient, qmap2 = _semilattice_quotient(sigma, tilde, "~", "Sigma/~")
-    # class k of ~ holds one group, groups[alpha[k]], so alpha is a
-    # bijection onto Y, and an isomorphism once it is a homomorphism
-    alpha = [comp_of[min(cls)] for cls in tilde.classes]
-    if _law_failure(quotient, y_sem, alpha, quotient.elements):
-        raise InternalTheoremViolation("Sigma/~ is not isomorphic to Y")
-
-    comps = []
-    for k, cls in enumerate(tilde.classes):
-        grp = groups[alpha[k]]
-        if not _product_set(sigma, cls, grp) | _product_set(sigma, grp, cls) <= grp:
-            raise InternalTheoremViolation(
-                "component group is not an ideal of its component")
-        comps.append((k, frozenset(cls), grp))
-    return CliffordDecomposition(components=tuple(comps), quotient=quotient,
-                                 quotient_map=qmap2,
-                                 structure_semilattice=y_sem)
+    quotient, qmap = _semilattice_quotient(sigma, tilde, "~", "Sigma/~")
+    comps = tuple((k, cls, groups[comp_of[min(cls)]])
+                  for k, cls in enumerate(tilde.classes))
+    return CliffordDecomposition(comps, quotient, qmap)
 
 
 def canonical_phi(sigma, components):
@@ -278,8 +265,9 @@ def canonical_phi(sigma, components):
     semilattice of group extensions.
 
     `components` lists (sigma_alpha, g_alpha) pairs partitioning sigma with
-    the g_alpha groups; their union must be an ideal, and a g_alpha that is
-    not a group (`green.is_group`) raises NotClifford.  build_extension of
+    the g_alpha groups; their union must be an ideal, a g_alpha that is not
+    closed raises NotASubsemigroup (from `restrict`), and one that is closed
+    but not a group (`green.is_group`) NotClifford.  build_extension of
     the result reproduces sigma's multiplication exactly (up to the standard
     index order: ideal first)."""
     try:
@@ -337,6 +325,8 @@ def parse_phm(text, resolve):
 
 
 def format_phm(phi, t_ref, s_ref):
+    if not isinstance(phi, PartialHom):
+        raise InvalidArgument(f"phi = {phi!r} is not a PartialHom")
     lines = [t_ref, s_ref]
     lines += [f"{a} {phi.mapping[a]}" for a in sorted(phi.mapping)]
     return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from itertools import chain
 from operator import index
 from types import MappingProxyType
 
-from .core import _cached, _member, _must, rees_quotient
+from .core import _cached, _member, _must, _semigroup, rees_quotient
 from .errors import InvalidArgument
 from .green import regular_elements
 
@@ -46,7 +46,7 @@ def stratify(S):
 
     The report is cached on S.
     """
-    return _cached(S, "stratify", lambda: _stratify(S))
+    return _cached(_semigroup(S, "S"), "stratify", lambda: _stratify(S))
 
 
 def _stratify(S):

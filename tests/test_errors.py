@@ -8,8 +8,10 @@ import pickle
 
 import pytest
 
-from finsemi import (Partition, errors, extend, load_sgt, parse_sgt,
-                     save_sgt, zoo)
+from finsemi import (Partition, base_set, classify, depth, errors, extend,
+                     is_globally_idempotent, is_grillet_stratified, load_sgt,
+                     parse_sgt, power_set, rho_partition, save_sgt, stratify,
+                     verify_rho, weak_inverse_location, zoo)
 from finsemi.core import read_text
 
 CLASSES = {name: cls for name, cls in vars(errors).items()
@@ -82,13 +84,23 @@ OPAQUE = object()
      "text = Semigroup(order=2, zero=0, identity=1) is not a str"),
     (lambda: extend.build_extension(C2),
      "phi = Semigroup(order=2, zero=0, identity=1) is not a PartialHom"),
+    (lambda: extend.PartialHom(None, C2, {}),
+     "source = None is not a Semigroup"),
+    (lambda: extend.PartialHom(zoo.zero_semigroup(2), None, {1: 0}),
+     "target = None is not a Semigroup"),
+    (lambda: extend.parse_phm("t.sgt\ns.sgt\n", str),
+     "source = 't.sgt' is not a Semigroup"),
+    (lambda: extend.format_phm(None, "a", "b"),
+     "phi = None is not a PartialHom"),
     # a bare ValueError from randrange, and NonSquare for an empty table
     (lambda: zoo.sample_associative(-1, 1), "order must be >= 1"),
     (lambda: zoo.sample_associative(0, 1), "order must be >= 1"),
     (lambda: zoo.random_associative(0, 1), "order must be >= 1"),
 ], ids=["canonical_phi", "parse_phm", "strong_semilattice",
         "partial_map_extension", "CliffordData", "parse_sgt",
-        "build_extension", "sample-negative", "sample-zero", "random-zero"])
+        "build_extension", "PartialHom-source", "PartialHom-target",
+        "parse_phm-resolved", "format_phm", "sample-negative", "sample-zero",
+        "random-zero"])
 def test_a_wrong_argument_is_named(call, message):
     with pytest.raises(errors.InvalidArgument) as e:
         call()
@@ -107,6 +119,26 @@ def test_sigma_must_be_a_semigroup(call, sigma):
     with pytest.raises(errors.InvalidArgument) as e:
         call(sigma)
     assert str(e.value) == f"sigma = {sigma!r} is not a Semigroup"
+
+
+@pytest.mark.parametrize("call, S", [
+    (stratify, None),
+    (lambda S: power_set(S, 1), 5),
+    (base_set, [[0]]),
+    (lambda S: depth(S, 0), "S"),
+    (is_globally_idempotent, None),
+    (is_grillet_stratified, 5),
+    (classify, [[0]]),
+    (rho_partition, "S"),
+    (verify_rho, None),
+    (lambda S: weak_inverse_location(S, 0), 5),
+], ids=["stratify", "power_set", "base_set", "depth", "is_globally_idempotent",
+        "is_grillet_stratified", "classify", "rho_partition", "verify_rho",
+        "weak_inverse_location"])
+def test_stratify_and_decompose_need_a_semigroup(call, S):
+    with pytest.raises(errors.InvalidArgument) as e:
+        call(S)
+    assert str(e.value) == f"S = {S!r} is not a Semigroup"
 
 
 @pytest.mark.parametrize("path", [None, 3.5, ["a"]])

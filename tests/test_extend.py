@@ -25,6 +25,7 @@ from finsemi.errors import (
     LawViolation,
     NoZeroInSource,
     NotAnIdeal,
+    NotASubsemigroup,
     NotClifford,
     NotStrict,
     NotWeaklyReductive,
@@ -343,25 +344,6 @@ class TestCliffordDecompose:
                                                     dec.component_sets()))
             assert rebuilt.sigma._rows == sigma._rows
 
-    def test_class_map_not_a_homomorphism_is_a_theorem_violation(
-            self, monkeypatch):
-        C = clifford_z2_over_trivial()
-        quotient, calls = extend.quotient_by_congruence, []
-
-        def reversed_y(S, p):
-            calls.append(p)
-            Q, index_of = quotient(S, p)
-            if len(calls) == 1:          # Y, with its order reversed
-                Q = from_table(2, [[0, 1], [1, 1]])
-            return Q, index_of
-
-        monkeypatch.setattr(extend, "quotient_by_congruence", reversed_y)
-        # Sigma/~ is isomorphic to the reversed Y, but not by the map that
-        # sends each class to the group it holds
-        with pytest.raises(InternalTheoremViolation) as e:
-            clifford_decompose(C, set(C.elements))
-        assert str(e.value) == "Sigma/~ is not isomorphic to Y"
-
     def test_quotient_not_a_semilattice_is_a_theorem_violation(
             self, monkeypatch):
         import finsemi.decompose as dc
@@ -377,16 +359,46 @@ class TestCliffordDecompose:
             clifford_decompose(C, set(C.elements))
         assert str(e.value) == "Sigma/~ has a non-idempotent element"
 
-    def test_group_not_an_ideal_is_a_theorem_violation(self, monkeypatch):
-        C = clifford_z2_over_trivial()
-        # every product set made all of Sigma, which leaves the bottom
-        # component's group {0}
-        monkeypatch.setattr(extend, "_product_set",
-                            lambda S, A, B: frozenset(S.elements))
-        with pytest.raises(InternalTheoremViolation) as e:
-            clifford_decompose(C, set(C.elements))
-        assert str(e.value) == (
-            "component group is not an ideal of its component")
+    def test_groups_are_ideals_and_the_quotient_is_y(self):
+        """What the theorem settles, recomputed by raw loops: each g_alpha
+        is a two-sided ideal of its sigma_alpha, the quotient is the table
+        of the classes' products, and class k -> the J-class of its group
+        is a bijective homomorphism onto Y = I/J."""
+        from test_zoo_golden import cases
+        inputs = [(w.sigma, w.ideal) for w in (
+            build_extension(PartialHom(T, S, mapping))
+            for S, T, mapping in triples())]
+        inputs += [(S, S.elements) for name, S in cases()
+                   if name.startswith("clifford")]
+        for n, m in product((1, 2), (1, 2, 3)):   # criterion 4's grid
+            for picks in [None] + ([[0] * n] if n == 1 or m <= 2 else []):
+                w = zoo.partial_map_extension(n, m, [zoo.cyclic_group(2)] * n,
+                                              picks=picks)
+                inputs.append((w.sigma, w.ideal))
+        assert len(inputs) > 150
+        for sigma, ideal in inputs:
+            dec = clifford_decompose(sigma, ideal)
+            Q, comps = dec.quotient, dec.components
+            assert [k for k, _, _ in comps] == list(Q.elements)
+            for k, sa, ga in comps:
+                assert all(dec.quotient_map[x] == k for x in sa)
+                for x in sa:
+                    for g in ga:
+                        assert sigma.mul(x, g) in ga and sigma.mul(g, x) in ga
+            for (k, sk, _), (l, sl, _) in product(comps, comps):
+                kl = comps[Q.mul(k, l)][1]
+                assert all(sigma.mul(x, y) in kl for x in sk for y in sl)
+
+            sub, elems = core.restrict(sigma, ideal)
+            J = green(sub).J
+            Y, _ = core.quotient_by_congruence(sub, J)
+            pos = {x: i for i, x in enumerate(elems)}
+            alpha = [J.index_of[pos[min(ga)]] for _, _, ga in comps]
+            assert sorted(alpha) == list(Y.elements)
+            for k, _, ga in comps:
+                assert {pos[x] for x in ga} == J.classes[alpha[k]]
+            for k, l in product(Q.elements, repeat=2):
+                assert alpha[Q.mul(k, l)] == Y.mul(alpha[k], alpha[l])
 
     def test_builds_no_restriction_of_a_component(self):
         C = clifford_z2_over_trivial()
@@ -496,6 +508,14 @@ class TestCanonicalPhi:
         with pytest.raises(GroupUnionNotIdeal):
             canonical_phi(t2, [({0, 3}, {0}), ({1, 2}, {1, 2})])
 
+    def test_part_that_is_not_closed(self):
+        # the parts' union is the whole table, an ideal, but 1 * 1 = 0
+        # leaves the part {1, 2}
+        with pytest.raises(NotASubsemigroup) as e:
+            canonical_phi(zoo.zero_semigroup(3),
+                          [({0}, {0}), ({1, 2}, {1, 2})])
+        assert e.value.witness == (1, 1)
+
     def test_part_with_one_idempotent_that_is_no_group(self):
         # the zero is its only idempotent, but it has no identity
         with pytest.raises(NotClifford) as e:
@@ -506,8 +526,7 @@ class TestCanonicalPhi:
 class TestRoundTripAsksOnce:
     def test_one_ideal_scan_and_one_law_check_per_map(self, monkeypatch):
         """One round trip scans the product sets of (Sigma, I) once, and
-        law-checks the recovered map, which canonical_phi reuses, and
-        Sigma/~ -> Y once each."""
+        law-checks the recovered map, which canonical_phi reuses, once."""
         scans, checks = [], []
         product_set, law_failure = core._product_set, extend._law_failure
 
@@ -537,8 +556,7 @@ class TestRoundTripAsksOnce:
         assert rebuilt.sigma._rows == sigma._rows
         assert [(A, B) for S, A, B in scans if S is sigma and full in (A, B)
                 ] == [(full, w.ideal), (w.ideal, full)]
-        assert checks == [(phi.source, phi.target),
-                          (dec.quotient, dec.structure_semilattice)]
+        assert checks == [(phi.source, phi.target)]
         assert canon is phi and phi.mapping == mapping
 
     def test_a_cached_verdict_keeps_its_witness(self, z2):
