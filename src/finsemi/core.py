@@ -59,7 +59,8 @@ values.
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import cache, partial
+from itertools import chain, filterfalse
 from operator import eq, index, itemgetter
 from os import PathLike
 
@@ -584,6 +585,7 @@ def _member(S, a):
 
 def _members(S, A):
     """A as a frozenset, each member checked by `_member`."""
+    _semigroup(S, "S")
     return frozenset([_member(S, a)
                       for a in _must(iter, A, "member set", "iterable")])
 
@@ -607,7 +609,7 @@ def ideal_witness(S, A):
 def semilattice_witness(S):
     """None when S is a semilattice; else, scanning row by row, (a, a) for
     the first non-idempotent a or (a, b) for the first a*b != b*a."""
-    rows = S._rows
+    rows = _semigroup(S, "S")._rows
     for a, row in enumerate(rows):
         if row[a] != a:
             return (a, a)
@@ -726,79 +728,58 @@ def _semigroup(S, name):
 
 
 def congruence_witness(S, partition):
-    """None if the partition is a congruence, else a witness (a, b, c)."""
-    idx = _partition(S, partition).index_of
-    t = S._rows
-    classes = [sorted(c) for c in partition.classes if len(c) > 1]
-    if not classes:
-        return None
-    cols = tuple(zip(*t))
-
-    def image(line):
-        """The classes of the products along one row or column."""
-        return itemgetter(*line)(idx)
-
-    for members in classes:
-        a = members[0]
-        row, col = image(t[a]), image(cols[a])
-        for b in members[1:]:
-            if image(t[b]) != row or image(cols[b]) != col:
-                # the first x where b parts from a, as the literal scan
-                return next((a, b, x) for x in S.elements
-                            if idx[t[a][x]] != idx[t[b][x]]
-                            or idx[t[x][a]] != idx[t[x][b]])
+    """None if the partition is a congruence, else (a, b, x) for the first
+    class, by least element, with a member b that acts on the classes
+    otherwise than a, its least member: the first such b, and the first x
+    with a*x, b*x or x*a, x*b in different classes."""
+    if len(_partition(S, partition)) < S.order:
+        return _congruence_failure(list(map(_getter, S._rows)),
+                                   partition.index_of)
     return None
+
+
+def _congruence_failure(getters, idx):
+    """`congruence_witness` for the restricted growth string idx, where
+    getters[a] reads the classes of row a of S from idx: each member of a
+    class must act on the classes from both sides as its first does."""
+    rows = [getter(idx) for getter in getters]
+    firsts, bad = [], None
+    for b, image in enumerate(zip(rows, zip(*rows))):
+        k = idx[b]
+        if k == len(firsts):
+            firsts.append(image)
+        elif image != firsts[k] and (bad is None or k < idx[bad[0]]):
+            bad = b, firsts[k], image
+    if bad is None:
+        return None
+    b, (ra, ca), (rb, cb) = bad
+    return idx.index(idx[b]), b, next(x for x in range(len(idx))
+                                      if ra[x] != rb[x] or ca[x] != cb[x])
 
 
 def is_congruence(S, partition):
     return congruence_witness(S, partition) is None
 
 
-def enumerate_congruences(S, max_order=CONGRUENCE_ORDER_CAP):
-    """All congruences of S, as Partitions in restricted-growth order.
-
-    Generates partitions as restricted growth strings, pruning a prefix as
-    soon as the classes assigned so far already violate compatibility.
-    The list is cached on S; each call returns a fresh copy.
-    """
+def enumerate_congruences(S):
+    """All congruences of S, as Partitions in restricted-growth order: the
+    restricted growth strings without a `_congruence_failure`.  The list
+    is cached on S; each call returns a fresh copy."""
     n = _semigroup(S, "S").order
-    if n > _must(index, max_order, "max_order", "an integer"):
-        raise OrderTooLarge(n, max_order)
-    return list(_cached(S, "congruences", lambda: _congruences(S)))
+    if n > CONGRUENCE_ORDER_CAP:
+        raise OrderTooLarge(n, CONGRUENCE_ORDER_CAP)
+    return list(_cached(S, "congruences", lambda: tuple(map(
+        Partition.from_index, filterfalse(partial(
+            _congruence_failure, list(map(_getter, S._rows))),
+            _growth_strings(n))))))
 
 
-def _congruences(S):
-    n = S.order
-    t = S._rows
-    out = []
-
-    def compatible_prefix(rgs, k):
-        # check constraints among elements 0..k whose products are also <= k
-        for a in range(k + 1):
-            for b in range(a + 1, k + 1):
-                if rgs[a] != rgs[b]:
-                    continue
-                for c in range(k + 1):
-                    ac, bc = t[a][c], t[b][c]
-                    if ac <= k and bc <= k and rgs[ac] != rgs[bc]:
-                        return False
-                    ca, cb = t[c][a], t[c][b]
-                    if ca <= k and cb <= k and rgs[ca] != rgs[cb]:
-                        return False
-        return True
-
-    def rec(k, maxc, rgs):
-        if k == n:
-            out.append(Partition.from_index(tuple(rgs)))
-            return
-        for c in range(maxc + 1):
-            rgs.append(c)
-            if compatible_prefix(rgs, k):
-                rec(k + 1, max(maxc, c + 1), rgs)
-            rgs.pop()
-
-    rec(0, 0, [])
-    return tuple(out)
+@cache
+def _growth_strings(n):
+    """The restricted growth strings of length n in lexicographic order;
+    n <= CONGRUENCE_ORDER_CAP, so the cache holds at most seven tuples."""
+    return tuple(r + (k,) for r in _growth_strings(n - 1)
+                 for k in range(max(r, default=-1) + 2)) if n else ((),)
 
 
 def quotient_by_congruence(S, partition):
@@ -830,7 +811,7 @@ def _quotient(S, partition):
 
 def interchangeable(S, a, b):
     """Distinct elements with identical left and right actions."""
-    if _member(S, a) == _member(S, b):
+    if _member(_semigroup(S, "S"), a) == _member(S, b):
         return False
     t = S._rows
     return all(t[a][x] == t[b][x] and t[x][a] == t[x][b] for x in S.elements)
@@ -838,7 +819,8 @@ def interchangeable(S, a, b):
 
 def interchangeable_pair(S):
     """The first interchangeable pair, by `_first_alike`, or None."""
-    return _first_alike(S.elements, list(zip(S._rows, zip(*S._rows))))
+    t = _semigroup(S, "S")._rows
+    return _first_alike(S.elements, list(zip(t, zip(*t))))
 
 
 def _first_alike(elements, actions):

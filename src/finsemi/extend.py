@@ -325,8 +325,16 @@ def parse_phm(text, resolve):
 
 
 def format_phm(phi, t_ref, s_ref):
+    """The .phm text of phi; each reference must read back as one line of
+    `parse_phm`: a non-empty str, one line by `str.splitlines`, without
+    surrounding space, that does not start with '#'."""
     if not isinstance(phi, PartialHom):
         raise InvalidArgument(f"phi = {phi!r} is not a PartialHom")
+    for name, ref in (("t_ref", t_ref), ("s_ref", s_ref)):
+        if not (isinstance(ref, str) and len(ref.splitlines()) == 1
+                and ref == ref.strip() and not ref.startswith("#")):
+            raise InvalidArgument(f"{name} = {ref!r} is not a one-line "
+                                  "reference")
     lines = [t_ref, s_ref]
     lines += [f"{a} {phi.mapping[a]}" for a in sorted(phi.mapping)]
     return "\n".join(lines) + "\n"

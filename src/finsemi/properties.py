@@ -539,7 +539,7 @@ def check_decompose(S):
 
 
 def _semilattice_congruences(S):
-    for p in enumerate_congruences(S, max_order=DECOMPOSE_SUITE_CAP):
+    for p in enumerate_congruences(S):
         if semilattice_witness(quotient_by_congruence(S, p)[0]) is None:
             yield p
 

@@ -67,6 +67,7 @@ def render_hasse(Q, names=None):
         names = [Q.label(i) for i in range(n)]
     elif _must(len, names, "names", "a sequence") != n:
         raise InvalidArgument(f"{len(names)} names for {n} elements")
+    names = list(map(str, names))
     # a <= b iff ab = a; b covers a when the interval up[a] & down[b] is {a, b}
     up = [sum(1 << b for b, ab in enumerate(row) if ab == a)
           for a, row in enumerate(Q._rows)]

@@ -656,7 +656,6 @@ class TestProductsQuotients:
         S = zoo.full_transformations(3)
         with pytest.raises(OrderTooLarge):
             enumerate_congruences(S)
-        assert enumerate_congruences(S, max_order=27)  # cap is overridable
 
     def test_quotient_identity_partition(self, m32):
         Q, _ = quotient_by_congruence(m32, Partition([[x] for x in range(4)]))
@@ -728,19 +727,11 @@ class TestProductsQuotients:
         (lambda Z: quotient_by_congruence([[0]], core.identity_partition(Z)),
          "S = [[0]] is not a Semigroup"),
         (lambda Z: enumerate_congruences(None), "S = None is not a Semigroup"),
-        # the first two raised a bare TypeError; 2.5 was taken as a cap
-        (lambda Z: enumerate_congruences(Z, max_order="x"),
-         "max_order = 'x' is not an integer"),
-        (lambda Z: enumerate_congruences(Z, max_order=None),
-         "max_order = None is not an integer"),
-        (lambda Z: enumerate_congruences(Z, max_order=2.5),
-         "max_order = 2.5 is not an integer"),
     ], ids=["classes-int", "class-int", "class-str", "n-str", "from_index",
             "congruence_witness", "quotient", "is_congruence",
             "quotient-list", "class-empty", "identity_partition-S",
             "universal_partition-S", "congruence_witness-S",
-            "is_congruence-S", "quotient-S", "enumerate_congruences-S",
-            "max_order-str", "max_order-None", "max_order-float"])
+            "is_congruence-S", "quotient-S", "enumerate_congruences-S"])
     def test_a_malformed_partition_is_named(self, call, message):
         Z = zoo.zero_semigroup(3)
         with pytest.raises(InvalidArgument) as e:
@@ -941,11 +932,6 @@ class TestDerivedCache:
         congs = enumerate_congruences(m32)
         congs.clear()
         assert len(enumerate_congruences(m32)) == 6
-
-    def test_congruence_cap_is_checked_before_the_cache(self, m32):
-        assert len(enumerate_congruences(m32)) == 6
-        with pytest.raises(OrderTooLarge):
-            enumerate_congruences(m32, max_order=3)
 
     def test_two_restricts_make_one_construction(self, m32, monkeypatch):
         built = []

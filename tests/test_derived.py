@@ -271,6 +271,21 @@ class TestRowScans:
                             == literal_congruence_witness(S, p))
         assert cases == 1 + 8 * 2 + 113 * 5
 
+    def test_congruences_are_the_partitions_the_literal_scan_passes(self):
+        """Every labelled table of order <= 4: the enumeration lists
+        exactly the partitions without a literal witness, by index_of."""
+        tables = 0
+        for n in (1, 2, 3, 4):
+            partitions = sorted({Partition.from_index(rgs) for rgs
+                                 in itertools.product(range(n), repeat=n)},
+                                key=lambda p: p.index_of)
+            for S in zoo.enumerate_associative(n):
+                tables += 1
+                assert enumerate_congruences(S) == [
+                    p for p in partitions
+                    if literal_congruence_witness(S, p) is None]
+        assert tables == 3614
+
     def test_build_and_validate_on_every_map(self):
         """All 2^6 and 3^6 maps from free_nilpotent(2, 3) \\ {0}: a map
         that obeys the law gives literal rows the cube scan finds

@@ -8,11 +8,12 @@ import pickle
 
 import pytest
 
+import finsemi
 from finsemi import (Partition, base_set, classify, depth, errors, extend,
                      is_globally_idempotent, is_grillet_stratified, load_sgt,
                      parse_sgt, power_set, rho_partition, save_sgt, stratify,
                      verify_rho, weak_inverse_location, zoo)
-from finsemi.core import read_text
+from finsemi.core import interchangeable_pair, read_text
 
 CLASSES = {name: cls for name, cls in vars(errors).items()
            if isinstance(cls, type) and issubclass(cls, errors.SemigroupError)}
@@ -132,9 +133,29 @@ def test_sigma_must_be_a_semigroup(call, sigma):
     (rho_partition, "S"),
     (verify_rho, None),
     (lambda S: weak_inverse_location(S, 0), 5),
+    # each raised a bare AttributeError
+    (lambda S: finsemi.is_ideal(S, {0}), 5),
+    (lambda S: finsemi.is_subsemigroup(S, {0}), 5),
+    (lambda S: finsemi.is_left_ideal(S, {0}), 5),
+    (lambda S: finsemi.is_right_ideal(S, {0}), 5),
+    (lambda S: finsemi.ideal_witness(S, {0}), 5),
+    (lambda S: finsemi.subsemigroup_witness(S, {0}), 5),
+    (lambda S: finsemi.product_set(S, {0}, {0}), 5),
+    (lambda S: finsemi.closure(S, {0}), 5),
+    (lambda S: finsemi.restrict(S, {0}), 5),
+    (lambda S: finsemi.rees_quotient(S, {0}), 5),
+    (lambda S: finsemi.archimedean(S, {0}), 5),
+    (lambda S: finsemi.interchangeable(S, 0, 1), 5),
+    (interchangeable_pair, 5),
+    (finsemi.is_weakly_reductive, 5),
+    (finsemi.semilattice_witness, 5),
 ], ids=["stratify", "power_set", "base_set", "depth", "is_globally_idempotent",
         "is_grillet_stratified", "classify", "rho_partition", "verify_rho",
-        "weak_inverse_location"])
+        "weak_inverse_location", "is_ideal", "is_subsemigroup",
+        "is_left_ideal", "is_right_ideal", "ideal_witness",
+        "subsemigroup_witness", "product_set", "closure", "restrict",
+        "rees_quotient", "archimedean", "interchangeable",
+        "interchangeable_pair", "is_weakly_reductive", "semilattice_witness"])
 def test_stratify_and_decompose_need_a_semigroup(call, S):
     with pytest.raises(errors.InvalidArgument) as e:
         call(S)

@@ -111,6 +111,28 @@ class TestPhmFormat:
         parsed = parse_phm(text, lambda ref: load_sgt(tmp_path / ref))
         assert parsed == phi
 
+    @pytest.mark.parametrize("t_ref, s_ref", [
+        ("t.sgt", "s.sgt"), ("zoo:chain:2", "my tables/s #1.sgt"),
+        ("a#b", "ü.sgt")])
+    def test_a_good_reference_reads_back(self, z2, t_ref, s_ref):
+        T = from_table(2, [[1, 1], [1, 1]])
+        phi = PartialHom(T, z2, {0: 1})
+        tables = {t_ref: T, s_ref: z2}
+        assert parse_phm(format_phm(phi, t_ref, s_ref), tables.get) == phi
+
+    @pytest.mark.parametrize("ref", [
+        5, None, b"t.sgt",   # a bare TypeError from str.join
+        # written as is, so parse_phm read the wrong lines
+        "a\nb", "a\rb", "a\x0bb", "a\u2028b", "# x", "#",
+        "", " ", " t.sgt", "t.sgt\n", "t.sgt\t"])
+    @pytest.mark.parametrize("side", ["t_ref", "s_ref"])
+    def test_a_bad_reference_is_named(self, z2, side, ref):
+        phi = PartialHom(from_table(2, [[1, 1], [1, 1]]), z2, {0: 1})
+        refs = {"t_ref": "t.sgt", "s_ref": "s.sgt", side: ref}
+        with pytest.raises(InvalidArgument) as e:
+            format_phm(phi, **refs)
+        assert str(e.value) == f"{side} = {ref!r} is not a one-line reference"
+
     def test_rejects_duplicate_pair(self, z2):
         text = "t\ns\n0 1\n0 0\n"
         with pytest.raises(SgtParseError):
@@ -378,6 +400,11 @@ class TestRender:
         for names in (["x"], ["w", "x", "y", "z"], [], 3):
             with pytest.raises(InvalidArgument):
                 render_hasse(Q, names)
+
+    def test_hasse_names_are_read_as_str(self):
+        # a bare TypeError from str.join, where labels are mapped by str
+        Q = zoo.chain_semilattice(2)
+        assert render_hasse(Q, [1, 2]) == render_hasse(Q, ["1", "2"])
 
     @staticmethod
     def set_hasse(Q):
