@@ -259,33 +259,35 @@ def _magma_generators(rows):
     """A set G whose closure under the raw product of the table is [0, n).
 
     G starts with the elements that are no product (every generating set
-    holds them) and grows by the least element not yet reached.  Every
-    product x*y and y*x of reached elements is read once, in rounds over
-    the elements reached last, so the closure costs O(n^2) and assumes
-    nothing about associativity.
+    holds them) and grows by the least element not yet reached, each step
+    closed by `_close`, so the closure costs O(n^2) and assumes nothing
+    about associativity.
     """
-    n = len(rows)
-    cols = tuple(zip(*rows))
-    gens = sorted(set(range(n)).difference(*rows))
-    reached, order, fresh = set(), [], set(gens)
-    nxt = 0
-    while True:
-        if not fresh:
-            while nxt in reached:
-                nxt += 1
-            if nxt == n:
-                return gens
-            gens.append(nxt)
-            fresh = {nxt}
-        reached |= fresh
-        old = len(order)
-        order += fresh
-        # x*y for fresh x and every reached y, y*x for the older y
-        right, left = _getter(order), _getter(order[:old])
-        made = set()
+    gens = sorted(set(range(len(rows))).difference(*rows))
+    reached = _close(rows, {}, gens)
+    for x in range(len(rows)):
+        if x not in reached:
+            gens.append(x)
+            _close(rows, reached, [x])
+    return gens
+
+
+def _close(rows, reached, fresh):
+    """reached, a dict of elements in the order they were reached, with
+    fresh and every product made from them added.
+
+    Each round reads x*y for every fresh x and reached y by one gather of
+    row x, and y*x for every older y off the older rows at x, so each
+    product is read once and no column is built.
+    """
+    while fresh:
+        older = list(map(rows.__getitem__, reached))
+        reached.update(dict.fromkeys(fresh))
+        right, made = _getter(list(reached)), set()
         for x in fresh:
-            made.update(right(rows[x]), left(cols[x]))
-        fresh = made - reached
+            made.update(right(rows[x]), map(itemgetter(x), older))
+        fresh = made.difference(reached)
+    return reached
 
 
 def _failure(rows, mids):
@@ -535,14 +537,10 @@ def _cached(S, key, compute):
 
 def closure(S, gens):
     """Smallest subsemigroup containing gens."""
-    cur = _members(S, gens)
-    if not cur:
+    gens = _members(S, gens)
+    if not gens:
         raise EmptyGenerators("generating set is empty")
-    while True:
-        nxt = cur | _product_set(S, cur, cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    return frozenset(_close(S._rows, {}, gens))
 
 
 def is_left_ideal(S, A):
@@ -681,9 +679,9 @@ def _rees_quotient(S, I):
 
 def direct_product(S, T):
     """Componentwise product on pairs; (i, j) is encoded as i*|T| + j."""
-    nt = T.order
-    if S.order * nt > ORDER_CAP:
-        raise OrderTooLarge(S.order * nt, ORDER_CAP)
+    ns, nt = _semigroup(S, "S").order, _semigroup(T, "T").order
+    if ns * nt > ORDER_CAP:
+        raise OrderTooLarge(ns * nt, ORDER_CAP)
     # blocks[j][v]: the cells (v, T[j][l]) for l in T, so row (i, j) is
     # the concatenation of blocks[j][v] over the entries v of row i of S
     blocks = [[tuple(map((v * nt).__add__, trow)) for v in S.elements]
@@ -699,6 +697,7 @@ def direct_product(S, T):
 
 def pair_index(T, i, j):
     """Index of (i, j) inside direct_product(S, T), for i in S and j in T."""
+    _semigroup(T, "T")
     if _must(index, i, "i", "an integer") < 0:
         raise InvalidArgument(f"i = {i!r} is negative")
     return i * T.order + _member(T, j)
@@ -844,19 +843,21 @@ def _adjoined(S, column, label):
 
 def adjoin_zero(S):
     """S with a fresh absorbing element appended at index n."""
-    rows, labels = _adjoined(S, (S.order,) * (S.order + 1), "0")
+    n = _semigroup(S, "S").order
+    rows, labels = _adjoined(S, (n,) * (n + 1), "0")
     return Semigroup._derived(rows, labels=labels)
 
 
 def adjoin_identity(S):
     """S with a fresh neutral element appended at index n."""
-    rows, labels = _adjoined(S, tuple(range(S.order + 1)), "1")
+    n = _semigroup(S, "S").order
+    rows, labels = _adjoined(S, tuple(range(n + 1)), "1")
     return Semigroup._derived(rows, labels=labels)
 
 
 def monoid_completion(S):
     """S itself if it has an identity, else adjoin_identity(S)."""
-    return S if S.identity is not None else adjoin_identity(S)
+    return S if _semigroup(S, "S").identity is not None else adjoin_identity(S)
 
 
 # ---------------------------------------------------------------------------
@@ -886,6 +887,7 @@ def find_isomorphism(S, T):
     new to phi and has z's profile, or must have it.  SearchBudgetExceeded
     is raised before the pair checks pass ISOMORPHISM_PAIR_BUDGET.
     """
+    _semigroup(S, "S"), _semigroup(T, "T")
     if sorted(ps := _profiles(S)) != sorted(pt := _profiles(T)):
         return None
     s, t, phi, inv = S._rows, T._rows, {}, {}
@@ -978,7 +980,7 @@ def parse_sgt(text):
 
 
 def format_sgt(S):
-    lines = [str(S.order)]
+    lines = [str(_semigroup(S, "S").order)]
     lines += [" ".join(map(str, row)) for row in S._rows]
     if S.labels:
         lines.append(" ".join(S.labels))
@@ -1010,6 +1012,6 @@ def load_sgt(path):
 
 def save_sgt(S, path):
     # formatted before the file is opened, so a bad S leaves it as it was
-    text = format_sgt(_semigroup(S, "S"))
+    text = format_sgt(S)
     with open(_path(path), "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -240,23 +240,17 @@ def clifford_decompose(sigma, ideal):
     of its component Sigma_alpha.
     """
     ideal = _members(_semigroup(sigma, "sigma"), ideal)
-    sub, elems = restrict(sigma, ideal)
-    if not is_clifford(sub):
+    if not is_clifford(restrict(sigma, ideal)[0]):
         raise NotClifford("the ideal is not a Clifford semigroup")
     twins = _twins(sigma, ideal)   # strictness; Clifford is weakly reductive
 
     # on a Clifford semigroup the groups are the J-classes, and each
-    # element's group is named by its idempotent power
-    J = Partition.from_index([_idempotent_power(sub, x) for x in sub.elements])
-    groups = [frozenset(elems[i] for i in cls) for cls in J.classes]
-
-    comp_of = {x: k for k, grp in enumerate(groups) for x in grp}
-    comp_of.update((x, comp_of[s]) for x, s in twins.items())
-    tilde = Partition.from_index([comp_of[x] for x in sigma.elements])
-
+    # element's group is named by its idempotent power; x ~ its twin, and
+    # an element of the ideal is its own twin
+    tilde = Partition.from_index([_idempotent_power(sigma, twins.get(x, x))
+                                  for x in sigma.elements])
     quotient, qmap = _semilattice_quotient(sigma, tilde, "~", "Sigma/~")
-    comps = tuple((k, cls, groups[comp_of[min(cls)]])
-                  for k, cls in enumerate(tilde.classes))
+    comps = tuple((k, cls, cls & ideal) for k, cls in enumerate(tilde.classes))
     return CliffordDecomposition(comps, quotient, qmap)
 
 

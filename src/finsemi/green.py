@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .core import Partition, _cached, _member, restrict
+from .core import Partition, _cached, _member, _semigroup, restrict
 from .errors import InternalTheoremViolation, NotIdempotent
 
 
@@ -67,7 +67,7 @@ def _principal_ideals(S):
 
 def green(S):
     """Compute (and cache) the full Green structure of S."""
-    return _cached(S, "green", lambda: _green(S))
+    return _cached(_semigroup(S, "S"), "green", lambda: _green(S))
 
 
 def _green(S):
@@ -92,13 +92,13 @@ def _green(S):
 
 def idempotents(S):
     """E(S); cached on S."""
-    return _cached(S, "idempotents", lambda: frozenset(
+    return _cached(_semigroup(S, "S"), "idempotents", lambda: frozenset(
         a for a, row in enumerate(S._rows) if row[a] == a))
 
 
 def regular_elements(S):
     """{s : s x s = s for some x}; cached on S."""
-    return _cached(S, "regular", lambda: _regular(S))
+    return _cached(_semigroup(S, "S"), "regular", lambda: _regular(S))
 
 
 def _regular(S):
@@ -111,20 +111,20 @@ def _regular(S):
 
 def weak_inverses(S, s):
     """W(s) = {x : x s x = x}."""
-    t, s = S._rows, _member(S, s)
+    t, s = _semigroup(S, "S")._rows, _member(S, s)
     return frozenset(x for x in S.elements if t[t[x][s]][x] == x)
 
 
 def inverses(S, s):
     """V(s) = {x : x s x = x and s x s = s}."""
-    t, s = S._rows, _member(S, s)
+    t, s = _semigroup(S, "S")._rows, _member(S, s)
     return frozenset(x for x in S.elements
                      if t[t[x][s]][x] == x and t[t[s][x]][s] == s)
 
 
 def element_powers(S, s):
     """The distinct powers s, s^2, ... in order, up to the first repeat."""
-    seq = [_member(S, s)]
+    seq = [_member(_semigroup(S, "S"), s)]
     seen = {s}
     p = s
     while (p := S.mul(p, s)) not in seen:
@@ -135,12 +135,13 @@ def element_powers(S, s):
 
 def is_group(S):
     """S has an identity e in every row (finite: xy = e implies yx = e)."""
-    return S.identity is not None and all(S.identity in r for r in S._rows)
+    e = _semigroup(S, "S").identity
+    return e is not None and all(e in row for row in S._rows)
 
 
 def ccr_witness(S):
     """A regular H-class with no idempotent, or None if S is CCR; cached."""
-    return _cached(S, "ccr_witness", lambda: _ccr_witness(S))
+    return _cached(_semigroup(S, "S"), "ccr_witness", lambda: _ccr_witness(S))
 
 
 def _ccr_witness(S):
@@ -160,10 +161,7 @@ def is_conditionally_completely_regular(S):
 
 def is_completely_simple(S, subset=None):
     """Single J-class and every H-class a group (checked structurally)."""
-    if subset is not None:
-        T, _ = restrict(S, subset)
-    else:
-        T = S
+    T = _semigroup(S, "S") if subset is None else restrict(S, subset)[0]
     g = green(T)
     if len(g.J) != 1:
         return False
@@ -173,7 +171,7 @@ def is_completely_simple(S, subset=None):
 
 def is_clifford(S):
     """Regular with central idempotents."""
-    n = S.order
+    n = _semigroup(S, "S").order
     if len(regular_elements(S)) != n:
         return False
     t = S._rows
@@ -183,7 +181,7 @@ def is_clifford(S):
 
 def maximal_subgroup(S, e):
     """H_e, the largest subgroup containing the idempotent e."""
-    if S.mul(_member(S, e), e) != e:
+    if _semigroup(S, "S").mul(_member(S, e), e) != e:
         raise NotIdempotent(e)
     return green(S).H.class_of(e)
 
@@ -199,6 +197,6 @@ def _idempotent_power(S, s):
 
 def k_class(S, e):
     """K_e = {s : some power of s lies in H_e} = {s : e is a power of s}."""
-    if S.mul(_member(S, e), e) != e:
+    if _semigroup(S, "S").mul(_member(S, e), e) != e:
         raise NotIdempotent(e)
     return frozenset(s for s in S.elements if _idempotent_power(S, s) == e)

@@ -56,6 +56,15 @@ def _raw_powers(S, upto):
     return out
 
 
+def _raw_closure(S, gens):
+    """Independent raw-loop fixpoint: gens with every product of two
+    members added, until nothing is new."""
+    t, cur = S._rows, frozenset(gens)
+    while (nxt := cur | {t[a][b] for a in cur for b in cur}) != cur:
+        cur = nxt
+    return cur
+
+
 def _raw_nilpotency_index(S):
     """The least m with (S/Base(S))^m = {0}, from raw powers; None if none.
 
@@ -409,6 +418,8 @@ def check_stratify(S):
     gens_pool += [frozenset({a, b}) for a in S.elements for b in S.elements if a < b]
     for gens in gens_pool:
         sub_set = closure(S, gens)
+        if sub_set != _raw_closure(S, gens):
+            bad.append(f"closure of {sorted(gens)} is not the raw fixpoint")
         sub, elems = restrict(S, sub_set)
         if w := _raw_derivation_witness("restrict", sub, S, elems):
             bad.append(w)

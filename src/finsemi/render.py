@@ -3,7 +3,8 @@ Hasse diagrams for semilattice quotients."""
 
 from __future__ import annotations
 
-from .core import _must, semilattice_witness
+from .core import _must, _semigroup, semilattice_witness
+from .decompose import DecompositionReport
 from .errors import InvalidArgument
 from .green import green, idempotents
 from .stratify import stratify
@@ -59,7 +60,7 @@ def render_hasse(Q, names=None):
     and the cover relations below.  InvalidArgument, with the
     `semilattice_witness`, when Q is not a semilattice, or when names
     does not give one name per element."""
-    w = semilattice_witness(Q)
+    w = semilattice_witness(_semigroup(Q, "Q"))
     if w is not None:
         raise InvalidArgument(f"not a semilattice, witness {w}")
     n = Q.order
@@ -89,6 +90,9 @@ def render_hasse(Q, names=None):
 
 
 def render_decomposition(S, report):
+    _semigroup(S, "S")
+    if not isinstance(report, DecompositionReport):
+        raise InvalidArgument(f"report = {report!r} is not a DecompositionReport")
     lines = [f"{len(report.components)} component(s); quotient semilattice:"]
     names = ["{" + ",".join(S.label(x) for x in sorted(c)) + "}"
              for c in report.rho.classes]
@@ -105,7 +109,7 @@ def render_decomposition(S, report):
 
 
 def render_analysis(S):
-    head = [repr(S)]
+    head = [repr(_semigroup(S, "S"))]
     if S.labels:
         head.append("elements: " + " ".join(S.labels))
     return "\n".join(head + ["", render_egg_box(S), "",

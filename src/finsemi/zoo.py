@@ -25,6 +25,7 @@ from .core import (
     _member,
     _must,
     _profiles,
+    _semigroup,
     adjoin_zero,
     direct_product,
     isomorphic,
@@ -208,8 +209,8 @@ def absorption_sum(R, T):
     R occupies indices 0..|R|-1 and T the rest; T ends up inside the base of
     the result while the Rees quotient by T is R with a zero glued on.
     """
-    nr = R.order
-    shifted = tuple(range(nr, nr + T.order))
+    nr, nt = _semigroup(R, "R").order, _semigroup(T, "T").order
+    shifted = tuple(range(nr, nr + nt))
     rows = [row + shifted for row in R._rows]
     rows += [(t,) * nr + _getter(row)(shifted)
              for t, row in zip(shifted, T._rows)]
@@ -268,9 +269,12 @@ def strong_semilattice(Y, parts, linking):
     maps must be homomorphisms and compose transitively; a malformed
     linking is refused as `_check_linking` says.
     """
-    ny, parts = Y.order, _must(tuple, parts, "parts", "a sequence")
+    ny = _semigroup(Y, "Y").order
+    parts = _must(tuple, parts, "parts", "a sequence")
     if len(parts) != ny:
         raise InvalidLinking(None, f"expected {ny} parts, got {len(parts)}")
+    for a, part in enumerate(parts):
+        _semigroup(part, f"parts[{a}]")
     if semilattice_witness(Y) is not None:
         raise InvalidLinking(None, "Y is not a semilattice")
     _check_linking(Y, linking)
@@ -326,6 +330,8 @@ def clifford(data):
     is not a group (`green.is_group`).  A strong semilattice of groups is
     Clifford by theorem, so a failed `is_clifford` re-check is an
     InternalTheoremViolation."""
+    if not isinstance(data, CliffordData):
+        raise InvalidArgument(f"data = {data!r} is not a CliffordData")
     if not all(map(is_group, data.groups)):
         raise InvalidLinking(None, "every part must be a group")
     S = strong_semilattice(data.semilattice, data.groups, data.linking)
@@ -407,7 +413,7 @@ def partial_map_extension(n, m, groups, picks=None):
 def pow_in_group(G, g, k):
     """g^k inside the group G; InvalidArgument unless g is an element of G
     and k an integer >= 1."""
-    out = g = _member(G, g)
+    out = g = _member(_semigroup(G, "G"), g)
     if (k := _must(index, k, "k", "an integer")) < 1:
         raise InvalidArgument(f"k = {k} is not >= 1")
     for _ in range(k - 1):

@@ -49,6 +49,7 @@ from finsemi import core, extend
 from finsemi.cli import analysis_bundle
 from finsemi.core import _cached, find_isomorphism
 from finsemi.green import element_powers
+from finsemi.properties import _raw_closure
 from finsemi.errors import (
     EmptyGenerators,
     IndexOutOfRange,
@@ -103,6 +104,33 @@ def verdict(rows):
     except NonAssociative as e:
         return e.triple
     return None
+
+
+def transposing_generators(rows):
+    """The generator search that `core._close` replaced: a frontier closure
+    that reads y*x off the transposed table; the oracle for the list of
+    `core._magma_generators`."""
+    n = len(rows)
+    cols = tuple(zip(*rows))
+    gens = sorted(set(range(n)).difference(*rows))
+    reached, order, fresh = set(), [], set(gens)
+    nxt = 0
+    while True:
+        if not fresh:
+            while nxt in reached:
+                nxt += 1
+            if nxt == n:
+                return gens
+            gens.append(nxt)
+            fresh = {nxt}
+        reached |= fresh
+        old = len(order)
+        order += fresh
+        made = set()
+        for x in fresh:
+            made.update(rows[x][y] for y in order)
+            made.update(cols[x][y] for y in order[:old])
+        fresh = made - reached
 
 
 def relabel(rows, perm):
@@ -351,6 +379,38 @@ class TestAssociativityCheck:
                         todo.append(z)
         assert reached == set(range(S.order))
 
+    def test_magma_generators_are_the_transposing_search(self):
+        # every magma of order <= 3, every semigroup of order 4, and five
+        # fixtures up to order 799: the same generators in the same order
+        tables = [[flat[i * n:(i + 1) * n] for i in range(n)]
+                  for n in (1, 2, 3)
+                  for flat in itertools.product(range(n), repeat=n * n)]
+        tables += [S._rows for S in zoo.enumerate_associative(4)]
+        assert len(tables) == 19700 + 3492
+        fixtures = [zoo.chain_semilattice(300), zoo.monogenic(400, 400),
+                    zoo.free_nilpotent(2, 7), zoo.rectangular_band(16, 18),
+                    direct_product(zoo.full_transformations(3),
+                                   zoo.chain_semilattice(8))]
+        for rows in tables + [S._rows for S in fixtures]:
+            assert core._magma_generators(rows) == transposing_generators(rows)
+
+    @pytest.mark.parametrize("fixture, params", [
+        ("monogenic", (400, 400)),          # 799, |G| = 1
+        ("rectangular_band", (16, 18)),     # 288, |G| = 33
+    ])
+    def test_construction_peaks_near_what_it_keeps(self, fixture, params):
+        # no transposed table: the generator search and Light's test hold
+        # O(n) scratch besides the rows the semigroup keeps
+        rows = [list(row) for row in getattr(zoo, fixture)(*params)._rows]
+        tracemalloc.start()
+        try:
+            S = Semigroup(rows)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert S.order == len(rows)
+        assert peak < 1.5 * kept
+
     @pytest.mark.parametrize("fixture, params", [
         ("rectangular_band", (8, 8)),       # 64
         ("monogenic", (40, 40)),            # 79
@@ -450,6 +510,16 @@ class TestSetAlgebra:
 
     def test_closure_brandt(self, b2):
         assert closure(b2, {1, 2}) == {0, 1, 2, 3, 4}
+
+    def test_closure_is_the_raw_fixpoint(self):
+        count = 0
+        for n in (1, 2, 3):
+            for S in zoo.enumerate_associative(n):
+                for r in range(1, n + 1):
+                    for gens in itertools.combinations(S.elements, r):
+                        assert closure(S, gens) == _raw_closure(S, gens)
+                        count += 1
+        assert count == 816
 
     def test_closure_empty(self, z2):
         with pytest.raises(EmptyGenerators):

@@ -3,6 +3,8 @@ trip keeps its type, its message and its witness attributes.  An argument
 of the wrong kind raises InvalidArgument naming it, never a bare Python
 exception."""
 
+import importlib
+import inspect
 import os
 import pickle
 
@@ -14,6 +16,7 @@ from finsemi import (Partition, base_set, classify, depth, errors, extend,
                      parse_sgt, power_set, rho_partition, save_sgt, stratify,
                      verify_rho, weak_inverse_location, zoo)
 from finsemi.core import interchangeable_pair, read_text
+from finsemi.render import render_decomposition
 
 CLASSES = {name: cls for name, cls in vars(errors).items()
            if isinstance(cls, type) and issubclass(cls, errors.SemigroupError)}
@@ -93,6 +96,11 @@ OPAQUE = object()
      "source = 't.sgt' is not a Semigroup"),
     (lambda: extend.format_phm(None, "a", "b"),
      "phi = None is not a PartialHom"),
+    (lambda: zoo.strong_semilattice(zoo.trivial(), ["x"], {}),
+     "parts[0] = 'x' is not a Semigroup"),
+    (lambda: zoo.clifford("x"), "data = 'x' is not a CliffordData"),
+    (lambda: render_decomposition(C2, "x"),
+     "report = 'x' is not a DecompositionReport"),
     # a bare ValueError from randrange, and NonSquare for an empty table
     (lambda: zoo.sample_associative(-1, 1), "order must be >= 1"),
     (lambda: zoo.sample_associative(0, 1), "order must be >= 1"),
@@ -100,7 +108,8 @@ OPAQUE = object()
 ], ids=["canonical_phi", "parse_phm", "strong_semilattice",
         "partial_map_extension", "CliffordData", "parse_sgt",
         "build_extension", "PartialHom-source", "PartialHom-target",
-        "parse_phm-resolved", "format_phm", "sample-negative", "sample-zero",
+        "parse_phm-resolved", "format_phm", "strong_semilattice-parts",
+        "clifford", "render_decomposition", "sample-negative", "sample-zero",
         "random-zero"])
 def test_a_wrong_argument_is_named(call, message):
     with pytest.raises(errors.InvalidArgument) as e:
@@ -160,6 +169,44 @@ def test_stratify_and_decompose_need_a_semigroup(call, S):
     with pytest.raises(errors.InvalidArgument) as e:
         call(S)
     assert str(e.value) == f"S = {S!r} is not a Semigroup"
+
+
+# the parameters that take a Semigroup, and a valid value for every other
+# required parameter of a function that has one
+SEMIGROUP_SLOTS = {"S", "T", "R", "Y", "Q", "G", "sigma"}
+FILLERS = {"A": {0}, "B": {0}, "gens": {0}, "I": {0}, "ideal": {0},
+           "a": 0, "b": 1, "e": 0, "g": 0, "i": 0, "j": 0, "k": 1, "m": 1,
+           "s": 0, "partition": Partition([[0], [1]]), "path": "x.sgt",
+           "parts": (), "linking": {}, "components": [], "report": None}
+
+
+def semigroup_slots():
+    for name in ("core", "green", "render", "zoo", "stratify", "decompose",
+                 "extend"):
+        module = importlib.import_module(f"finsemi.{name}")
+        for fname, f in sorted(vars(module).items()):
+            if (fname.startswith("_") or not inspect.isfunction(f)
+                    or f.__module__ != module.__name__):
+                continue
+            params = [p.name for p in inspect.signature(f).parameters.values()
+                      if p.default is p.empty]
+            for slot in params:
+                if slot in SEMIGROUP_SLOTS:
+                    yield pytest.param(f, params, slot, id=f"{fname}-{slot}")
+
+
+@pytest.mark.parametrize("f, params, slot", list(semigroup_slots()))
+def test_every_semigroup_slot_is_named(f, params, slot, tmp_path,
+                                       monkeypatch):
+    # each public function, "x" in one Semigroup slot and valid arguments
+    # in the others: InvalidArgument names that slot, never AttributeError
+    monkeypatch.chdir(tmp_path)
+    args = ["x" if p == slot else C2 if p in SEMIGROUP_SLOTS else FILLERS[p]
+            for p in params]
+    with pytest.raises(errors.InvalidArgument) as e:
+        f(*args)
+    assert str(e.value) == f"{slot} = 'x' is not a Semigroup"
+    assert not os.listdir(tmp_path)
 
 
 @pytest.mark.parametrize("path", [None, 3.5, ["a"]])

@@ -14,9 +14,11 @@ from finsemi import (
     from_table,
     recover_partial_hom,
     rees_quotient,
+    rho_partition,
+    verify_rho,
     zoo,
 )
-from finsemi import core, extend, green, is_clifford
+from finsemi import core, extend, green, idempotents, is_clifford
 from finsemi.green import _idempotent_power
 from finsemi.errors import (
     GroupUnionNotIdeal,
@@ -399,6 +401,33 @@ class TestCliffordDecompose:
                 assert {pos[x] for x in ga} == J.classes[alpha[k]]
             for k, l in product(Q.elements, repeat=2):
                 assert alpha[Q.mul(k, l)] == Y.mul(alpha[k], alpha[l])
+
+    def test_rho_is_tilde_exactly_over_a_nil_t(self):
+        """The decomposition both ways: when T is nil, Sigma's rho partition
+        is ~ and verify_rho's quotient is Sigma/~; when T holds an
+        idempotent E besides its zero, rho is strictly finer and E is its
+        own rho-class."""
+        nil = not_nil = 0
+        for S, T, mapping in triples():
+            w = build_extension(PartialHom(T, S, mapping))
+            sigma = w.sigma
+            dec = clifford_decompose(sigma, w.ideal)
+            tilde = Partition([sa for _, sa, _ in dec.components],
+                              n=sigma.order)
+            rho = rho_partition(sigma)
+            outside = [x for x in T.elements if x != T.zero]
+            E = [S.order + outside.index(e) for e in idempotents(T) - {T.zero}]
+            if not E:
+                nil += 1
+                assert rho == tilde
+                assert verify_rho(sigma).quotient._rows == dec.quotient._rows
+            else:
+                not_nil += 1
+                assert rho != tilde
+                assert all(rho.class_of(x) <= tilde.class_of(x)
+                           for x in sigma.elements)
+                assert all(rho.class_of(e) == {e} for e in E)
+        assert (nil, not_nil) == (93, 12)
 
     def test_builds_no_restriction_of_a_component(self):
         C = clifford_z2_over_trivial()
