@@ -19,11 +19,13 @@ images, by a checked ideal or congruence), `direct_product`, `adjoin_zero`,
 `adjoin_identity`, and `extend.build_extension` (an extension by a partial
 homomorphism, checked when it was made, associative by Clifford's theorem).
 They fill their tables from whole rows of their inputs; the subsemigroup and
-the two quotients share one row map, `_image_rows`.  A pickled or copied
-Semigroup is rebuilt through `_derived` too, from its checked rows, without
-its cache.  Every map that must obey a law (a linking or partial
-homomorphism) is checked by one function, `_law_failure`, which names the
-first failing pair.
+the two quotients share one row map, `_image_rows`, and an extension maps
+only the rows of T that hold a nonzero product, sharing the others with S.
+A pickled or copied Semigroup is rebuilt through `_derived` too, from its
+checked rows, without its cache.  Every map that must obey a law (a linking
+or partial homomorphism) is checked by one function, `_law_failure`, which
+names the first failing pair and skips every row whose products all leave
+the domain.
 
 The check is Light's test; the cube scan only names the witness.  Both
 run in `_failure`, in O(n^2) memory, the only place the constructor
@@ -380,17 +382,23 @@ def _law_failure(S, T, f, domain):
     """The first (a, b) of domain x domain, in domain order, with a*b in
     domain and f[a*b] != f[a]*f[b], a*b taken in S and f[a]*f[b] in T; or
     None.  On all of S it is the homomorphism test, on the nonzero elements
-    of S the law of a partial homomorphism.  Each row a is one C-level
+    of S the law of a partial homomorphism.  A row a with no product a*b
+    in domain cannot fail, so it costs one C-level `isdisjoint` of its
+    products and is skipped; on all of S the first product is already in
+    domain, so the test is O(1).  Every other row is one C-level
     comparison: want, the row of f[a] read at the images f[b], against the
     products a*b mapped by forced, the dict.get of f on domain with default
     the cell of want, so a product outside domain compares equal."""
     image = f.__getitem__
     pick, pick_images = _getter(domain), _getter(list(map(image, domain)))
-    forced = dict(zip(domain, map(image, domain))).get
+    on_domain = dict(zip(domain, map(image, domain)))
+    forced, inside = on_domain.get, on_domain.keys()
     srows, trows = S._rows, T._rows
     for a in domain:
+        if inside.isdisjoint(prods := pick(srows[a])):
+            continue
         want = pick_images(trows[image(a)])
-        if tuple(map(forced, prods := pick(srows[a]), want)) != want:
+        if tuple(map(forced, prods, want)) != want:
             return a, next(b for b, ab, w in zip(domain, prods, want)
                            if forced(ab, w) != w)
     return None

@@ -93,6 +93,9 @@ def render_decomposition(S, report):
     _semigroup(S, "S")
     if not isinstance(report, DecompositionReport):
         raise InvalidArgument(f"report = {report!r} is not a DecompositionReport")
+    if report.rho.n != S.order:
+        raise InvalidArgument(f"report is of a semigroup of order "
+                              f"{report.rho.n}, S of order {S.order}")
     lines = [f"{len(report.components)} component(s); quotient semilattice:"]
     names = ["{" + ",".join(S.label(x) for x in sorted(c)) + "}"
              for c in report.rho.classes]

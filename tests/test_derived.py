@@ -159,6 +159,12 @@ def literal_hom_violation(S, T, f):
                  if f[S.mul(a, b)] != T.mul(f[a], f[b])), None)
 
 
+def all_zero_rows(T):
+    """For each nonzero a of T, in order, whether every ab (b != 0) is 0."""
+    nonzero = [x for x in T.elements if x != T.zero]
+    return [all(T.mul(a, b) == T.zero for b in nonzero) for a in nonzero]
+
+
 def relabelled(S, perm):
     """S with element x renamed perm[x], built by the checked constructor."""
     inv = sorted(S.elements, key=perm.__getitem__)
@@ -375,6 +381,74 @@ class TestRowKernels:
             assert core._law_failure(T, S, mapping, nonzero) == law
             outcomes.add(law is None)
         assert outcomes == {True, False}
+
+    # each source with the all-zero flags of its nonzero rows: a, b, aa,
+    # ab, ba, bb, 0 renamed so that the zero rows of aa, ab, ba, bb come
+    # first in domain order; no zero row; only zero rows
+    ZERO_ROW_SOURCES = {
+        "zero-rows-first": (lambda: relabelled(zoo.free_nilpotent(2, 3),
+                                               [4, 5, 0, 1, 2, 3, 6]),
+                            [True] * 4 + [False] * 2),
+        "no-zero-row": (lambda: adjoin_zero(zoo.cyclic_group(3)),
+                        [False] * 3),
+        "all-zero": (lambda: zoo.zero_semigroup(5), [True] * 4),
+    }
+
+    @staticmethod
+    def every_map(T):
+        """Every map of T's nonzero elements into each order-2 table and C3,
+        with its target."""
+        nonzero = [x for x in T.elements if x != T.zero]
+        for S in [*zoo.enumerate_associative(2), zoo.cyclic_group(3)]:
+            for images in itertools.product(S.elements, repeat=len(nonzero)):
+                yield S, dict(zip(nonzero, images))
+
+    @pytest.mark.parametrize("name", ZERO_ROW_SOURCES)
+    def test_law_failure_skips_zero_rows(self, name):
+        """A row whose products all leave the domain is skipped: the
+        witness stays the first failing pair in domain order."""
+        make, zero_rows = self.ZERO_ROW_SOURCES[name]
+        T = make()
+        assert all_zero_rows(T) == zero_rows
+        nonzero = [x for x in T.elements if x != T.zero]
+        outcomes = set()
+        for S, mapping in self.every_map(T):
+            law = literal_law_violation(T, S, mapping)
+            assert core._law_failure(T, S, mapping, nonzero) == law
+            outcomes.add(law is None)
+        assert outcomes == ({True} if all(zero_rows) else {True, False})
+
+    @pytest.mark.parametrize("name", ["no-zero-row", "all-zero"])
+    def test_extension_of_zero_row_sources(self, name):
+        T = self.ZERO_ROW_SOURCES[name][0]()
+        built = 0
+        for S, mapping in self.every_map(T):
+            if literal_law_violation(T, S, mapping) is None:
+                w = build_extension(PartialHom(T, S, mapping))
+                rows = literal_extension_rows(T, S, mapping)
+                assert w.sigma._rows == tuple(map(tuple, rows))
+                built += 1
+        assert built > 2
+
+    @pytest.mark.parametrize("T, S, letters", [
+        (zoo.free_nilpotent(2, 3), zoo.cyclic_group(2), [0, 1]),
+        (zoo.free_nilpotent(3, 3), zoo.monogenic(2, 3), [0, 1, 2]),
+        (zoo.free_nilpotent(1, 30), zoo.cyclic_group(200), [1]),
+    ])
+    def test_extension_shares_zero_rows(self, T, S, letters):
+        """Up to order 256 the row of an a in T \\ {0} whose products are all
+        zero is the very tuple of map(a)'s row."""
+        mapping = word_map(T, S, letters)
+        sigma = build_extension(PartialHom(T, S, mapping)).sigma
+        assert sigma.order <= 256
+        outside = [x for x in T.elements if x != T.zero]
+        zero_rows = all_zero_rows(T)
+        assert any(zero_rows) and not all(zero_rows)
+        for i, a in enumerate(outside):
+            if zero_rows[i]:
+                assert sigma._rows[S.order + i] is sigma._rows[mapping[a]]
+        assert sigma._rows == tuple(
+            map(tuple, literal_extension_rows(T, S, mapping)))
 
     def test_law_failure_on_full_domain_list_maps(self):
         """The homomorphism test of a list map on all of S, as

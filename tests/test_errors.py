@@ -5,6 +5,7 @@ exception."""
 
 import importlib
 import inspect
+import itertools
 import os
 import pickle
 
@@ -101,6 +102,10 @@ OPAQUE = object()
     (lambda: zoo.clifford("x"), "data = 'x' is not a CliffordData"),
     (lambda: render_decomposition(C2, "x"),
      "report = 'x' is not a DecompositionReport"),
+    # a bare IndexError: a report of a larger semigroup
+    (lambda: render_decomposition(zoo.trivial(),
+                                  verify_rho(zoo.chain_semilattice(3))),
+     "report is of a semigroup of order 3, S of order 1"),
     # a bare ValueError from randrange, and NonSquare for an empty table
     (lambda: zoo.sample_associative(-1, 1), "order must be >= 1"),
     (lambda: zoo.sample_associative(0, 1), "order must be >= 1"),
@@ -109,7 +114,8 @@ OPAQUE = object()
         "partial_map_extension", "CliffordData", "parse_sgt",
         "build_extension", "PartialHom-source", "PartialHom-target",
         "parse_phm-resolved", "format_phm", "strong_semilattice-parts",
-        "clifford", "render_decomposition", "sample-negative", "sample-zero",
+        "clifford", "render_decomposition", "render_decomposition-order",
+        "sample-negative", "sample-zero",
         "random-zero"])
 def test_a_wrong_argument_is_named(call, message):
     with pytest.raises(errors.InvalidArgument) as e:
@@ -180,19 +186,24 @@ FILLERS = {"A": {0}, "B": {0}, "gens": {0}, "I": {0}, "ideal": {0},
            "parts": (), "linking": {}, "components": [], "report": None}
 
 
-def semigroup_slots():
-    for name in ("core", "green", "render", "zoo", "stratify", "decompose",
-                 "extend"):
+def public_functions(*names):
+    """The public functions defined in the named finsemi modules."""
+    for name in names:
         module = importlib.import_module(f"finsemi.{name}")
         for fname, f in sorted(vars(module).items()):
-            if (fname.startswith("_") or not inspect.isfunction(f)
-                    or f.__module__ != module.__name__):
-                continue
-            params = [p.name for p in inspect.signature(f).parameters.values()
-                      if p.default is p.empty]
-            for slot in params:
-                if slot in SEMIGROUP_SLOTS:
-                    yield pytest.param(f, params, slot, id=f"{fname}-{slot}")
+            if (not fname.startswith("_") and inspect.isfunction(f)
+                    and f.__module__ == module.__name__):
+                yield f
+
+
+def semigroup_slots():
+    for f in public_functions("core", "green", "render", "zoo", "stratify",
+                              "decompose", "extend"):
+        params = [p.name for p in inspect.signature(f).parameters.values()
+                  if p.default is p.empty]
+        for slot in params:
+            if slot in SEMIGROUP_SLOTS:
+                yield pytest.param(f, params, slot, id=f"{f.__name__}-{slot}")
 
 
 @pytest.mark.parametrize("f, params, slot", list(semigroup_slots()))
@@ -243,3 +254,37 @@ def test_a_bad_semigroup_leaves_the_file_as_it_was(tmp_path):
         save_sgt(None, target)
     assert str(e.value) == "S = None is not a Semigroup"
     assert target.read_bytes() == b"1\n0\n"
+
+
+def fuzz_pool():
+    """Atoms of every kind a caller might pass: the trivial semigroup, the
+    built extension of the free nilpotent T = {a, b, aa, ab, ba, bb, 0}
+    into the chain {0 < 1}, its partial homomorphism, and a decomposition
+    report of order 3, the order of neither semigroup."""
+    T = zoo.free_nilpotent(2, 3)
+    phi = extend.PartialHom(T, C2, dict(enumerate([0, 1, 0, 0, 0, 1])))
+    witness = extend.build_extension(phi)
+    return [None, 0, 1, -1, 2 ** 70, 0.5, "x", "zoo:chain:2", b"0 1", [],
+            [0], [[0], [1]], {0}, {0, 1}, frozenset({99}), zoo.trivial(),
+            witness.sigma, phi, witness, verify_rho(zoo.chain_semilattice(3))]
+
+
+def test_extend_and_render_on_a_pool_of_atoms():
+    """Every public function of extend and render, and the checked
+    PartialHom, on every tuple of pool atoms for its parameters: each call
+    returns or raises a SemigroupError."""
+    pool = fuzz_pool()
+    bare = []
+    calls = 0
+    for f in [*public_functions("extend", "render"), extend.PartialHom]:
+        arity = len(inspect.signature(f).parameters)
+        for args in itertools.product(pool, repeat=arity):
+            calls += 1
+            try:
+                f(*args)
+            except errors.SemigroupError:
+                pass
+            except Exception as e:    # a bare exception is the bug sought
+                bare.append((f.__name__, args, type(e).__name__, e))
+    assert calls > 15000
+    assert not bare, bare[:5]
