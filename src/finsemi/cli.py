@@ -3,9 +3,10 @@ enumerate / verify over .sgt and .phm files.
 
 Exit codes: 0 success, 1 property or validation failure, 2 usage error,
 3 I/O error.  All randomness flows through --seed (fixed default), so every
-command is deterministic given its inputs.  `verify` checks its tables on
-one fork-started worker per CPU in the process's affinity mask; its output
-does not depend on that count.
+command is deterministic given its inputs.  `verify` runs one fork-started
+worker per CPU in the process's affinity mask, each checking its share of
+every source, and merges their failures; its output does not depend on
+that count.
 """
 
 from __future__ import annotations
@@ -208,56 +209,51 @@ def cmd_enumerate(args):
     return 0
 
 
-class _Share:
-    """One process's part of verify: its failures (place, failing table,
-    messages) in serial order, the place of the step running now, and the
-    exception that stopped it.  A place (phase, index) orders the steps as one process
-    would run them: labelled table k, product pair (i, j), uniform sample k,
-    backtracking sample k."""
-
-    def __init__(self):
-        self.failures, self.at, self.error = [], None, None
-
-    def check(self, phase, tables, mine=lambda k: True):
-        """Check every table, or table k when mine(k); the count of tables."""
-        from . import properties
-        k = 0
-        self.at = (phase, k)
-        for S in tables:
-            if mine(k) and (bad := properties.check_semigroup(S)):
-                self.failures.append(((phase, k), S, bad))
-            k += 1
-            self.at = (phase, k)
-        return k
-
-
-def _verify_share(order, reps, w, width, fd):
-    """Worker w of width pickles (labelled tables, its _Share) to fd.  It
-    enumerates the labelled tables itself, so only a failing table outlives
-    its check, and checks table k when k % width == w and pair row i when
-    i % width == w."""
+def _verify_share(args, reps, w, width, fd):
+    """Worker w of width draws every source in serial order, checks item k
+    of each when k % width == w, and pickles to fd the four counts, its
+    failures (place, table, messages) and the (place, exception) that
+    stopped it or None.  Item k of source phase is at place (phase, k),
+    also while it is drawn; only a failing table outlives its check."""
     import pickle
+    from itertools import product
     from . import properties, zoo
-    share, count = _Share(), 0
+
+    def table(S):
+        bad = properties.check_semigroup(S)
+        return [(S, bad)] if bad else []
+
+    def pair(AB):
+        A, B = AB
+        return [(A, [msg, "right factor:\n" + format_sgt(B)])
+                for msg in properties.check_product_pair(A, B)]
+
+    sources = [
+        (lambda: zoo.enumerate_associative(args.order), table),
+        (lambda: product(reps, repeat=2), pair),
+        (lambda: zoo.sample_associative(5, args.samples, seed=args.seed), table),
+        (lambda: zoo.random_associative(5, min(args.samples, 10),
+                                        seed=args.seed), table)]
+    counts, failures, stopped = [], [], None
     try:
-        count = share.check(0, zoo.enumerate_associative(order),
-                            lambda k: k % width == w)
-        for i in range(w, len(reps), width):
-            for j, B in enumerate(reps):
-                share.at = (1, (i, j))
-                if bad := properties.check_product_pair(reps[i], B):
-                    share.failures.append((share.at, reps[i], bad))
+        for phase, (draw, check) in enumerate(sources):
+            place = (phase, 0)
+            for k, item in enumerate(draw()):
+                if k % width == w:
+                    failures += [(place, S, bad) for S, bad in check(item)]
+                place = (phase, k + 1)
+            counts.append(place[1])
     except Exception as e:
-        share.error = e
+        stopped = (place, e)
     with open(fd, "wb") as out:
-        pickle.dump((count, share), out)
+        pickle.dump((counts, failures, stopped), out)
 
 
 def cmd_verify(args):
-    """One fork-started worker per CPU checks its share of the labelled
-    tables and pairs while this process draws and checks the samples; the
-    failures merge into the serial order, so the report does not depend on
-    the number of workers."""
+    """One fork-started worker per CPU draws every source of tables and
+    checks its share of each; this process only merges their failures into
+    the serial order and reports, so the report does not depend on the
+    number of workers."""
     if not 0 <= args.samples <= SAMPLES_CAP:
         raise InvalidArgument(
             f"samples must be between 0 and {SAMPLES_CAP}, got {args.samples}")
@@ -269,37 +265,25 @@ def cmd_verify(args):
     ctx = multiprocessing.get_context("fork")
     width = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    own, workers = _Share(), []
-    shares = [own]
+    workers, shares = [], []
     try:
         for w in range(width):
             # a bare pipe: multiprocessing's Pipe costs 0.5 MB of imports
             fd, send = os.pipe()
             p = ctx.Process(target=_verify_share,
-                            args=(args.order, reps, w, width, send))
+                            args=(args, reps, w, width, send))
             try:
                 p.start()
             finally:
                 os.close(send)
             workers.append((p, open(fd, "rb")))
-        try:
-            own.at = (2, 0)
-            survivors = zoo.sample_associative(5, args.samples, seed=args.seed)
-            own.check(2, survivors)
-            own.at = (3, 0)
-            deep = zoo.random_associative(5, min(args.samples, 10),
-                                          seed=args.seed)
-            own.check(3, deep)
-        except Exception as e:
-            own.error = e
         for p, recv in workers:
             try:
-                count, share = pickle.load(recv)
+                shares.append(pickle.load(recv))
             except (EOFError, pickle.UnpicklingError):
                 p.join()
                 raise RuntimeError(f"verify worker {p.name} exited with "
                                    f"code {p.exitcode}") from None
-            shares.append(share)
     except BaseException:
         for p, _ in workers:
             p.terminate()
@@ -308,41 +292,27 @@ def cmd_verify(args):
         for p, recv in workers:
             recv.close()
             p.join()
-    stopped = [(s.at, s.error) for s in shares if s.error]
-    if stopped:
-        raise min(stopped, key=lambda e: e[0])[1]
-    return _verify_report(args, count, reps, survivors, deep,
-                          sorted((f for s in shares for f in s.failures),
-                                 key=lambda f: f[0]))
-
-
-def _verify_report(args, count, reps, survivors, deep, failures):
-    """Print the summary and every failure; the exit code."""
-    origins = {0: f"enumerated order-{args.order} table",
-               2: "uniform order-5 sample",
-               3: "randomized-backtracking order-5 sample"}
-    report = []
+    if stopped := [s for _, _, s in shares if s]:
+        raise min(stopped, key=lambda s: s[0])[1]
+    tables, pairs, survivors, deep = shares[0][0]
+    # a pair's place counts i * len(reps) + j
+    origins = [f"enumerated order-{args.order} table #{{0}}",
+               "product of representatives #{1} x #{2}",
+               "uniform order-5 sample #{0}",
+               "randomized-backtracking order-5 sample #{0}"]
+    failures = sorted((f for _, fs, _ in shares for f in fs),
+                      key=lambda f: f[0])
+    print(f"checked {tables + survivors + deep} semigroup(s) ({pairs} product "
+          f"pairs, {survivors} of {args.samples} uniform order-5 samples "
+          f"associative, {deep} backtracking samples)")
     for (phase, k), S, bad in failures:
-        if phase == 1:
-            i, j = k
-            report += [(f"product of representatives #{i} x #{j}", S,
-                        [msg, "right factor:\n" + format_sgt(reps[j])])
-                       for msg in bad]
-        else:
-            report.append((f"{origins[phase]} #{k}", S, bad))
-    print(f"checked {count + len(survivors) + len(deep)} semigroup(s) "
-          f"({len(reps) ** 2} product pairs, {len(survivors)} of {args.samples} "
-          f"uniform order-5 samples associative, {len(deep)} backtracking samples)")
-    if report:
-        for origin, S, bad in report:
-            print(f"\nFAIL [{origin}]")
-            sys.stdout.write(format_sgt(S))
-            for msg in bad:
-                print(f"  - {msg}")
-        print(f"\n{len(report)} failing semigroup(s)")
-        return 1
-    print("all property suites passed")
-    return 0
+        print(f"\nFAIL [{origins[phase].format(k, *divmod(k, len(reps)))}]")
+        sys.stdout.write(format_sgt(S))
+        for msg in bad:
+            print(f"  - {msg}")
+    print(f"\n{len(failures)} failing semigroup(s)" if failures
+          else "all property suites passed")
+    return int(bool(failures))
 
 
 def build_parser():

@@ -250,10 +250,13 @@ def _rows_of(entries, as_row):
 
 
 def _must(check, value, name, kind):
-    """check(value); InvalidArgument if that raises TypeError."""
+    """check(value); InvalidArgument if that raises TypeError or ValueError
+    (as dict("ab") does), unless it is an InvalidArgument already."""
     try:
         return check(value)
-    except TypeError:
+    except InvalidArgument:
+        raise
+    except (TypeError, ValueError):
         raise InvalidArgument(f"{name} = {value!r} is not {kind}") from None
 
 

@@ -94,7 +94,8 @@ class ExtensionWitness:
     ideal: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "ideal", frozenset(self.ideal))
+        object.__setattr__(self, "ideal", _must(
+            frozenset, self.ideal, "ideal", "a set of elements"))
 
 
 def build_extension(phi):
@@ -148,7 +149,8 @@ class ExtensionClassification:
     per_element: dict  # outside element -> True if it acts as some ideal element
 
     def __post_init__(self):
-        object.__setattr__(self, "per_element", dict(self.per_element))
+        object.__setattr__(self, "per_element", _must(
+            dict, self.per_element, "per_element", "a mapping"))
 
 
 def _actions(S, members):

@@ -84,6 +84,12 @@ OPAQUE = object()
      "groups = <built-in function print> is not a sequence"),
     (lambda: zoo.CliffordData(C2, (zoo.trivial(),) * 2, None),
      "linking = None is not a mapping"),
+    # a bare ValueError from dict("ab")
+    (lambda: zoo.CliffordData(C2, (), "ab"), "linking = 'ab' is not a mapping"),
+    # an InvalidArgument raised while a sequence is read keeps its message
+    (lambda: zoo.strong_semilattice(
+        C2, (zoo.cyclic_group(k) for k in (2, 0)), {}),
+     "index and period must be >= 1"),
     # bare AttributeErrors
     (lambda: parse_sgt(C2),
      "text = Semigroup(order=2, zero=0, identity=1) is not a str"),
@@ -111,7 +117,8 @@ OPAQUE = object()
     (lambda: zoo.sample_associative(0, 1), "order must be >= 1"),
     (lambda: zoo.random_associative(0, 1), "order must be >= 1"),
 ], ids=["canonical_phi", "parse_phm", "strong_semilattice",
-        "partial_map_extension", "CliffordData", "parse_sgt",
+        "partial_map_extension", "CliffordData", "CliffordData-str",
+        "strong_semilattice-inner", "parse_sgt",
         "build_extension", "PartialHom-source", "PartialHom-target",
         "parse_phm-resolved", "format_phm", "strong_semilattice-parts",
         "clifford", "render_decomposition", "render_decomposition-order",
@@ -270,13 +277,16 @@ def fuzz_pool():
 
 
 def test_extend_and_render_on_a_pool_of_atoms():
-    """Every public function of extend and render, and the checked
-    PartialHom, on every tuple of pool atoms for its parameters: each call
-    returns or raises a SemigroupError."""
+    """Every public function of extend and render, the checked PartialHom
+    and the dataclasses ExtensionWitness, ExtensionClassification and
+    CliffordData, on every tuple of pool atoms for its parameters: each
+    call returns or raises a SemigroupError."""
     pool = fuzz_pool()
     bare = []
     calls = 0
-    for f in [*public_functions("extend", "render"), extend.PartialHom]:
+    for f in [*public_functions("extend", "render"), extend.PartialHom,
+              extend.ExtensionWitness, extend.ExtensionClassification,
+              zoo.CliffordData]:
         arity = len(inspect.signature(f).parameters)
         for args in itertools.product(pool, repeat=arity):
             calls += 1

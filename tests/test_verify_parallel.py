@@ -144,6 +144,41 @@ def test_pair_error_beats_sample_error(monkeypatch, capsys, cpus):
     assert run_verify(monkeypatch, capsys, cpus, ARGV) == expected
 
 
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_this_process_checks_nothing(monkeypatch, capsys, cpus):
+    """Every check raises in this process, so each must run in a worker."""
+    expected = serial_verify(3, 24, 2)
+    pid = os.getpid()
+
+    def only_in_workers(check):
+        def guarded(*args):
+            if os.getpid() == pid:
+                raise AssertionError(f"{check.__name__} ran in the parent")
+            return check(*args)
+        return guarded
+    for name in ("check_semigroup", "check_product_pair"):
+        monkeypatch.setattr(properties, name,
+                            only_in_workers(getattr(properties, name)))
+    assert run_verify(monkeypatch, capsys, cpus, ARGV) == expected
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_drawing_error_ranks_by_its_place(monkeypatch, capsys, cpus):
+    """Workers draw the samples: an error drawing the backtracking samples
+    stops verify, and an error at product pair #2 x #0 ranks before it."""
+    monkeypatch.setattr(zoo, "random_associative",
+                        lambda n, count, seed=0: planted_error(-7))
+    expected = serial_verify(3, 24, 2)
+    assert expected == (1, "", "error: element -7 is not idempotent\n")
+    assert run_verify(monkeypatch, capsys, cpus, ARGV) == expected
+    reps = list(zoo.enumerate_associative(3, dedup="iso+anti"))
+    monkeypatch.setattr(properties, "check_product_pair", lambda A, B: (
+        planted_error(20) if (A, B) == (reps[2], reps[0]) else []))
+    expected = serial_verify(3, 24, 2)
+    assert expected == (1, "", "error: element 20 is not idempotent\n")
+    assert run_verify(monkeypatch, capsys, cpus, ARGV) == expected
+
+
 def test_a_dead_worker_stops_the_others(monkeypatch):
     """Worker 0 dies at labelled table #0; worker 1, stuck at table #1, is
     terminated instead of waited for."""
